@@ -25,8 +25,10 @@ overruns its capacity every P1 window) steps more ticks per MTF — deadline
 detection, HM handling, error-handler activity — so its ratios sit a
 little lower; it is reported and asserted against softer floors.
 
-The **steady-cruise workload** (E23) exercises the opt-in cycle cache
-(``cycle_cache=True``): every process period divides the MTF and every
+The execution-mode comparisons on the E13 workloads run with the cycle
+cache off (``cycle_cache=False``), so they measure the event core alone.
+The **steady-cruise workload** (E23) measures the cycle cache (on by
+default, DESIGN decision 13): every process period divides the MTF and every
 payload is constant, so after a short warm-up each major frame is a
 fingerprint fixed point and ``run_fast`` replays the memoized cycle
 template instead of stepping it.  Bit-identity (trace signature and
@@ -111,7 +113,8 @@ CYCLE_CACHE_FAULTY_FLOOR = 0.90
 
 
 def _build(faulty: bool, backend: str = "reference"):
-    simulator = make_simulator(build_prototype(), backend=backend)
+    simulator = make_simulator(build_prototype(), backend=backend,
+                               cycle_cache=False)
     if faulty:
         inject_faulty_process(simulator)
     return simulator
@@ -206,7 +209,7 @@ def assert_steady_equivalent(mtfs: int = 12) -> None:
     """Cycle cache on vs off over *mtfs* steady MTFs, both backends:
     identical traces and identical full-state fingerprints, and the
     cached run must have genuinely replayed frames."""
-    reference = make_steady_simulator()
+    reference = make_steady_simulator(cycle_cache=False)
     reference.run_fast(STEADY_MTF * mtfs)
     expected = trace_signature(reference)
     expected_state = state_fingerprint(reference)

@@ -467,16 +467,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="execution backend; 'fast' is bit-identical "
                                "to the reference, so campaign digests do "
                                "not depend on it (default reference)")
-    campaign.add_argument("--cycle-cache", dest="cycle_cache",
-                          action="store_true", default=False,
-                          help="memoize steady-state MTF cycles: replay "
-                               "fingerprint-verified cycle templates "
-                               "instead of re-stepping them (bit-identical "
-                               "digests either way; default off)")
     campaign.add_argument("--no-cycle-cache", dest="cycle_cache",
-                          action="store_false",
-                          help="never memoize steady-state cycles "
-                               "(the default)")
+                          action="store_const", const=False, default=None,
+                          help="step every MTF instead of replaying "
+                               "fingerprint-verified steady-state cycle "
+                               "templates (bit-identical digests either "
+                               "way; memoization is on by default)")
     campaign.add_argument("--live", action="store_true",
                           help="stream live per-scenario telemetry "
                                "(started/forked/finished) to stdout while "

@@ -185,11 +185,11 @@ def build_prototype(*, seed: int = 0, deadline_store: str = "list",
 
 def make_simulator(handles: Optional[PrototypeHandles] = None,
                    backend: str = "reference",
-                   cycle_cache: bool = False,
+                   cycle_cache: Optional[bool] = None,
                    **kwargs) -> Simulator:
     """Convenience: build (or reuse) a prototype config and wrap it in a
-    simulator.  *backend* selects the execution backend, *cycle_cache*
-    opts into steady-state MTF memoization."""
+    simulator.  *backend* selects the execution backend; *cycle_cache*
+    ``False`` turns steady-state MTF memoization off."""
     if handles is None:
         handles = build_prototype(**kwargs)
     return Simulator(handles.config, backend=backend,
@@ -312,7 +312,7 @@ def build_steady_prototype(*, seed: int = 0) -> SystemConfig:
 
 
 def make_steady_simulator(backend: str = "reference",
-                          cycle_cache: bool = False, *,
+                          cycle_cache: Optional[bool] = None, *,
                           seed: int = 0) -> Simulator:
     """Build the cruise-mode configuration wrapped in a simulator."""
     return Simulator(build_steady_prototype(seed=seed), backend=backend,

@@ -439,6 +439,7 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                        plan: PrefixPlan,
                        base_snapshot: Optional[SimulatorSnapshot],
                        base_depth: int, *, backend: str,
+                       cycle_cache: Optional[bool] = None,
                        check_interval: int,
                        transport=None) -> Optional[SimulatorSnapshot]:
     """Build, cache and publish the plan's missing checkpoints.
@@ -461,7 +462,8 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
         config = scenario.build_config()
         cursor = 0
         if base_snapshot is not None:
-            simulator = base_snapshot.restore(config, backend=backend)
+            simulator = base_snapshot.restore(
+                config, backend=backend, cycle_cache=cycle_cache)
             cursor = base_depth
         else:
             root_depth, root_key, root_tick = plan.capture_levels[0]
@@ -469,9 +471,11 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                     if root_depth == 0 else None)
             if base is not None:
                 simulator = SimulatorSnapshot.from_bytes(
-                    base[1]).restore(config, backend=backend)
+                    base[1]).restore(config, backend=backend,
+                                     cycle_cache=cycle_cache)
             else:
-                simulator = Simulator(config, backend=backend)
+                simulator = Simulator(config, backend=backend,
+                                      cycle_cache=cycle_cache)
         injector = FaultInjector(simulator)
         if base_snapshot is not None and base_snapshot.extras:
             state = base_snapshot.extras.get("injector")
@@ -489,7 +493,8 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                 # shallower span — attach and jump instead of rebuilding.
                 fetched = transport.fetch(key, tick)
                 if fetched is not None:
-                    simulator = fetched.restore(config, backend=backend)
+                    simulator = fetched.restore(config, backend=backend,
+                                                cycle_cache=cycle_cache)
                     injector = FaultInjector(simulator)
                     if fetched.extras:
                         state = fetched.extras.get("injector")
@@ -519,7 +524,7 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
                           check_interval: int = 20_000,
                           quantum: Ticks = PREFIX_QUANTUM,
                           backend: str = "reference",
-                          cycle_cache: bool = False,
+                          cycle_cache: Optional[bool] = None,
                           plan: Optional[PrefixPlan] = None,
                           transport=None,
                           publisher=None,
@@ -546,10 +551,10 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
     Prefix construction failures degrade to an uncached cold run: the
     cache is an optimization, never a correctness dependency.
 
-    *cycle_cache* arms steady-state MTF memoization on the scenario's
-    own run only — prefix *chain construction* always runs without it,
-    so cached checkpoints are byte-identical whichever mode the
-    scenarios forking from them use.
+    *cycle_cache* is passed to every simulator built here, chain
+    construction included (steady-state MTF memoization, armed unless
+    ``False``).  Checkpoints capture deterministic state only, so they
+    are byte-identical whichever mode built them or forks from them.
     """
     from ..kernel.simulator import Simulator
     from .runner import run_scenario
@@ -561,8 +566,8 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
         # dispatches to the constellation runner.
         return run_scenario(scenario, timeout_s=timeout_s,
                             check_interval=check_interval,
-                            backend=backend, publisher=publisher,
-                            artifacts=artifacts)
+                            backend=backend, cycle_cache=cycle_cache,
+                            publisher=publisher, artifacts=artifacts)
     if plan is not None:
         snapshot = None
         found_depth = -1
@@ -577,8 +582,8 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
                 found_depth < plan.capture_levels[-1][0]:
             built = _build_plan_levels(
                 scenario, cache, plan, snapshot, found_depth,
-                backend=backend, check_interval=check_interval,
-                transport=transport)
+                backend=backend, cycle_cache=cycle_cache,
+                check_interval=check_interval, transport=transport)
             if built is not None:
                 snapshot = built
         return run_scenario(scenario, timeout_s=timeout_s,
@@ -602,9 +607,11 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
             config = scenario.build_config()
             if base is not None:
                 simulator = SimulatorSnapshot.from_bytes(
-                    base[1]).restore(config, backend=backend)
+                    base[1]).restore(config, backend=backend,
+                                     cycle_cache=cycle_cache)
             else:
-                simulator = Simulator(config, backend=backend)
+                simulator = Simulator(config, backend=backend,
+                                      cycle_cache=cycle_cache)
             simulator.run_fast(snap_tick - simulator.now)
             snapshot = SimulatorSnapshot.capture(simulator)
             cache.put(fingerprint, snap_tick, snapshot.to_bytes(), snapshot)

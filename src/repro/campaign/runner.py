@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fault.injector import FaultInjector
 from ..fdir.oracle import check_trace
-from ..kernel.simulator import Simulator
+from ..kernel.simulator import Simulator, cycle_cache_armed
 from ..kernel.snapshot import SimulatorSnapshot
 from ..kernel.trace import (
     DeadlineMissed,
@@ -125,7 +125,7 @@ def run_scenario(scenario: Scenario, *,
                  check_interval: int = TIMEOUT_CHECK_INTERVAL,
                  from_snapshot: Optional[SimulatorSnapshot] = None,
                  backend: str = "reference",
-                 cycle_cache: bool = False,
+                 cycle_cache: Optional[bool] = None,
                  publisher=None,
                  artifacts: Optional[ScenarioArtifacts] = None
                  ) -> ScenarioResult:
@@ -155,10 +155,11 @@ def run_scenario(scenario: Scenario, *,
     *backend* selects the execution backend
     (:data:`repro.kernel.simulator.BACKENDS`); the fast backend is
     bit-identical to the reference, so campaign digests are independent
-    of it.  *cycle_cache* arms steady-state MTF memoization (DESIGN
-    decision 13) on the scenario's simulator — the same bit-identity
-    contract, so digests are independent of it too; its host-side hit
-    counters accumulate into the per-worker execution sidecar.
+    of it.  *cycle_cache* is passed to the scenario's simulators:
+    steady-state MTF memoization (DESIGN decision 13) is armed unless it
+    is ``False`` — the same bit-identity contract, so digests are
+    independent of it too; its host-side hit counters accumulate into
+    the per-worker execution sidecar.
 
     Unless the scenario opts out (``oracle=False``), the finished trace is
     audited by the TSP invariant oracle
@@ -182,12 +183,10 @@ def run_scenario(scenario: Scenario, *,
     if getattr(scenario, "is_constellation", False):
         from ..constellation.runner import run_constellation_scenario
 
-        # Constellations run N lockstep nodes whose simulators the node
-        # runner owns; cycle memoization is a single-simulator feature
-        # and is simply not armed there.
         return run_constellation_scenario(
             scenario, timeout_s=timeout_s, check_interval=check_interval,
-            backend=backend, publisher=publisher, artifacts=artifacts)
+            backend=backend, cycle_cache=cycle_cache, publisher=publisher,
+            artifacts=artifacts)
     start = time.perf_counter()
     if check_interval < 1:
         raise ValueError(
@@ -370,7 +369,7 @@ def _worker_transport(run_id: Optional[str]):
 
 def _run_one(scenario: Scenario, *, timeout_s: Optional[float],
              check_interval: int, prefix_cache: bool,
-             backend: str, cycle_cache: bool = False,
+             backend: str, cycle_cache: Optional[bool] = None,
              artifacts: Optional[ScenarioArtifacts] = None
              ) -> ScenarioResult:
     """One unit of campaign work, with or without prefix sharing."""
@@ -392,7 +391,7 @@ def _run_one(scenario: Scenario, *, timeout_s: Optional[float],
 
 
 def _pool_worker(payload: Tuple[Scenario, Optional[float], int, bool, str,
-                                bool, Optional[ScenarioArtifacts]]
+                                Optional[bool], Optional[ScenarioArtifacts]]
                  ) -> ScenarioResult:
     (scenario, timeout_s, check_interval, prefix_cache, backend,
      cycle_cache, artifacts) = payload
@@ -475,7 +474,7 @@ def run_serial(scenarios: Sequence[Scenario], *,
                check_interval: int = TIMEOUT_CHECK_INTERVAL,
                prefix_cache: bool = True,
                backend: str = "reference",
-               cycle_cache: bool = False,
+               cycle_cache: Optional[bool] = None,
                prefix_depth: Optional[int] = None,
                telemetry: Optional[Dict] = None,
                bus=None,
@@ -513,7 +512,7 @@ def run_serial(scenarios: Sequence[Scenario], *,
                    for scenario in scenarios]
         if telemetry is not None:
             _serial_cycle_telemetry(telemetry, cycle_before, cycle_cache)
-        if publisher is not None and cycle_cache:
+        if publisher is not None and cycle_cache_armed(cycle_cache):
             publisher.cycle_cache_stats(
                 _cycle_totals_since(cycle_before))
         _close_bus(bus, results, telemetry)
@@ -537,7 +536,7 @@ def run_serial(scenarios: Sequence[Scenario], *,
         _serial_cycle_telemetry(telemetry, cycle_before, cycle_cache)
     if publisher is not None:
         publisher.cache_stats(cache.stats())
-        if cycle_cache:
+        if cycle_cache_armed(cycle_cache):
             publisher.cycle_cache_stats(_cycle_totals_since(cycle_before))
     _close_bus(bus, results, telemetry)
     return results
@@ -551,9 +550,9 @@ def _cycle_totals_since(before: Dict[str, int]) -> Dict[str, int]:
 
 
 def _serial_cycle_telemetry(telemetry: Dict, before: Dict[str, int],
-                            cycle_cache: bool) -> None:
+                            cycle_cache: Optional[bool]) -> None:
     """Stash this campaign's serial-process cycle-cache counters."""
-    if not cycle_cache:
+    if not cycle_cache_armed(cycle_cache):
         telemetry["cycle_cache"] = {"enabled": False}
         return
     delta = _cycle_totals_since(before)
@@ -587,7 +586,7 @@ def run_pool(scenarios: Sequence[Scenario], *,
              check_interval: int = TIMEOUT_CHECK_INTERVAL,
              prefix_cache: bool = True,
              backend: str = "reference",
-             cycle_cache: bool = False,
+             cycle_cache: Optional[bool] = None,
              prefix_depth: Optional[int] = None,
              locality: bool = True,
              shm: Optional[bool] = None,
@@ -664,7 +663,8 @@ def run_pool(scenarios: Sequence[Scenario], *,
             results = pool.map(_pool_worker, payloads, chunksize=chunksize)
         if telemetry is not None:
             telemetry["prefix_tree"] = _tree_telemetry(None, prefix_depth)
-            telemetry["cycle_cache"] = {"enabled": cycle_cache}
+            telemetry["cycle_cache"] = {
+                "enabled": cycle_cache_armed(cycle_cache)}
         _close_bus(bus, results, telemetry)
         return results
 
@@ -722,6 +722,7 @@ def run_pool(scenarios: Sequence[Scenario], *,
             if plan.capture_levels:
                 _build_plan_levels(scenario, prebuild_cache, plan,
                                    None, -1, backend=backend,
+                                   cycle_cache=cycle_cache,
                                    check_interval=check_interval,
                                    transport=transport)
 
@@ -750,8 +751,8 @@ def run_pool(scenarios: Sequence[Scenario], *,
         for sidecar in worker_stats.values():
             for name, value in (sidecar.get("cycle_cache") or {}).items():
                 cycle_totals[name] = cycle_totals.get(name, 0) + value
-        telemetry["cycle_cache"] = {"enabled": cycle_cache,
-                                    **cycle_totals}
+        telemetry["cycle_cache"] = {
+            "enabled": cycle_cache_armed(cycle_cache), **cycle_totals}
         shm_totals: Dict[str, int] = {}
         for sidecar in worker_stats.values():
             for name, value in (sidecar["shm"] or {}).items():
@@ -775,7 +776,7 @@ def run_campaign(scenarios: Sequence[Scenario], *,
                  check_interval: int = TIMEOUT_CHECK_INTERVAL,
                  prefix_cache: bool = True,
                  backend: str = "reference",
-                 cycle_cache: bool = False,
+                 cycle_cache: Optional[bool] = None,
                  prefix_depth: Optional[int] = None,
                  locality: bool = True,
                  shm: Optional[bool] = None,
@@ -789,7 +790,7 @@ def run_campaign(scenarios: Sequence[Scenario], *,
     :func:`run_pool`); *artifacts* dumps per-scenario files.  Both leave
     every deterministic output — campaign digest, trace digests, oracle
     verdicts — byte-identical to a run without them, as does
-    *cycle_cache* (steady-state MTF memoization, off by default).
+    *cycle_cache* (steady-state MTF memoization, armed unless ``False``).
     """
     if workers <= 1:
         return run_serial(scenarios, timeout_s=timeout_s,

@@ -95,7 +95,8 @@ class Constellation:
     """N AIR nodes in deterministic lockstep over an inter-node fabric."""
 
     def __init__(self, config: ConstellationConfig, seed: int, *,
-                 backend: str = "reference") -> None:
+                 backend: str = "reference",
+                 cycle_cache: Optional[bool] = None) -> None:
         self.config = config
         self.seed = seed
         self.now: Ticks = 0
@@ -109,7 +110,8 @@ class Constellation:
         for index in range(config.nodes):
             node_seed = seeds.fork(f"node-{index}").seed
             system = factory(seed=node_seed, **dict(config.factory_kwargs))
-            simulator = Simulator(system, backend=backend)
+            simulator = Simulator(system, backend=backend,
+                                  cycle_cache=cycle_cache)
             self.system_configs.append(system)
             self.nodes.append(Node(index, simulator,
                                    config.heartbeat_timeout))

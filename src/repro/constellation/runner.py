@@ -136,6 +136,7 @@ def run_constellation_scenario(
         timeout_s: Optional[float] = None,
         check_interval: int = 20_000,
         backend: str = "reference",
+        cycle_cache: Optional[bool] = None,
         publisher=None,
         artifacts: Optional[ScenarioArtifacts] = None) -> ScenarioResult:
     """Execute one constellation scenario to completion, failure or timeout.
@@ -155,7 +156,8 @@ def run_constellation_scenario(
         publisher.scenario_started(scenario.scenario_id, scenario.ticks)
     try:
         constellation = Constellation(scenario.constellation,
-                                      scenario.seed, backend=backend)
+                                      scenario.seed, backend=backend,
+                                      cycle_cache=cycle_cache)
         for tick, fault in scenario.faults:
             constellation.schedule_fault(tick, fault)
         for node_index, tick, fault in scenario.node_faults:

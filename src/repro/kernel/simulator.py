@@ -24,11 +24,22 @@ from .interrupts import InterruptController, Vector
 from .time import TimeSource
 from .trace import Trace
 
-__all__ = ["Simulator"]
+__all__ = ["Simulator", "cycle_cache_armed"]
 
 
 #: Execution backends selectable at construction time.
 BACKENDS = ("reference", "fast")
+
+
+def cycle_cache_armed(cycle_cache: Optional[bool]) -> bool:
+    """Whether ``Simulator(..., cycle_cache=cycle_cache)`` arms
+    steady-state MTF memoization.
+
+    The one declaration of the default: ``None`` — what every layer
+    above the simulator passes through unless told otherwise — arms it;
+    ``False`` is the off switch.
+    """
+    return cycle_cache is not False
 
 
 class Simulator:
@@ -48,16 +59,17 @@ class Simulator:
     ``run`` and ``step`` always use the per-tick reference ISR — the
     backend only changes how provably uniform spans are driven.
 
-    ``cycle_cache`` (opt-in, orthogonal to the backend) enables
-    steady-state MTF cycle memoization (DESIGN decision 13): the
-    ``run_fast`` loops probe MTF boundaries for a fingerprint fixed
-    point and replay verified whole-frame templates instead of stepping,
-    under the same bit-identity contract.
+    ``cycle_cache`` (orthogonal to the backend) controls steady-state
+    MTF cycle memoization (DESIGN decision 13): the ``run_fast`` loops
+    probe MTF boundaries for a fingerprint fixed point and replay
+    verified whole-frame templates instead of stepping, under the same
+    bit-identity contract.  It is armed by default (see
+    :func:`cycle_cache_armed`); ``cycle_cache=False`` is the off switch.
     """
 
     def __init__(self, config: SystemConfig, *,
                  backend: str = "reference",
-                 cycle_cache: bool = False) -> None:
+                 cycle_cache: Optional[bool] = None) -> None:
         if backend not in BACKENDS:
             raise SimulationError(
                 f"unknown backend {backend!r} (choose from {BACKENDS})")
@@ -77,7 +89,7 @@ class Simulator:
         self._ticks_batched = 0
         self._ticks_stepped = 0
         self._cycle_cache = None
-        if cycle_cache:
+        if cycle_cache_armed(cycle_cache):
             from .cycle_cache import CycleCache
 
             self._cycle_cache = CycleCache(self)

@@ -144,7 +144,7 @@ class SimulatorSnapshot:
 
     def restore(self, config: SystemConfig, *,
                 backend: str = "reference",
-                cycle_cache: bool = False) -> Simulator:
+                cycle_cache: Optional[bool] = None) -> Simulator:
         """Build a fresh simulator continuing from this checkpoint.
 
         *config* must be structurally equal to the captured simulator's
@@ -158,8 +158,9 @@ class SimulatorSnapshot:
         *backend* selects the continuation's execution backend; snapshots
         are backend-agnostic (they capture deterministic state only), so
         a checkpoint taken on one backend forks onto any other.
-        *cycle_cache* likewise re-arms steady-state cycle memoization on
-        the continuation — cache state is host-side and never captured.
+        *cycle_cache* is passed to the continuation's :class:`Simulator`
+        (steady-state cycle memoization, armed unless ``False``) — cache
+        state is host-side and never captured.
         """
         if self.version != SNAPSHOT_VERSION:
             raise SimulationError(
@@ -178,7 +179,7 @@ class SimulatorSnapshot:
 
     def fork(self, config: SystemConfig, *,
              backend: str = "reference",
-             cycle_cache: bool = False) -> Simulator:
+             cycle_cache: Optional[bool] = None) -> Simulator:
         """Alias of :meth:`restore` — every call is an independent fork."""
         return self.restore(config, backend=backend,
                             cycle_cache=cycle_cache)

@@ -14,6 +14,7 @@ from repro.campaign.results import STATUS_CRASHED, STATUS_OK, aggregate
 from repro.campaign.runner import run_campaign, run_scenario
 from repro.campaign.scenarios import load_campaign_spec
 from repro.constellation import (
+    Constellation,
     ConstellationConfig,
     ConstellationScenario,
     NODE_COMM_STAT_KEYS,
@@ -107,6 +108,30 @@ class TestCampaignIntegration:
                 reports.append(json.dumps(
                     aggregate(results), sort_keys=True))
         assert len(set(reports)) == 1
+
+    def test_digests_identical_with_cycle_cache_on_and_off(self):
+        # Constellation nodes are armed like every other simulator;
+        # cycle_cache=False must reach them and change no digest.
+        node_digests = []
+        for cycle_cache in (None, False):
+            constellation = Constellation(
+                ConstellationConfig(nodes=3, loss_probability=0.05),
+                seed=11, cycle_cache=cycle_cache)
+            constellation.schedule_fault(MTF, SilentNodeFault(node=0))
+            constellation.run(6 * MTF)
+            armed = [node.simulator.cycle_cache_stats is not None
+                     for node in constellation.nodes]
+            assert armed == [cycle_cache is None] * 3
+            node_digests.append(
+                ([node.simulator.trace.digest()
+                  for node in constellation.nodes],
+                 constellation.combined_digest()))
+        assert node_digests[0] == node_digests[1]
+        scenarios = constellation_campaign(count=4, base_seed=0)
+        reports = [json.dumps(aggregate(run_campaign(scenarios, **options)),
+                              sort_keys=True)
+                   for options in ({}, {"cycle_cache": False})]
+        assert reports[0] == reports[1]
 
     def test_mixed_spec_loads_both_kinds(self, tmp_path):
         from repro.campaign.scenarios import (

@@ -1,11 +1,18 @@
 """Tests for the structured execution trace (repro.kernel.trace)."""
 
-import pytest
+import dataclasses
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.kernel import trace as trace_module
 from repro.kernel.trace import (
     ApplicationMessage,
     DeadlineMissed,
     PartitionDispatched,
+    PortMessageSent,
     Trace,
 )
 
@@ -534,3 +541,70 @@ class TestRebasePlan:
         for index in indices:
             rebased[index] += 50
         assert event_type(*rebased).deadline_time is None
+
+
+def one_shot_events(trace):
+    """The reference encoding the per-class encoders must reproduce."""
+    return json.dumps(trace.to_dicts(), sort_keys=True,
+                      separators=(",", ":"))
+
+
+#: Field values for the encoder property: pooled strings (so templates
+#: are reused across examples) with non-ASCII characters, quotes,
+#: backslashes and ``%``; ints; None; True, 1 and 1.0, which hash equal
+#: but render differently; and an unhashable list.
+_VALUES = st.one_of(
+    st.sampled_from(["P1", "caf\u00e9", "\u2603 snow", 'say "hi"',
+                     "back\\slash", "100%", "%d", "%s%%", ""]),
+    st.text(max_size=8),
+    st.integers(-2, 3),
+    st.integers(),
+    st.none(),
+    st.sampled_from([True, 1, 1.0]),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+_EVENTS = st.sampled_from(sorted(trace_module._EVENT_TYPES.values(),
+                                 key=lambda cls: cls.__name__)).flatmap(
+    lambda cls: st.tuples(*[_VALUES for _ in dataclasses.fields(cls)])
+    .map(lambda values: cls(*values)))
+
+
+class TestEncoder:
+    """The memoized per-class encoder is byte-identical to ``json.dumps``
+    of :meth:`Trace.to_dicts`, and its template memo stays bounded."""
+
+    @given(st.lists(_EVENTS, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_identical_to_one_shot_json(self, events):
+        trace = Trace()
+        for event in events:
+            trace.record(event)
+        assert "[" + ",".join(trace._encode_pending()) + "]" == \
+            one_shot_events(trace)
+
+    def test_equal_hashing_values_keep_their_own_rendering(self):
+        # True == 1 == 1.0 share a hash; a template stored for one must
+        # not serve the others.
+        trace = Trace()
+        for size in (1, True, 1.0, 1):
+            trace.record(PortMessageSent(tick=5, partition="P1",
+                                         port="out", size=size))
+        assert trace.to_json().count('"size":1,') == 2
+        assert '"size":true' in trace.to_json()
+        assert '"size":1.0' in trace.to_json()
+        assert trace.to_json() == json.dumps(
+            {"dropped": 0, "events": trace.to_dicts()}, sort_keys=True,
+            separators=(",", ":"))
+
+    def test_template_memo_is_capped(self):
+        cap = trace_module.TEMPLATE_MEMO_CAP
+        trace = Trace()
+        for index in range(cap + 50):
+            trace.record(ApplicationMessage(
+                tick=index, partition="P1", process=None,
+                text=f"unique line {index}"))
+        encoded = "[" + ",".join(trace._encode_pending()) + "]"
+        templates = trace_module._ENCODERS[ApplicationMessage].templates
+        assert len(templates) <= cap
+        assert encoded == one_shot_events(trace)
