@@ -96,11 +96,11 @@ class PartitionOs:
         self._generation = 0
         self._timer_memo: Tuple[int, Optional[Ticks]] = (-1, None)
         self._dispatch_generation = -1
-        #: Optional ``(partition, process, send_value, effect)`` observer
-        #: fired after every successful generator resume — the cycle
-        #: cache's recording tap (:mod:`repro.kernel.cycle_cache`).
-        self._cycle_probe: Optional[Callable[[str, str, Any, Any],
-                                             None]] = None
+        #: Optional generator-resume observer — the cycle cache's
+        #: recording tap (:mod:`repro.kernel.cycle_cache`): ``enter()``
+        #: before every resume, ``(partition, process, send_value,
+        #: effect)`` after every successful one.
+        self._cycle_probe: Optional[Any] = None
         for model in partition.processes:
             self._tcbs[model.name] = Tcb(model=model, partition=partition.name)
         for tcb in self._tcbs.values():
@@ -512,6 +512,9 @@ class PartitionOs:
             # simulator snapshot can rebuild it later by replaying the
             # same send sequence into a fresh instance of the body.
             tcb.resume_log.append(send_value)
+            probe = self._cycle_probe
+            if probe is not None:
+                probe.enter()
             try:
                 effect = tcb.generator.send(send_value)
             except StopIteration:
@@ -520,8 +523,8 @@ class PartitionOs:
             except Exception as exc:  # application fault containment
                 self._fault(tcb, exc)
                 return
-            if self._cycle_probe is not None:
-                self._cycle_probe(self.name, tcb.name, send_value, effect)
+            if probe is not None:
+                probe(self.name, tcb.name, send_value, effect)
             send_value = None
             if isinstance(effect, Compute):
                 tcb.compute_remaining = effect.ticks
