@@ -265,7 +265,9 @@ class SnapshotCache:
     live :class:`SimulatorSnapshot`, so the hot path forks without paying
     an unpickle per scenario.  Sharing one live snapshot across forks is
     sound because ``restore`` copies every mutable container out of the
-    snapshot state and never mutates it (pinned by the repeated-fork
+    snapshot state and never mutates it.  What forks do share are the
+    trace's event objects, which are immutable: each fork's log is a
+    fresh deque over them (pinned by the repeated-fork and shared-event
     entries of the fork-equivalence matrix).
 
     Two independent LRU bounds apply: *capacity* (entry count) and
@@ -288,6 +290,12 @@ class SnapshotCache:
     memoized snapshot reset, so a caller that rebuilt a prefix never
     leaves a stale payload behind.
 
+    ``fallbacks`` counts the times :func:`run_with_prefix_cache` gave up
+    on building a checkpoint (a capture, pickle or restore raised) and
+    ran that scenario's prefix unshared.  Digests cannot show a fallback
+    — a cold run is bit-identical — so this counter is the only trace of
+    one.
+
     All counters (including the byte totals) describe cache behaviour
     only — they belong to the nondeterministic reporting sidecar, never
     to campaign digests.
@@ -296,8 +304,8 @@ class SnapshotCache:
     #: The fixed key set :meth:`stats` emits.  The governed telemetry
     #: namespace constrains ``worker/<n>/cache/<stat>`` to this set.
     STAT_KEYS = ("entries", "hits", "misses", "stores", "refreshes",
-                 "rejects", "evictions", "total_bytes", "stored_bytes",
-                 "hit_bytes", "evicted_bytes")
+                 "rejects", "evictions", "fallbacks", "total_bytes",
+                 "stored_bytes", "hit_bytes", "evicted_bytes")
 
     def __init__(self, capacity: int = 16,
                  max_bytes: Optional[int] = None,
@@ -320,6 +328,7 @@ class SnapshotCache:
         self.refreshes = 0
         self.rejects = 0
         self.evictions = 0
+        self.fallbacks = 0
         self.total_bytes = 0
         self.stored_bytes = 0
         self.hit_bytes = 0
@@ -424,6 +433,7 @@ class SnapshotCache:
                 "misses": self.misses, "stores": self.stores,
                 "refreshes": self.refreshes, "rejects": self.rejects,
                 "evictions": self.evictions,
+                "fallbacks": self.fallbacks,
                 "total_bytes": self.total_bytes,
                 "stored_bytes": self.stored_bytes,
                 "hit_bytes": self.hit_bytes,
@@ -516,6 +526,7 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
             deepest = snapshot
         return deepest
     except Exception:  # noqa: BLE001 — degrade to whatever we had
+        cache.fallbacks += 1
         return None
 
 
@@ -616,6 +627,7 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
             snapshot = SimulatorSnapshot.capture(simulator)
             cache.put(fingerprint, snap_tick, snapshot.to_bytes(), snapshot)
         except Exception:  # noqa: BLE001 — degrade to a cold run
+            cache.fallbacks += 1
             snapshot = None
     return run_scenario(scenario, timeout_s=timeout_s,
                         check_interval=check_interval,

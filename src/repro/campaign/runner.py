@@ -34,12 +34,7 @@ from ..fault.injector import FaultInjector
 from ..fdir.oracle import check_trace
 from ..kernel.simulator import Simulator, cycle_cache_armed
 from ..kernel.snapshot import SimulatorSnapshot
-from ..kernel.trace import (
-    DeadlineMissed,
-    HealthMonitorEvent,
-    MemoryFault,
-    ScheduleSwitched,
-)
+from ..kernel.trace import MemoryFault, ScheduleSwitched
 from ..kernel.cycle_cache import CYCLE_CACHE_STAT_KEYS
 from ..obs.derived import compact_metrics
 from .artifacts import ScenarioArtifacts, write_scenario_artifacts
@@ -282,15 +277,18 @@ def run_scenario(scenario: Scenario, *,
     if artifacts is not None and artifacts.wants_exports:
         write_scenario_artifacts(scenario.scenario_id, simulator,
                                  artifacts)
+    tally = {ScheduleSwitched: 0, MemoryFault: 0}
+    metrics = compact_metrics(trace, tally)
+    counts = dict(metrics)
     result = ScenarioResult(
         scenario_id=scenario.scenario_id,
         seed=scenario.seed,
         status=status,
         ticks=simulator.now,
-        deadline_misses=trace.count(DeadlineMissed),
-        hm_events=trace.count(HealthMonitorEvent),
-        schedule_switches=trace.count(ScheduleSwitched),
-        memory_faults=trace.count(MemoryFault),
+        deadline_misses=counts["deadline_misses"],
+        hm_events=counts["hm_events"],
+        schedule_switches=tally[ScheduleSwitched],
+        memory_faults=tally[MemoryFault],
         faults_applied=len(injector.log),
         injections=tuple(
             (record.tick, type(record.fault).__name__, record.status)
@@ -298,7 +296,7 @@ def run_scenario(scenario: Scenario, *,
         trace_events=len(trace),
         trace_digest=trace.digest(),
         occupancy=tuple(sorted(simulator.pmk.partition_ticks.items())),
-        metrics=compact_metrics(trace),
+        metrics=metrics,
         error=error,
         wall_time_s=time.perf_counter() - start,
         forked_at_tick=forked_at,

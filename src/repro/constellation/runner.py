@@ -18,7 +18,7 @@ loop's determinism.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..campaign.artifacts import ScenarioArtifacts
 from ..campaign.results import (
@@ -28,12 +28,7 @@ from ..campaign.results import (
     ScenarioResult,
 )
 from ..fdir.oracle import InvariantViolation, check_trace
-from ..kernel.trace import (
-    DeadlineMissed,
-    HealthMonitorEvent,
-    MemoryFault,
-    ScheduleSwitched,
-)
+from ..kernel.trace import MemoryFault, ScheduleSwitched
 from ..obs.derived import compact_metrics
 from .constellation import Constellation
 from .oracle import check_constellation
@@ -113,17 +108,18 @@ def _merge_injections(constellation: Constellation
     return tuple(merged)
 
 
-def _sum_metrics(constellation: Constellation
+def _sum_metrics(constellation: Constellation, tally: Dict[type, int]
                  ) -> Tuple[Tuple[str, int], ...]:
     """Fleet-wide compact metrics: per-name sum (max for ``*_max``).
 
     Stays inside the governed
     :data:`~repro.obs.derived.COMPACT_METRIC_NAMES` key set, so the
     campaign metric topics need no constellation-specific variants.
+    *tally* sums fleet-wide like the pairs (see :func:`compact_metrics`).
     """
     folded = {}
     for node in constellation.nodes:
-        for name, value in compact_metrics(node.simulator.trace):
+        for name, value in compact_metrics(node.simulator.trace, tally):
             if name.endswith("_max"):
                 folded[name] = max(folded.get(name, 0), value)
             else:
@@ -226,6 +222,9 @@ def run_constellation_scenario(
                         constellation=constellation, publisher=publisher,
                         artifacts=artifacts)
     traces = [node.simulator.trace for node in constellation.nodes]
+    tally = {ScheduleSwitched: 0, MemoryFault: 0}
+    metrics = _sum_metrics(constellation, tally)
+    counts = dict(metrics)
     occupancy = []
     for node in constellation.nodes:
         for partition, ticks in sorted(
@@ -255,10 +254,10 @@ def run_constellation_scenario(
         seed=scenario.seed,
         status=status,
         ticks=constellation.now,
-        deadline_misses=sum(t.count(DeadlineMissed) for t in traces),
-        hm_events=sum(t.count(HealthMonitorEvent) for t in traces),
-        schedule_switches=sum(t.count(ScheduleSwitched) for t in traces),
-        memory_faults=sum(t.count(MemoryFault) for t in traces),
+        deadline_misses=counts["deadline_misses"],
+        hm_events=counts["hm_events"],
+        schedule_switches=tally[ScheduleSwitched],
+        memory_faults=tally[MemoryFault],
         faults_applied=(len(constellation.fault_log)
                         + sum(len(node.injector.log)
                               for node in constellation.nodes)),
@@ -266,7 +265,7 @@ def run_constellation_scenario(
         trace_events=sum(len(t) for t in traces),
         trace_digest=constellation.combined_digest(),
         occupancy=tuple(occupancy),
-        metrics=_sum_metrics(constellation),
+        metrics=metrics,
         error=error,
         node_comm=node_comm,
         wall_time_s=time.perf_counter() - start,

@@ -26,7 +26,16 @@ class SeededRng:
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
-        self._random = random.Random(seed)
+        # Seeded on first use: a stream whose state load_state_dict then
+        # replaces (every stream a snapshot restore rebuilds) or that is
+        # never drawn from skips the Mersenne Twister seeding.
+        self._random: Optional[random.Random] = None
+
+    def _stream(self) -> random.Random:
+        stream = self._random
+        if stream is None:
+            stream = self._random = random.Random(self._seed)
+        return stream
 
     @property
     def seed(self) -> int:
@@ -35,27 +44,27 @@ class SeededRng:
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in ``[low, high]`` inclusive."""
-        return self._random.randint(low, high)
+        return self._stream().randint(low, high)
 
     def uniform(self, low: float, high: float) -> float:
         """Uniform float in ``[low, high]``."""
-        return self._random.uniform(low, high)
+        return self._stream().uniform(low, high)
 
     def choice(self, options: Sequence[T]) -> T:
         """Uniformly pick one element of *options*."""
-        return self._random.choice(options)
+        return self._stream().choice(options)
 
     def sample(self, options: Sequence[T], count: int) -> List[T]:
         """Sample *count* distinct elements of *options*."""
-        return self._random.sample(options, count)
+        return self._stream().sample(options, count)
 
     def shuffle(self, items: List[T]) -> None:
         """In-place Fisher-Yates shuffle."""
-        self._random.shuffle(items)
+        self._stream().shuffle(items)
 
     def chance(self, probability: float) -> bool:
         """True with the given *probability* in ``[0, 1]``."""
-        return self._random.random() < probability
+        return self._stream().random() < probability
 
     def state_dict(self) -> Dict[str, Any]:
         """Serializable stream position: seed plus the Mersenne state.
@@ -66,7 +75,7 @@ class SeededRng:
         :meth:`load_state_dict` can resume it bit-exactly, in this process
         or another.
         """
-        return {"seed": self._seed, "state": self._random.getstate()}
+        return {"seed": self._seed, "state": self._stream().getstate()}
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore a position captured by :meth:`state_dict`.
@@ -78,6 +87,9 @@ class SeededRng:
         """
         self._seed = state["seed"]
         raw = state["state"]
+        if self._random is None:
+            # An unseeded generator: setstate overwrites all of it.
+            self._random = random.Random.__new__(random.Random)
         # Tolerate a JSON round-trip: getstate() is nested tuples, which
         # JSON flattens to lists.
         self._random.setstate(

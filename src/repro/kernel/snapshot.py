@@ -10,6 +10,10 @@ trace recorded so far — as *pure data*: no live object graph, no
 ``restore()`` pair, which keeps the capture honest (a new piece of mutable
 state must be added to its component's snapshot or the fork-equivalence
 tests fail loudly) and makes snapshots picklable across process boundaries.
+The trace section is the one part that is not plain data: it holds the
+recorded event objects themselves, which are immutable, so every fork
+shares them; pickling writes them as plain tuples
+(:meth:`Trace.pack_state`).
 
 The two deliberately non-data pieces of simulator state are encoded
 symbolically and reconstructed on restore:
@@ -49,11 +53,12 @@ from ..config.schema import SystemConfig
 from ..exceptions import SimulationError
 from ..types import Ticks
 from .simulator import Simulator
+from .trace import Trace
 
 __all__ = ["SNAPSHOT_VERSION", "SimulatorSnapshot", "config_identity"]
 
 #: Bumped whenever the snapshot layout changes incompatibly.
-#: v2: trace events are tuple-encoded (see :meth:`Trace.snapshot`).
+#: v2: trace events are tuple-encoded (see :meth:`Trace.pack_state`).
 #: v3: optional ``extras`` side-channel (e.g. the fault injector's
 #: applied log for snapshot-after-applied-faults prefix sharing).
 SNAPSHOT_VERSION = 3
@@ -187,6 +192,18 @@ class SimulatorSnapshot:
     # ------------------------------------------------------------ #
     # process-boundary transport
     # ------------------------------------------------------------ #
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The live trace section holds shared event objects; the pickled
+        # form is the v2 tuple encoding (see :meth:`Trace.pack_state`).
+        state = dict(self.__dict__)
+        state["trace"] = Trace.pack_state(self.trace)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        state = dict(state)
+        state["trace"] = Trace.unpack_state(state["trace"])
+        self.__dict__.update(state)
 
     def to_bytes(self, *, compress: Optional[int] = None) -> bytes:
         """Serialize for caching or shipping to a worker process.

@@ -481,22 +481,20 @@ class Trace:
     # -------------------------------------------------------------- #
 
     def snapshot(self) -> Dict[str, object]:
-        """Capture the retained events and drop counter as pure data.
+        """Capture the retained events and drop counter.
 
-        Events are tuple-encoded — ``(kind, *field values)`` — instead of
-        pickling the dataclass instances themselves: plain tuples of
-        scalars serialize in a fraction of the time and bytes of an object
-        graph with per-instance class references (snapshot format v2).
+        The events are held as a tuple of the event objects themselves:
+        events are immutable by convention, so every trace restored from
+        this capture can share them instead of rebuilding ~one object per
+        event per fork.  :meth:`pack_state` turns a capture into pure data
+        for pickling and :meth:`unpack_state` inverts it, so the in-memory
+        capture keeps a single form of the events.
         """
-        state: Dict[str, object] = {
-            "events": [(type(event).__name__,)
-                       + tuple(getattr(event, name)
-                               for name in _field_names(type(event)))
-                       for event in self._events],
-            "dropped": self._dropped}
+        state: Dict[str, object] = {"events": tuple(self._events),
+                                    "dropped": self._dropped}
         if self._capacity is None and not self._dropped:
-            # Ship the canonical event JSON alongside the raw tuples: a
-            # trace restored from this capture digests its shared prefix
+            # Ship the canonical event JSON alongside the events: a trace
+            # restored from this capture digests its shared prefix
             # without re-encoding it.  Amortized free — each event is
             # encoded at most once over the trace's whole lifetime.
             state["encoded"] = ",".join(self._encode_pending())
@@ -505,13 +503,12 @@ class Trace:
     def restore(self, state: Dict[str, object]) -> None:
         """Replace the log wholesale with a :meth:`snapshot` capture.
 
-        Observers are untouched (they are structural wiring, not state);
-        the capacity bound stays whatever this trace was built with.
+        The restored log is a fresh deque over the capture's shared event
+        objects.  Observers are untouched (they are structural wiring, not
+        state); the capacity bound stays whatever this trace was built
+        with.
         """
-        self._events = deque(
-            (_EVENT_TYPES[encoded[0]](*encoded[1:])
-             for encoded in state["events"]),
-            maxlen=self._capacity)
+        self._events = deque(state["events"], maxlen=self._capacity)
         self._dropped = state["dropped"]
         prior = state.get("encoded")
         if (self._capacity is None and not self._dropped
@@ -524,6 +521,30 @@ class Trace:
             self._encoded = []
             self._encoded_count = 0
         self._memo_generation += 1
+
+    @staticmethod
+    def pack_state(state: Dict[str, object]) -> Dict[str, object]:
+        """A :meth:`snapshot` capture with its events tuple-encoded —
+        ``(kind, *field values)``, a list — for pickling.
+
+        Plain tuples of scalars serialize in a fraction of the time and
+        bytes of an object graph with per-instance class references
+        (snapshot format v2).  Inverse: :meth:`unpack_state`.
+        """
+        packed = dict(state)
+        packed["events"] = [(type(event).__name__,)
+                            + tuple(getattr(event, name)
+                                    for name in _field_names(type(event)))
+                            for event in state["events"]]
+        return packed
+
+    @staticmethod
+    def unpack_state(packed: Dict[str, object]) -> Dict[str, object]:
+        """Inverse of :meth:`pack_state`: decode each event once."""
+        state = dict(packed)
+        state["events"] = tuple(_EVENT_TYPES[encoded[0]](*encoded[1:])
+                                for encoded in packed["events"])
+        return state
 
     # -------------------------------------------------------------- #
     # export

@@ -351,13 +351,21 @@ def derived_to_json(report: Dict[str, object]) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
-def compact_metrics(trace: Trace) -> Tuple[Tuple[str, int], ...]:
+def compact_metrics(trace: Trace,
+                    tally: Optional[Dict[type, int]] = None
+                    ) -> Tuple[Tuple[str, int], ...]:
     """Flat, integer-only metric pairs for the campaign boundary.
 
     Small, picklable and deterministic — a ``ScenarioResult`` carries this
     instead of a full registry; the aggregator folds the pairs into
     cross-scenario distributions that are byte-identical for any worker
     count.
+
+    *tally*, when given, maps further event classes to running counts,
+    and the same pass adds each event of exactly that class, so a caller
+    needing such counts as well does not scan the trace again.  Only
+    classes none of the pairs count can be tallied: an event a pair
+    counts never reaches the tally.
     """
     context_switches = 0
     process_dispatches = 0
@@ -405,6 +413,8 @@ def compact_metrics(trace: Trace) -> Tuple[Tuple[str, int], ...]:
             parked += 1
         elif event_type is WatchdogExpired:
             watchdog_expiries += 1
+        elif tally and event_type in tally:
+            tally[event_type] += 1
     return (
         ("context_switches", context_switches),
         ("deadline_detection_latency_max", latency_max),

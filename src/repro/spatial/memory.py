@@ -31,17 +31,25 @@ class PhysicalMemory:
         if size <= 0:
             raise ConfigurationError(f"memory size must be positive, got {size}")
         self.size = size
-        self._bytes = bytearray(size)
+        # Zeroed on first access: most simulators never move a byte (a
+        # denied access traps first), and zero-filling the whole module's
+        # memory is a measurable share of building one.
+        self._bytes: Optional[bytearray] = None
+
+    def _store(self) -> bytearray:
+        if self._bytes is None:
+            self._bytes = bytearray(self.size)
+        return self._bytes
 
     def raw_read(self, address: int, length: int) -> bytes:
         """Unchecked read (PMK internals and tests only)."""
         self._bounds(address, length)
-        return bytes(self._bytes[address:address + length])
+        return bytes(self._store()[address:address + length])
 
     def raw_write(self, address: int, data: bytes) -> None:
         """Unchecked write (PMK internals and tests only)."""
         self._bounds(address, len(data))
-        self._bytes[address:address + len(data)] = data
+        self._store()[address:address + len(data)] = data
 
     def _bounds(self, address: int, length: int) -> None:
         if address < 0 or length < 0 or address + length > self.size:

@@ -70,12 +70,22 @@ class PageTable:
 
     def map_page(self, address: int, entry: PageTableEntry) -> None:
         """Install *entry* for the page containing *address*."""
-        index1, index2, index3 = _level_indices(address)
-        level2 = self._root.setdefault(index1, {})
-        level3 = level2.setdefault(index2, {})
-        if index3 not in level3:
-            self.mapped_pages += 1
-        level3[index3] = entry
+        self.map_pages(address // PAGE_SIZE, 1, entry)
+
+    def map_pages(self, first_page: int, count: int,
+                  entry: PageTableEntry) -> None:
+        """Install *entry* for *count* consecutive pages from page number
+        *first_page*, one level-3 table update per table touched."""
+        page, end = first_page, first_page + count
+        while page < end:
+            index1, index2, index3 = _level_indices(page * PAGE_SIZE)
+            stop = min(end, page + _LEVEL_FANOUT[2] - index3)
+            level3 = self._root.setdefault(index1, {}).setdefault(index2, {})
+            before = len(level3)
+            level3.update(dict.fromkeys(
+                range(index3, index3 + stop - page), entry))
+            self.mapped_pages += len(level3) - before
+            page = stop
 
     def lookup(self, address: int) -> Optional[PageTableEntry]:
         """Walk the three levels; None on any missing table (page fault)."""
@@ -123,8 +133,7 @@ class MmuContext:
         last_page = (descriptor.end - 1) // PAGE_SIZE
         entry = PageTableEntry(permissions=descriptor.permissions,
                                level=descriptor.level)
-        for page in range(first_page, last_page + 1):
-            self.table.map_page(page * PAGE_SIZE, entry)
+        self.table.map_pages(first_page, last_page - first_page + 1, entry)
 
     def descriptor_for(self, address: int) -> Optional[MemoryDescriptor]:
         """The source descriptor covering *address* (diagnostics)."""

@@ -74,7 +74,7 @@ class TestSnapshotCache:
         assert cache.get("fp", 2048) is None
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 2,
                                  "stores": 1, "refreshes": 0, "rejects": 0,
-                                 "evictions": 0,
+                                 "evictions": 0, "fallbacks": 0,
                                  "total_bytes": 7, "stored_bytes": 7,
                                  "hit_bytes": 7, "evicted_bytes": 0}
 
@@ -272,9 +272,11 @@ class TestRunWithPrefixCache:
         monkeypatch.setattr(SimulatorSnapshot, "capture",
                             classmethod(broken_capture))
         spec = self.make("degraded", 4 * MTF)
-        result = run_with_prefix_cache(spec, SnapshotCache())
+        cache = SnapshotCache()
+        result = run_with_prefix_cache(spec, cache)
         assert result.ok
         assert result.forked_at_tick == -1
+        assert cache.stats()["fallbacks"] == 1
 
     def test_rejects_nonpositive_quantum(self):
         with pytest.raises(ValueError, match="quantum"):
@@ -529,6 +531,15 @@ class TestPlanExecution:
         assert result.ok
         assert result.forked_at_tick == -1
         assert result.to_dict() == run_scenario(a).to_dict()
+        assert cache.stats()["fallbacks"] == 1
+
+    def test_healthy_campaign_counts_no_fallbacks(self):
+        a, b = self.pair()
+        plans = build_divergence_trie([a, b])
+        cache = SnapshotCache()
+        for spec in (a, b):
+            run_with_prefix_cache(spec, cache, plan=plans[spec.scenario_id])
+        assert cache.stats()["fallbacks"] == 0
 
 
 class TestCampaignBitIdentity:

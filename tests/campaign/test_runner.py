@@ -38,6 +38,38 @@ class TestRunScenario:
         assert len(result.trace_digest) == 16
         assert dict(result.occupancy)["P1"] == 4 * 200
 
+    @pytest.mark.parametrize("index", [0, 1, 2, 6])
+    def test_counts_equal_full_trace_scans(self, monkeypatch, index):
+        # The four result counts come out of the compact-metrics pass;
+        # they must equal a full isinstance scan of the same trace.
+        from repro.campaign import runner
+        from repro.campaign.scenarios import chaos_campaign
+        from repro.kernel.trace import (
+            DeadlineMissed,
+            HealthMonitorEvent,
+            MemoryFault,
+            ScheduleSwitched,
+        )
+
+        traces = []
+        original = runner.compact_metrics
+
+        def keeping_trace(trace, *args):
+            traces.append(trace)
+            return original(trace, *args)
+
+        monkeypatch.setattr(runner, "compact_metrics", keeping_trace)
+        spec = chaos_campaign(count=index + 1, mtfs=8, base_seed=0)[index]
+        result = run_scenario(spec)
+        (trace,) = traces
+        assert result.faults_applied > 0
+        assert (result.deadline_misses, result.hm_events,
+                result.schedule_switches, result.memory_faults) == (
+            trace.count(DeadlineMissed), trace.count(HealthMonitorEvent),
+            trace.count(ScheduleSwitched), trace.count(MemoryFault))
+        assert result.hm_events > 0
+        assert result.memory_faults + result.schedule_switches > 0
+
     def test_scenario_results_are_deterministic(self):
         first = run_scenario(faulty_scenario())
         second = run_scenario(faulty_scenario())

@@ -90,6 +90,20 @@ class TestStateDict:
             assert resumed.fork(label).randint(0, 10**9) == \
                 SeededRng(17).fork(label).randint(0, 10**9)
 
+    def test_lazy_seeding_matches_eager_seeding(self):
+        # A stream seeds itself on first use: what it reports and draws
+        # equals an eagerly seeded random.Random.
+        import random
+
+        assert SeededRng(11).state_dict()["state"] == \
+            random.Random(11).getstate()
+        assert SeededRng(11).sample(range(100), 5) == \
+            random.Random(11).sample(range(100), 5)
+        never_drawn = SeededRng(5).fork("P1")
+        never_drawn.load_state_dict(SeededRng(11).state_dict())
+        assert never_drawn.uniform(0.0, 1.0) == \
+            random.Random(11).uniform(0.0, 1.0)
+
     def test_state_dict_is_a_capture_not_a_view(self):
         source = SeededRng(3)
         frozen = source.state_dict()

@@ -11,7 +11,10 @@ tokens, with the snapshot pushed through a pickle round trip so process
 transport is covered on every entry of the matrix.
 """
 
+import dataclasses
+import io
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -389,3 +392,132 @@ class TestCrossProcessRestore:
             digest = pool.apply(_restore_in_child,
                                 ((payload, total - fork_tick),))
         assert digest == cold_sim.trace.digest()
+
+
+#: Two continuations of one checkpoint taken after the prefix's faults
+#: applied: they diverge at their first post-fork fault.
+SHARED_PREFIX = CHAOS_FAULTS[:2]
+SHARED_FORK_TICK = 2 * MTF + 101
+SHARED_TOTAL = 6 * MTF
+BRANCHES = (
+    ((3 * MTF + 500, lambda: MessageFloodFault("P4", "alert_out",
+                                               count=100)),
+     (4 * MTF + 50, lambda: PartitionCrashFault("P2"))),
+    ((3 * MTF + 20, lambda: PartitionCrashFault("P4")),
+     (5 * MTF, lambda: ScheduleSwitchFault("chi2"))),
+)
+
+
+def _drive_branch(snapshot, branch):
+    """Restore *snapshot* and run branch *branch* to the end."""
+    _, config = build_sim()
+    sim = snapshot.restore(config)
+    injector = FaultInjector(sim)
+    for tick, make in BRANCHES[branch]:
+        injector.schedule(tick, make())
+    injector.run_fast(SHARED_TOTAL - sim.now)
+    return sim, config
+
+
+def _branch_in_child(payload_and_branch):
+    """Top-level worker: fork a pickled snapshot in a fresh process."""
+    payload, branch = payload_and_branch
+    sim, _ = _drive_branch(SimulatorSnapshot.from_bytes(payload), branch)
+    return sim.trace.digest()
+
+
+class _CapturedState:
+    """Stand-in class that keeps a pickled snapshot's raw state."""
+
+    def __setstate__(self, state):
+        self.state = state
+
+
+class _RawUnpickler(pickle.Unpickler):
+    """Loads a snapshot payload without decoding it, noting every class
+    the stream asks for."""
+
+    def __init__(self, payload):
+        super().__init__(io.BytesIO(payload))
+        self.requested = []
+
+    def find_class(self, module, name):
+        self.requested.append((module, name))
+        if name == SimulatorSnapshot.__name__:
+            return _CapturedState
+        return super().find_class(module, name)
+
+
+class TestSharedEvents:
+    """Forks of one live snapshot share its event objects.  Each fork's
+    log is a fresh deque over them, so nothing a fork records reaches
+    the snapshot or a sibling fork, and the pickled form is unchanged."""
+
+    def live_snapshot(self):
+        sim, _ = build_sim()
+        injector = FaultInjector(sim)
+        for tick, make in SHARED_PREFIX:
+            injector.schedule(tick, make())
+        injector.run_fast(SHARED_FORK_TICK)
+        return SimulatorSnapshot.capture(sim)
+
+    def test_diverging_forks_leave_the_snapshot_untouched(self):
+        snapshot = self.live_snapshot()
+        events = snapshot.trace["events"]
+        identities = [id(event) for event in events]
+        values = [repr(event) for event in events]
+        payload = snapshot.to_bytes()
+        digests = []
+        for branch in range(len(BRANCHES)):
+            cold_sim, cold_config, _ = cold_run(
+                SHARED_PREFIX + BRANCHES[branch], SHARED_TOTAL)
+            sim, config = _drive_branch(snapshot, branch)
+            # The fork's log starts from the snapshot's own objects.
+            assert all(mine is shared for mine, shared
+                       in zip(sim.trace.events, events))
+            assert len(sim.trace) > len(events)
+            assert sim.trace.digest() == cold_sim.trace.digest()
+            assert check_trace(sim.trace, config) == \
+                check_trace(cold_sim.trace, cold_config)
+            digests.append(sim.trace.digest())
+        assert digests[0] != digests[1]  # the forks really diverged
+        assert snapshot.trace["events"] is events
+        assert [id(event) for event in events] == identities
+        assert [repr(event) for event in events] == values
+        assert snapshot.to_bytes() == payload
+
+    def test_pickled_trace_section_is_tuple_encoded(self):
+        snapshot = self.live_snapshot()
+        unpickler = _RawUnpickler(snapshot.to_bytes())
+        state = unpickler.load().state
+        encoded = state["trace"]["events"]
+        assert isinstance(encoded, list)
+        assert all(type(entry) is tuple for entry in encoded)
+        assert encoded == [
+            (type(event).__name__,) + dataclasses.astuple(event)
+            for event in snapshot.trace["events"]]
+        # No event class is referenced by the stream.
+        assert not [request for request in unpickler.requested
+                    if request[0] == "repro.kernel.trace"]
+
+    def test_unpickled_snapshot_decodes_its_events_once(self):
+        snapshot = SimulatorSnapshot.from_bytes(
+            self.live_snapshot().to_bytes())
+        events = snapshot.trace["events"]
+        first, _ = _drive_branch(snapshot, 0)
+        second, _ = _drive_branch(snapshot, 1)
+        assert all(a is b is c for a, b, c
+                   in zip(first.trace.events, second.trace.events, events))
+
+    def test_forked_payload_restores_in_another_process(self):
+        snapshot = self.live_snapshot()
+        local = [_drive_branch(snapshot, branch)[0].trace.digest()
+                 for branch in range(len(BRANCHES))]
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
+        with context.Pool(processes=1) as pool:
+            remote = [pool.apply(_branch_in_child,
+                                 ((snapshot.to_bytes(), branch),))
+                      for branch in range(len(BRANCHES))]
+        assert remote == local

@@ -502,6 +502,40 @@ class TestIncrementalEncoding:
         assert second.digest() == cold.digest()
 
 
+class TestSnapshotState:
+    def test_restore_shares_events_in_a_fresh_log(self):
+        source = Trace()
+        for tick in range(4):
+            source.record(dispatched(tick))
+        state = source.snapshot()
+        forks = [Trace(), Trace()]
+        for fork in forks:
+            fork.restore(state)
+        forks[0].record(missed(5))
+        assert len(forks[1]) == len(state["events"]) == 4
+        assert all(a is b is c for a, b, c in zip(
+            forks[0].events, forks[1].events, state["events"]))
+        assert forks[1].digest() == source.digest()
+
+    def test_pack_unpack_round_trip(self):
+        source = Trace()
+        source.record(dispatched(1))
+        source.record(missed(2))
+        state = source.snapshot()
+        packed = Trace.pack_state(state)
+        assert packed["events"] == [
+            (type(event).__name__,) + dataclasses.astuple(event)
+            for event in source.events]
+        assert list(packed) == list(state)
+        assert packed["encoded"] == state["encoded"]
+        unpacked = Trace.unpack_state(packed)
+        assert unpacked["events"] == state["events"]
+        assert state["events"] == source.events  # packing copied
+        restored = Trace()
+        restored.restore(unpacked)
+        assert restored.digest() == source.digest()
+
+
 class TestRebasePlan:
     """rebase_plan must be a faithful precompilation of rebase_event."""
 

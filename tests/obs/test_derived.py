@@ -8,6 +8,7 @@ from repro.apps.prototype import (
 )
 from repro.kernel.trace import (
     DeadlineMissed,
+    MemoryFault,
     PartitionDispatched,
     PortMessageReceived,
     PortMessageSent,
@@ -175,6 +176,15 @@ class TestCompactMetrics:
             simulator.trace.count(PartitionDispatched)
         assert pairs["port_sent"] == \
             simulator.trace.count(PortMessageSent)
+
+    def test_tally_counts_further_classes_in_the_same_pass(self):
+        simulator = prototype_run()
+        tally = {ScheduleSwitched: 0, MemoryFault: 0}
+        pairs = compact_metrics(simulator.trace, tally)
+        assert pairs == compact_metrics(simulator.trace)
+        assert tally == {
+            ScheduleSwitched: simulator.trace.count(ScheduleSwitched),
+            MemoryFault: simulator.trace.count(MemoryFault)}
 
     def test_names_sorted_and_ints(self):
         simulator = prototype_run()

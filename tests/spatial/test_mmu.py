@@ -58,6 +58,20 @@ class TestPageTable:
         table.map_page(0, entry)  # remap does not double-count
         assert table.mapped_pages == 8
 
+    def test_bulk_mapping_equals_page_by_page(self):
+        entry = PageTableEntry(permissions=frozenset({AccessKind.READ}),
+                               level=PrivilegeLevel.APPLICATION)
+        bulk, single = PageTable(), PageTable()
+        # Crosses several level-3 tables and the level-2 boundary at 4096.
+        first, count = 4000, 300
+        bulk.map_pages(first, count, entry)
+        for page in range(first, first + count):
+            single.map_page(page * PAGE_SIZE, entry)
+        assert bulk._root == single._root
+        assert bulk.mapped_pages == single.mapped_pages == count
+        bulk.map_pages(first + 250, 100, entry)  # half already mapped
+        assert bulk.mapped_pages == count + 50
+
 
 class TestMmuChecks:
     def test_allowed_access_passes(self, mmu):
