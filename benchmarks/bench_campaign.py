@@ -12,8 +12,8 @@ Three suites over the campaign engine (``repro.campaign``):
   divergence trie on (``prefix_depth=None``) vs off (``prefix_depth=0``,
   the root-only prefix sharing of before).  Reports simulated ticks/sec
   for both and asserts the digest matrix — byte-identical deterministic
-  reports across {serial, pooled x {1, 2, 4}} x {tree on, tree off} x
-  {reference, fast}.  Speedup floor: >= 2x ticks/sec over the root-only
+  reports across {serial, pooled x {1, 2, 4}} x {tree on, tree off}.
+  Speedup floor: >= 2x ticks/sec over the root-only
   baseline, serial.  Per-worker prefix-cache hit rates and shared-memory
   attach counts ride in the artifact's nondeterministic ``meta`` sidecar.
 
@@ -33,7 +33,7 @@ Runs two ways:
 * ``pytest benchmarks/bench_campaign.py`` — asserts determinism always and
   the speedup floors where the host allows;
 * ``python benchmarks/bench_campaign.py [--scenarios N] [--mtfs N]
-  [--workers N] [--backend B] [--depth N] [--prefix-scenarios N]
+  [--workers N] [--depth N] [--prefix-scenarios N]
   [--prefix-mtfs N] [--json PATH] [--check]`` — standalone smoke (used by
   CI), writing the schema-versioned artifact to ``BENCH_campaign.json``
   in the repo root (via ``bench_lib``).
@@ -92,18 +92,16 @@ def _report_bytes(results) -> str:
 
 def run_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
                   mtfs: int = CAMPAIGN_MTFS, workers: int = 4,
-                  chunksize=None, backend: str = "reference"
-                  ) -> Dict[str, float]:
+                  chunksize=None) -> Dict[str, float]:
     """Time serial vs pooled execution; assert identical aggregates."""
     campaign = fault_matrix_campaign(count=scenarios, mtfs=mtfs)
 
     start = time.perf_counter()
-    serial = run_serial(campaign, backend=backend)
+    serial = run_serial(campaign)
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled = run_pool(campaign, workers=workers, chunksize=chunksize,
-                      backend=backend)
+    pooled = run_pool(campaign, workers=workers, chunksize=chunksize)
     pooled_s = time.perf_counter() - start
 
     # The determinism invariant is not load-dependent: assert it on every
@@ -117,7 +115,6 @@ def run_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
         "scenarios": scenarios,
         "mtfs": mtfs,
         "workers": workers,
-        "backend": backend,
         "serial_s": serial_s,
         "pooled_s": pooled_s,
         "serial_scenarios_per_s": scenarios / serial_s,
@@ -142,33 +139,27 @@ def deep_shared_campaign(*, scenarios: int = PREFIX_SCENARIOS,
 
 def assert_digest_matrix(campaign, *, depth: Optional[int],
                          worker_counts=(1, 2, 4)) -> int:
-    """Byte-identical reports across dispatch x tree x backend.
+    """Byte-identical reports across dispatch x tree.
 
     Runs {serial, pooled x *worker_counts*} x {tree on (*depth*), tree
-    off (0)} x {reference, fast} and asserts every deterministic report
-    equals the serial/tree-off/reference one.  Returns the number of
-    variants checked.
+    off (0)} and asserts every deterministic report equals the
+    serial/tree-off one.  Returns the number of variants checked.
     """
     expected = _report_bytes(run_serial(campaign, prefix_depth=0))
     checked = 1
-    for backend in ("reference", "fast"):
-        for prefix_depth in (depth, 0):
-            for workers in (None, *worker_counts):
-                if backend == "reference" and prefix_depth == 0 \
-                        and workers is None:
-                    continue  # the expected variant itself
-                if workers is None:
-                    results = run_serial(campaign, backend=backend,
-                                         prefix_depth=prefix_depth)
-                else:
-                    results = run_campaign(campaign, workers=workers,
-                                           backend=backend,
-                                           prefix_depth=prefix_depth)
-                label = (f"backend={backend} depth={prefix_depth} "
-                         f"workers={workers or 'serial'}")
-                assert _report_bytes(results) == expected, \
-                    f"digest mismatch: {label}"
-                checked += 1
+    for prefix_depth in (depth, 0):
+        for workers in (None, *worker_counts):
+            if prefix_depth == 0 and workers is None:
+                continue  # the expected variant itself
+            if workers is None:
+                results = run_serial(campaign, prefix_depth=prefix_depth)
+            else:
+                results = run_campaign(campaign, workers=workers,
+                                       prefix_depth=prefix_depth)
+            label = f"depth={prefix_depth} workers={workers or 'serial'}"
+            assert _report_bytes(results) == expected, \
+                f"digest mismatch: {label}"
+            checked += 1
     return checked
 
 
@@ -195,30 +186,28 @@ def run_prefix_benchmark(*, scenarios: int = PREFIX_SCENARIOS,
                          mtfs: int = PREFIX_MTFS,
                          shared_faults: int = PREFIX_SHARED_FAULTS,
                          depth: Optional[int] = None, workers: int = 4,
-                         backend: str = "reference",
                          digest_matrix: bool = True) -> Dict:
     """Time tree-on vs tree-off (root-only) on the deep shared workload."""
     campaign = deep_shared_campaign(scenarios=scenarios, mtfs=mtfs,
                                     shared_faults=shared_faults)
 
     start = time.perf_counter()
-    baseline = run_serial(campaign, backend=backend, prefix_depth=0)
+    baseline = run_serial(campaign, prefix_depth=0)
     baseline_s = time.perf_counter() - start
     total_ticks = sum(result.ticks for result in baseline)
 
     start = time.perf_counter()
-    tree = run_serial(campaign, backend=backend, prefix_depth=depth)
+    tree = run_serial(campaign, prefix_depth=depth)
     tree_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled_baseline = run_pool(campaign, workers=workers, backend=backend,
-                               prefix_depth=0)
+    pooled_baseline = run_pool(campaign, workers=workers, prefix_depth=0)
     pooled_baseline_s = time.perf_counter() - start
 
     telemetry: Dict = {}
     start = time.perf_counter()
-    pooled_tree = run_pool(campaign, workers=workers, backend=backend,
-                           prefix_depth=depth, telemetry=telemetry)
+    pooled_tree = run_pool(campaign, workers=workers, prefix_depth=depth,
+                           telemetry=telemetry)
     pooled_tree_s = time.perf_counter() - start
 
     expected = _report_bytes(baseline)
@@ -238,7 +227,6 @@ def run_prefix_benchmark(*, scenarios: int = PREFIX_SCENARIOS,
         "shared_faults": shared_faults,
         "depth": depth,
         "workers": workers,
-        "backend": backend,
         "total_ticks": total_ticks,
         "baseline_s": baseline_s,
         "tree_s": tree_s,
@@ -261,8 +249,8 @@ def run_prefix_benchmark(*, scenarios: int = PREFIX_SCENARIOS,
 
 
 def run_telemetry_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
-                            mtfs: int = CAMPAIGN_MTFS, workers: int = 4,
-                            backend: str = "reference") -> Dict:
+                            mtfs: int = CAMPAIGN_MTFS, workers: int = 4
+                            ) -> Dict:
     """Time the E15 workload with the telemetry bus enabled vs disabled.
 
     Enabled means the full production path: worker-side publishers over
@@ -280,7 +268,7 @@ def run_telemetry_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
     campaign = fault_matrix_campaign(count=scenarios, mtfs=mtfs)
 
     start = time.perf_counter()
-    disabled = run_campaign(campaign, workers=workers, backend=backend)
+    disabled = run_campaign(campaign, workers=workers)
     disabled_s = time.perf_counter() - start
 
     handle, log_path = tempfile.mkstemp(suffix=".jsonl")
@@ -292,8 +280,8 @@ def run_telemetry_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
                                   printer=lambda line: None)
         telemetry: Dict = {}
         start = time.perf_counter()
-        enabled = run_campaign(campaign, workers=workers, backend=backend,
-                               bus=bus, telemetry=telemetry)
+        enabled = run_campaign(campaign, workers=workers, bus=bus,
+                               telemetry=telemetry)
         enabled_s = time.perf_counter() - start
         logged_events = sum(1 for _ in open(log_path, encoding="utf-8"))
     finally:
@@ -309,7 +297,6 @@ def run_telemetry_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
         "scenarios": scenarios,
         "mtfs": mtfs,
         "workers": workers,
-        "backend": backend,
         "disabled_s": disabled_s,
         "enabled_s": enabled_s,
         "overhead": enabled_s / disabled_s,
@@ -329,11 +316,6 @@ def test_pooled_aggregate_matches_serial():
     run_benchmark(scenarios=16, mtfs=4, workers=2)
 
 
-def test_pooled_aggregate_matches_serial_fast_backend():
-    """Same determinism invariant on the fast backend."""
-    run_benchmark(scenarios=16, mtfs=4, workers=2, backend="fast")
-
-
 @pytest.mark.skipif(autodetect_workers() < 4,
                     reason="speedup floor needs >= 4 usable CPUs")
 def test_speedup_floor_at_four_workers():
@@ -344,10 +326,10 @@ def test_speedup_floor_at_four_workers():
 
 
 def test_prefix_tree_digest_matrix_small():
-    """The full dispatch x tree x backend matrix at smoke scale."""
+    """The full dispatch x tree matrix at smoke scale."""
     campaign = deep_shared_campaign(scenarios=8, mtfs=12, shared_faults=2)
     assert assert_digest_matrix(campaign, depth=None,
-                                worker_counts=(2,)) == 8
+                                worker_counts=(2,)) == 4
 
 
 def test_telemetry_on_matches_off_at_smoke_scale():
@@ -387,9 +369,6 @@ def main() -> int:
                         default=CAMPAIGN_SCENARIOS)
     parser.add_argument("--mtfs", type=int, default=CAMPAIGN_MTFS)
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--backend", default="reference",
-                        choices=("reference", "fast"),
-                        help="execution backend for every scenario")
     parser.add_argument("--json", default=None,
                         help="artifact path (default: BENCH_campaign.json "
                              "in the repo root)")
@@ -412,7 +391,7 @@ def main() -> int:
     args = parser.parse_args()
 
     numbers = run_benchmark(scenarios=args.scenarios, mtfs=args.mtfs,
-                            workers=args.workers, backend=args.backend)
+                            workers=args.workers)
     print(f"campaign: {args.scenarios} scenarios x {args.mtfs} MTFs")
     print(f"  serial : {numbers['serial_s']:8.3f}s "
           f"({numbers['serial_scenarios_per_s']:7.1f} scenarios/s)")
@@ -423,8 +402,7 @@ def main() -> int:
     print("  determinism: pooled aggregate == serial aggregate")
 
     bus = run_telemetry_benchmark(scenarios=args.scenarios,
-                                  mtfs=args.mtfs, workers=args.workers,
-                                  backend=args.backend)
+                                  mtfs=args.mtfs, workers=args.workers)
     print(f"telemetry: same workload, bus enabled vs disabled")
     print(f"  disabled : {bus['disabled_s']:8.3f}s")
     print(f"  enabled  : {bus['enabled_s']:8.3f}s "
@@ -437,7 +415,7 @@ def main() -> int:
     prefix = run_prefix_benchmark(
         scenarios=args.prefix_scenarios, mtfs=args.prefix_mtfs,
         shared_faults=args.shared_faults, depth=args.depth,
-        workers=args.workers, backend=args.backend)
+        workers=args.workers)
     print(f"prefix-tree: {prefix['scenarios']} scenarios x "
           f"{prefix['mtfs']} MTFs, {prefix['shared_faults']} shared "
           f"leading faults, depth="
@@ -454,44 +432,44 @@ def main() -> int:
           f"({prefix['pooled_tree_ticks_per_s']:12,.0f} ticks/s, "
           f"{prefix['pooled_speedup']:.2f}x)")
     print(f"  digest matrix    : {prefix['digest_matrix_checked']} "
-          f"variants byte-identical (dispatch x tree x backend)")
+          f"variants byte-identical (dispatch x tree)")
 
     matrix = f"fault-matrix-{args.scenarios}x{args.mtfs}"
     deep = (f"prefix-tree-{prefix['scenarios']}x{prefix['mtfs']}"
             f"-shared{prefix['shared_faults']}")
     path = emit_bench_json("campaign", [
-        workload_record(matrix, backend=args.backend, mode="serial",
+        workload_record(matrix, mode="serial",
                         scenarios_per_s=round(
                             numbers["serial_scenarios_per_s"], 2),
                         digests_asserted=True),
-        workload_record(matrix, backend=args.backend,
+        workload_record(matrix,
                         mode=f"pooled-{args.workers}",
                         scenarios_per_s=round(
                             numbers["pooled_scenarios_per_s"], 2),
                         speedup=numbers["speedup"],
-                        speedup_reference="serial, same backend",
+                        speedup_reference="serial",
                         digests_asserted=True,
                         speedup_floor=SPEEDUP_FLOOR),
-        workload_record(deep, backend=args.backend, mode="root-only",
+        workload_record(deep, mode="root-only",
                         ticks_per_s=prefix["baseline_ticks_per_s"],
                         digests_asserted=True),
-        workload_record(deep, backend=args.backend, mode="prefix-tree",
+        workload_record(deep, mode="prefix-tree",
                         ticks_per_s=prefix["tree_ticks_per_s"],
                         speedup=prefix["serial_speedup"],
                         speedup_reference="root-only prefix sharing, "
-                                          "serial, same backend",
+                                          "serial",
                         digests_asserted=True,
                         speedup_floor=PREFIX_SPEEDUP_FLOOR,
                         digest_matrix_variants=prefix[
                             "digest_matrix_checked"]),
-        workload_record(deep, backend=args.backend,
+        workload_record(deep,
                         mode=f"prefix-tree-pooled-{args.workers}",
                         ticks_per_s=prefix["pooled_tree_ticks_per_s"],
                         speedup=prefix["pooled_speedup"],
                         speedup_reference="root-only prefix sharing, "
                                           "same worker count",
                         digests_asserted=True),
-        workload_record(matrix, backend=args.backend,
+        workload_record(matrix,
                         mode=f"telemetry-enabled-{args.workers}",
                         scenarios_per_s=round(
                             args.scenarios / bus["enabled_s"], 2),

@@ -11,10 +11,10 @@ Two suites over the multi-node engine (``repro.constellation``):
 
 * **chaos** — a seeded cross-node chaos barrage (default 50 scenarios:
   partitions, storms, silent/Byzantine nodes, cascading crashes plus
-  per-node faults on a lossy duplicating fabric) run serial and pooled
-  on both backends, asserting the digest matrix — byte-identical
-  deterministic reports across {workers 1, 2} x {reference, fast} —
-  and that every scenario finishes oracle-clean.  Reports
+  per-node faults on a lossy duplicating fabric) run serial and pooled,
+  asserting the digest matrix — byte-identical deterministic reports
+  across workers {1, 2} — and that every scenario finishes
+  oracle-clean.  Reports
   scenarios/sec per mode.
 
 Determinism assertions run on every invocation, CI smoke included; only
@@ -109,29 +109,26 @@ def run_drill(*, nodes: int = 3, mtfs: int = 8,
 def run_chaos(*, scenarios: int = CHAOS_SCENARIOS, nodes: int = CHAOS_NODES,
               mtfs: int = CHAOS_MTFS, workers: int = 2,
               base_seed: int = 0) -> Dict[str, object]:
-    """Serial + pooled x both backends; assert one digest, all clean."""
+    """Serial + pooled; assert one digest, all clean."""
     campaign = constellation_campaign(count=scenarios, nodes=nodes,
                                       mtfs=mtfs, base_seed=base_seed)
     timings: Dict[str, float] = {}
     reports: List[str] = []
     digest = None
     for worker_count in (1, workers):
-        for backend in ("reference", "fast"):
-            start = time.perf_counter()
-            results = run_campaign(campaign, workers=worker_count,
-                                   backend=backend)
-            timings[f"w{worker_count}_{backend}_s"] = \
-                time.perf_counter() - start
-            failed = [(r.scenario_id, r.error) for r in results
-                      if r.status != "ok"]
-            assert not failed, f"chaos scenarios failed oracle: {failed}"
-            report = _report_bytes(results)
-            reports.append(report)
-            digest = json.loads(report)["aggregate"]["campaign_digest"]
+        start = time.perf_counter()
+        results = run_campaign(campaign, workers=worker_count)
+        timings[f"w{worker_count}_s"] = time.perf_counter() - start
+        failed = [(r.scenario_id, r.error) for r in results
+                  if r.status != "ok"]
+        assert not failed, f"chaos scenarios failed oracle: {failed}"
+        report = _report_bytes(results)
+        reports.append(report)
+        digest = json.loads(report)["aggregate"]["campaign_digest"]
     assert len(set(reports)) == 1, \
-        "deterministic report differs across workers/backends"
-    serial_s = timings["w1_reference_s"]
-    pooled_s = timings[f"w{workers}_reference_s"]
+        "deterministic report differs across workers"
+    serial_s = timings["w1_s"]
+    pooled_s = timings[f"w{workers}_s"]
     return {
         "scenarios": scenarios,
         "nodes": nodes,
@@ -193,21 +190,21 @@ def main() -> int:
                       base_seed=args.seed)
     print(f"chaos: {chaos['scenarios']} scenarios x {chaos['nodes']} "
           f"nodes, digest {chaos['campaign_digest']} identical across "
-          f"workers {{1, {chaos['workers']}}} x backends, "
+          f"workers {{1, {chaos['workers']}}}, "
           f"{chaos['serial_scenarios_per_s']:.1f}/s serial, "
           f"{chaos['pooled_scenarios_per_s']:.1f}/s pooled "
           f"({chaos['speedup']:.2f}x)")
 
     workloads = [
         workload_record(
-            "failover-drill", backend="reference",
+            "failover-drill",
             ticks_per_s=drill["ticks_per_s"], digests_asserted=True,
             failover_latency_ticks=drill["failover_latency_ticks"],
             failover_deadline_ticks=drill["failover_deadline_ticks"],
             outage_ticks=drill["outage_ticks"],
             new_leader=drill["new_leader"]),
         workload_record(
-            "xnode-chaos", backend="reference+fast",
+            "xnode-chaos",
             digests_asserted=True,
             scenarios=chaos["scenarios"], nodes=chaos["nodes"],
             campaign_digest=chaos["campaign_digest"],
@@ -216,7 +213,7 @@ def main() -> int:
             pooled_scenarios_per_s=round(
                 chaos["pooled_scenarios_per_s"], 1),
             speedup=chaos["speedup"],
-            speedup_reference="serial reference backend"),
+            speedup_reference="serial"),
     ]
     path = emit_bench_json("constellation", workloads, path=args.json)
     print(f"wrote {path}")

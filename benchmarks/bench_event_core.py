@@ -10,16 +10,6 @@ claim is a >= 10x ticks/sec advantage over the per-tick `run()` loop, with
 bit-identical traces (asserted here on a shorter span; exhaustively by
 `tests/integration/test_fast_skip.py`).
 
-DESIGN.md design-decision 9 adds the profile-guided **fast backend**
-(``Simulator(config, backend="fast")``): interrupt-vector bypass, memoized
-horizon recomputation with dirty-flag invalidation, and flattened hot-path
-dispatch — bit-identical to the reference backend by construction and by
-gate (the digests are asserted equal here before any timing).  Its honest
-standing against the PR 1 baseline and the order-of-magnitude goal is
-quantified in EXPERIMENTS.md E19; this benchmark records the measured gap
-in the artifact's ``meta.goals`` block rather than pretending the target
-is met.
-
 The faulty-process variant (the E13 "keyboard" injection: `p1-faulty`
 overruns its capacity every P1 window) steps more ticks per MTF — deadline
 detection, HM handling, error-handler activity — so its ratios sit a
@@ -32,7 +22,7 @@ default, DESIGN decision 13): every process period divides the MTF and every
 payload is constant, so after a short warm-up each major frame is a
 fingerprint fixed point and ``run_fast`` replays the memoized cycle
 template instead of stepping it.  Bit-identity (trace signature and
-full-state fingerprint, cache on vs off, both backends) is asserted
+full-state fingerprint, cache on vs off) is asserted
 before any timing; the E13 workloads double as the cache's conservative
 regression story — the cheap counter gate keeps them fully live at a
 few integer compares per boundary.
@@ -72,26 +62,12 @@ QUICK_MTFS = 25
 QUICK_REPEATS = 2
 
 #: Speedup floors asserted by the pytest entry points and ``--check``:
-#: event-driven ``run_fast`` (reference backend) over the per-tick loop.
+#: event-driven ``run_fast`` over the per-tick loop.
 #: The PR 6 hot-path work (cheaper ``choose_heir``, enum reads, slotted
 #: records) sped the per-tick loop up too, compressing this ratio from
 #: the original >= 10x to ~9x — the floor tracks the honest margin.
 SPEEDUP_FLOOR = 8.0
 SPEEDUP_FLOOR_FAULTY = 6.0
-
-#: Fast backend over the reference backend, both on ``run_fast``.  The
-#: honest measured margin on the packed E13 workload is ~1.1-1.2x (the
-#: remaining cost is the semantic per-stepped-tick machinery both
-#: backends must execute — see EXPERIMENTS.md E19), so the floor guards
-#: against the fast backend regressing to "not faster", not against
-#: falling short of an aspirational multiple.
-BACKEND_SPEEDUP_FLOOR = 1.02
-
-#: The ISSUE's stated target and stretch goal for the fast backend vs the
-#: PR 1 ``run_fast`` baseline; recorded (with the measured standing) in
-#: the artifact's ``meta.goals`` so the gap is quantified, not hidden.
-TARGET_VS_PR1 = 3.0
-STRETCH_VS_PR1 = 10.0
 
 #: Steady-cruise (cycle cache) geometry: long horizons so the fixed probe
 #: and template-build cost amortizes (the cache's intended regime —
@@ -99,10 +75,10 @@ STRETCH_VS_PR1 = 10.0
 STEADY_MEASURE_MTFS = 2000
 STEADY_QUICK_MTFS = 600
 
-#: Cycle cache on vs off on the steady-cruise workload, same backend,
-#: both on ``run_fast``.  Measured ~7.3x (reference) / ~6.7x (fast) at
-#: the full geometry, ~6x at the quick geometry — the floor keeps the
-#: ISSUE's >= 5x target honest with headroom for loaded CI hosts.
+#: Cycle cache on vs off on the steady-cruise workload, both on
+#: ``run_fast``.  Measured ~7.3x at the full geometry, ~6x at the quick
+#: geometry — the floor keeps the >= 5x target honest with headroom for
+#: loaded CI hosts.
 CYCLE_CACHE_SPEEDUP_FLOOR = 5.0
 
 #: Cache armed on the never-steady faulty E13 workload: the counter gate
@@ -112,17 +88,15 @@ CYCLE_CACHE_SPEEDUP_FLOOR = 5.0
 CYCLE_CACHE_FAULTY_FLOOR = 0.90
 
 
-def _build(faulty: bool, backend: str = "reference"):
-    simulator = make_simulator(build_prototype(), backend=backend,
-                               cycle_cache=False)
+def _build(faulty: bool):
+    simulator = make_simulator(build_prototype(), cycle_cache=False)
     if faulty:
         inject_faulty_process(simulator)
     return simulator
 
 
-def _time_mode(mode: str, faulty: bool, ticks: int,
-               backend: str = "reference") -> float:
-    simulator = _build(faulty, backend)
+def _time_mode(mode: str, faulty: bool, ticks: int) -> float:
+    simulator = _build(faulty)
     runner = getattr(simulator, mode)
     gc.collect()
     gc.disable()  # GC pauses scale with the growing trace, not the mode
@@ -140,61 +114,47 @@ def trace_signature(simulator):
 
 
 def assert_equivalent(faulty: bool, mtfs: int = 13) -> int:
-    """Run both modes and both backends over *mtfs* MTFs; require
-    identical traces and counters — the bit-identity gate timing rests on.
+    """Run both modes over *mtfs* MTFs; require identical traces and
+    counters — the bit-identity gate timing rests on.
     """
     per_tick = _build(faulty)
     fast = _build(faulty)
-    fast_backend = _build(faulty, backend="fast")
     per_tick.run(MTF * mtfs)
     fast.run_fast(MTF * mtfs)
-    fast_backend.run_fast(MTF * mtfs)
     reference = trace_signature(per_tick)
     assert trace_signature(fast) == reference
-    assert trace_signature(fast_backend) == reference
-    for candidate in (fast, fast_backend):
-        assert candidate.trace.digest() == per_tick.trace.digest()
-        assert candidate.pmk.ticks_executed == per_tick.pmk.ticks_executed
-        assert candidate.pmk.partition_ticks == per_tick.pmk.partition_ticks
+    assert fast.trace.digest() == per_tick.trace.digest()
+    assert fast.pmk.ticks_executed == per_tick.pmk.ticks_executed
+    assert fast.pmk.partition_ticks == per_tick.pmk.partition_ticks
     return len(reference)
 
 
 def measure(faulty: bool, *, mtfs: int = MEASURE_MTFS,
             repeats: int = 5) -> Dict[str, float]:
-    """Best-of-*repeats* interleaved timing of the three execution modes.
+    """Best-of-*repeats* interleaved timing of the two execution modes.
 
-    Interleaving (run, run_fast, run_fast[fast backend], ...) and taking
-    each mode's best makes the ratios robust against background load.
+    Interleaving (run, run_fast, ...) and taking each mode's best makes
+    the ratio robust against background load.
     """
     ticks = MTF * mtfs
-    run_times, ref_times, fast_times = [], [], []
+    run_times, fast_times = [], []
     for _ in range(repeats):
         run_times.append(_time_mode("run", faulty, ticks))
-        ref_times.append(_time_mode("run_fast", faulty, ticks))
-        fast_times.append(_time_mode("run_fast", faulty, ticks,
-                                     backend="fast"))
+        fast_times.append(_time_mode("run_fast", faulty, ticks))
     run_s = min(run_times)
-    ref_s = min(ref_times)
     fast_s = min(fast_times)
     return {
         "ticks": ticks,
         "run_s": run_s,
-        "ref_fast_s": ref_s,
-        "fast_backend_s": fast_s,
+        "fast_s": fast_s,
         "run_ticks_per_s": ticks / run_s,
-        "ref_fast_ticks_per_s": ticks / ref_s,
-        "fast_backend_ticks_per_s": ticks / fast_s,
-        "speedup": run_s / ref_s,
-        "backend_speedup": ref_s / fast_s,
-        # legacy aliases kept for dashboards reading the pre-backend shape
-        "fast_s": ref_s,
-        "fast_ticks_per_s": ticks / ref_s,
+        "fast_ticks_per_s": ticks / fast_s,
+        "speedup": run_s / fast_s,
     }
 
 
-def _time_steady(backend: str, cycle_cache: bool, ticks: int) -> float:
-    simulator = make_steady_simulator(backend=backend,
-                                      cycle_cache=cycle_cache)
+def _time_steady(cycle_cache: bool, ticks: int) -> float:
+    simulator = make_steady_simulator(cycle_cache=cycle_cache)
     gc.collect()
     gc.disable()
     try:
@@ -206,32 +166,26 @@ def _time_steady(backend: str, cycle_cache: bool, ticks: int) -> float:
 
 
 def assert_steady_equivalent(mtfs: int = 12) -> None:
-    """Cycle cache on vs off over *mtfs* steady MTFs, both backends:
-    identical traces and identical full-state fingerprints, and the
-    cached run must have genuinely replayed frames."""
+    """Cycle cache on vs off over *mtfs* steady MTFs: identical traces
+    and identical full-state fingerprints, and the cached run must have
+    genuinely replayed frames."""
     reference = make_steady_simulator(cycle_cache=False)
     reference.run_fast(STEADY_MTF * mtfs)
-    expected = trace_signature(reference)
-    expected_state = state_fingerprint(reference)
-    for backend in ("reference", "fast"):
-        for cycle_cache in (False, True):
-            candidate = make_steady_simulator(backend=backend,
-                                              cycle_cache=cycle_cache)
-            candidate.run_fast(STEADY_MTF * mtfs)
-            assert trace_signature(candidate) == expected
-            assert state_fingerprint(candidate) == expected_state
-            if cycle_cache:
-                assert candidate.cycle_cache_stats["hits"] > 0
+    cached = make_steady_simulator(cycle_cache=True)
+    cached.run_fast(STEADY_MTF * mtfs)
+    assert trace_signature(cached) == trace_signature(reference)
+    assert state_fingerprint(cached) == state_fingerprint(reference)
+    assert cached.cycle_cache_stats["hits"] > 0
 
 
-def measure_steady(backend: str, *, mtfs: int = STEADY_MEASURE_MTFS,
+def measure_steady(*, mtfs: int = STEADY_MEASURE_MTFS,
                    repeats: int = 3) -> Dict[str, float]:
     """Best-of-*repeats* interleaved cache-off vs cache-on timing."""
     ticks = STEADY_MTF * mtfs
     off_times, on_times = [], []
     for _ in range(repeats):
-        off_times.append(_time_steady(backend, False, ticks))
-        on_times.append(_time_steady(backend, True, ticks))
+        off_times.append(_time_steady(False, ticks))
+        on_times.append(_time_steady(True, ticks))
     off_s = min(off_times)
     on_s = min(on_times)
     return {
@@ -246,8 +200,8 @@ def measure_steady(backend: str, *, mtfs: int = STEADY_MEASURE_MTFS,
 
 def measure_faulty_cache_ratio(*, mtfs: int = MEASURE_MTFS,
                                repeats: int = 5) -> Dict[str, float]:
-    """Cache-off over cache-on wall time on the faulty E13 workload
-    (reference backend) — ~1.0 when the counter gate is doing its job."""
+    """Cache-off over cache-on wall time on the faulty E13 workload —
+    ~1.0 when the counter gate is doing its job."""
     ticks = MTF * mtfs
     off_times, on_times = [], []
     for _ in range(repeats):
@@ -272,25 +226,24 @@ def measure_faulty_cache_ratio(*, mtfs: int = MEASURE_MTFS,
 # pytest entry points
 # ------------------------------------------------------------------ #
 
+def _mode_rows(result):
+    return [("per-tick run()", f"{result['run_ticks_per_s']:,.0f}",
+             f"{result['run_s']:.3f}"),
+            ("run_fast()", f"{result['fast_ticks_per_s']:,.0f}",
+             f"{result['fast_s']:.3f}"),
+            ("event-core speedup", f"{result['speedup']:.1f}x", "")]
+
+
 def test_event_core_speedup(benchmark, table):
     """Healthy E13 workload: >= 10x ticks/sec, traces bit-identical."""
     events = assert_equivalent(faulty=False)
     result = measure(faulty=False)
     table("E13 — event-driven core, healthy satellite workload",
           ["mode", "ticks/s", "seconds"],
-          [("per-tick run()", f"{result['run_ticks_per_s']:,.0f}",
-            f"{result['run_s']:.3f}"),
-           ("run_fast(), reference", f"{result['ref_fast_ticks_per_s']:,.0f}",
-            f"{result['ref_fast_s']:.3f}"),
-           ("run_fast(), fast backend",
-            f"{result['fast_backend_ticks_per_s']:,.0f}",
-            f"{result['fast_backend_s']:.3f}"),
-           ("event-core speedup", f"{result['speedup']:.1f}x", ""),
-           ("backend speedup", f"{result['backend_speedup']:.2f}x", "")])
+          _mode_rows(result))
     benchmark(lambda: None)  # attach the reported numbers to the run
     benchmark.extra_info.update(result, equivalent_trace_events=events)
     assert result["speedup"] >= SPEEDUP_FLOOR
-    assert result["backend_speedup"] >= BACKEND_SPEEDUP_FLOOR
 
 
 def test_event_core_speedup_faulty(benchmark, table):
@@ -300,47 +253,27 @@ def test_event_core_speedup_faulty(benchmark, table):
     result = measure(faulty=True)
     table("E13 — event-driven core, faulty process injected on P1",
           ["mode", "ticks/s", "seconds"],
-          [("per-tick run()", f"{result['run_ticks_per_s']:,.0f}",
-            f"{result['run_s']:.3f}"),
-           ("run_fast(), reference", f"{result['ref_fast_ticks_per_s']:,.0f}",
-            f"{result['ref_fast_s']:.3f}"),
-           ("run_fast(), fast backend",
-            f"{result['fast_backend_ticks_per_s']:,.0f}",
-            f"{result['fast_backend_s']:.3f}"),
-           ("event-core speedup", f"{result['speedup']:.1f}x", ""),
-           ("backend speedup", f"{result['backend_speedup']:.2f}x", "")])
+          _mode_rows(result))
     benchmark(lambda: None)
     benchmark.extra_info.update(result, equivalent_trace_events=events)
     assert result["speedup"] >= SPEEDUP_FLOOR_FAULTY
-    assert result["backend_speedup"] >= BACKEND_SPEEDUP_FLOOR
 
 
 def test_cycle_cache_speedup(benchmark, table):
     """E23 steady-cruise workload: the memoized cycle replay must clear
-    the >= 5x floor over the same backend with the cache off."""
+    the >= 5x floor over ``run_fast`` with the cache off."""
     assert_steady_equivalent()
-    rows = []
-    results = {}
-    for backend in ("reference", "fast"):
-        result = measure_steady(backend)
-        results[backend] = result
-        rows.append((f"run_fast, {backend}, cache off",
-                     f"{result['off_ticks_per_s']:,.0f}",
-                     f"{result['off_s']:.3f}"))
-        rows.append((f"run_fast, {backend}, cache on",
-                     f"{result['on_ticks_per_s']:,.0f}",
-                     f"{result['on_s']:.3f}"))
-        rows.append((f"{backend} cycle-cache speedup",
-                     f"{result['speedup']:.1f}x", ""))
+    result = measure_steady()
     table("E23 — steady-cruise workload, cycle cache on vs off",
-          ["mode", "ticks/s", "seconds"], rows)
+          ["mode", "ticks/s", "seconds"],
+          [("run_fast, cache off", f"{result['off_ticks_per_s']:,.0f}",
+            f"{result['off_s']:.3f}"),
+           ("run_fast, cache on", f"{result['on_ticks_per_s']:,.0f}",
+            f"{result['on_s']:.3f}"),
+           ("cycle-cache speedup", f"{result['speedup']:.1f}x", "")])
     benchmark(lambda: None)
-    benchmark.extra_info.update(
-        {f"{backend}_{key}": value
-         for backend, result in results.items()
-         for key, value in result.items()})
-    for backend, result in results.items():
-        assert result["speedup"] >= CYCLE_CACHE_SPEEDUP_FLOOR, backend
+    benchmark.extra_info.update(result)
+    assert result["speedup"] >= CYCLE_CACHE_SPEEDUP_FLOOR
 
 
 def test_cycle_cache_faulty_overhead(benchmark, table):
@@ -403,68 +336,50 @@ def main(argv=None) -> int:
         result = measure(faulty, mtfs=options.mtfs, repeats=options.repeats)
         workload = f"e13-packed-{name}"
         workloads.append(workload_record(
-            workload, backend="reference", mode="run",
+            workload, mode="run",
             ticks_per_s=result["run_ticks_per_s"],
             digests_asserted=True, ticks=result["ticks"]))
         workloads.append(workload_record(
-            workload, backend="reference", mode="run_fast",
-            ticks_per_s=result["ref_fast_ticks_per_s"],
+            workload, mode="run_fast",
+            ticks_per_s=result["fast_ticks_per_s"],
             speedup=result["speedup"],
-            speedup_reference="per-tick run(), reference backend",
+            speedup_reference="per-tick run()",
             digests_asserted=True, speedup_floor=floor))
-        workloads.append(workload_record(
-            workload, backend="fast", mode="run_fast",
-            ticks_per_s=result["fast_backend_ticks_per_s"],
-            speedup=result["backend_speedup"],
-            speedup_reference="run_fast(), reference backend",
-            digests_asserted=True,
-            speedup_floor=BACKEND_SPEEDUP_FLOOR))
         print(f"{name:>8}: run {result['run_ticks_per_s']:>12,.0f} ticks/s"
-              f"   run_fast {result['ref_fast_ticks_per_s']:>12,.0f}"
-              f"   fast backend {result['fast_backend_ticks_per_s']:>12,.0f}"
-              f"   ({result['speedup']:.1f}x event core, "
-              f"{result['backend_speedup']:.2f}x backend)")
+              f"   run_fast {result['fast_ticks_per_s']:>12,.0f}"
+              f"   ({result['speedup']:.1f}x event core)")
         if result["speedup"] < floor:
             failures.append(f"{name}: event core {result['speedup']:.1f}x "
                             f"< {floor:.0f}x")
-        if result["backend_speedup"] < BACKEND_SPEEDUP_FLOOR:
-            failures.append(f"{name}: fast backend "
-                            f"{result['backend_speedup']:.2f}x "
-                            f"< {BACKEND_SPEEDUP_FLOOR:.2f}x")
 
     assert_steady_equivalent(mtfs=min(options.steady_mtfs, 12))
-    steady_speedups = {}
-    for backend in ("reference", "fast"):
-        result = measure_steady(backend, mtfs=options.steady_mtfs,
-                                repeats=min(options.repeats, 3))
-        steady_speedups[backend] = result["speedup"]
-        workloads.append(workload_record(
-            "steady-cruise", backend=backend, mode="run_fast",
-            ticks_per_s=result["off_ticks_per_s"],
-            digests_asserted=True, ticks=result["ticks"]))
-        workloads.append(workload_record(
-            "steady-cruise", backend=backend, mode="run_fast+cycle-cache",
-            ticks_per_s=result["on_ticks_per_s"],
-            speedup=result["speedup"],
-            speedup_reference=f"run_fast(), {backend} backend, cache off",
-            digests_asserted=True,
-            speedup_floor=CYCLE_CACHE_SPEEDUP_FLOOR))
-        print(f"  steady: {backend:>9} off "
-              f"{result['off_ticks_per_s']:>12,.0f} ticks/s"
-              f"   cycle cache {result['on_ticks_per_s']:>12,.0f}"
-              f"   ({result['speedup']:.1f}x)")
-        if result["speedup"] < CYCLE_CACHE_SPEEDUP_FLOOR:
-            failures.append(
-                f"steady/{backend}: cycle cache {result['speedup']:.1f}x "
-                f"< {CYCLE_CACHE_SPEEDUP_FLOOR:.0f}x")
+    steady = measure_steady(mtfs=options.steady_mtfs,
+                            repeats=min(options.repeats, 3))
+    workloads.append(workload_record(
+        "steady-cruise", mode="run_fast",
+        ticks_per_s=steady["off_ticks_per_s"],
+        digests_asserted=True, ticks=steady["ticks"]))
+    workloads.append(workload_record(
+        "steady-cruise", mode="run_fast+cycle-cache",
+        ticks_per_s=steady["on_ticks_per_s"],
+        speedup=steady["speedup"],
+        speedup_reference="run_fast(), cache off",
+        digests_asserted=True,
+        speedup_floor=CYCLE_CACHE_SPEEDUP_FLOOR))
+    print(f"  steady: off {steady['off_ticks_per_s']:>12,.0f} ticks/s"
+          f"   cycle cache {steady['on_ticks_per_s']:>12,.0f}"
+          f"   ({steady['speedup']:.1f}x)")
+    if steady["speedup"] < CYCLE_CACHE_SPEEDUP_FLOOR:
+        failures.append(
+            f"steady: cycle cache {steady['speedup']:.1f}x "
+            f"< {CYCLE_CACHE_SPEEDUP_FLOOR:.0f}x")
 
     faulty_ratio = measure_faulty_cache_ratio(
         mtfs=options.mtfs, repeats=options.repeats)
     workloads.append(workload_record(
-        "e13-packed-faulty", backend="reference",
-        mode="run_fast+cycle-cache",
+        "e13-packed-faulty", mode="run_fast+cycle-cache",
         speedup=faulty_ratio["ratio"],
-        speedup_reference="run_fast(), reference backend, cache off "
+        speedup_reference="run_fast(), cache off "
                           "(gate overhead check: ~1.0 expected)",
         digests_asserted=True,
         speedup_floor=CYCLE_CACHE_FAULTY_FLOOR))
@@ -477,32 +392,8 @@ def main(argv=None) -> int:
 
     meta = {
         "quick": bool(options.quick),
-        "goals": {
-            "target_vs_pr1_run_fast": TARGET_VS_PR1,
-            "stretch_order_of_magnitude": STRETCH_VS_PR1,
-            "status": ("met on steady-state workloads, not met in "
-                       "general.  General-purpose: the fast backend "
-                       "measures ~1.4x over the PR 1 run_fast baseline "
-                       "(~1.1-1.2x over the current reference backend, "
-                       "which absorbed the shared optimizations); the "
-                       "remaining cost is the semantic stepped-tick/span "
-                       "machinery both backends execute (EXPERIMENTS.md "
-                       "E19).  Steady-state: the opt-in cycle cache "
-                       "replays memoized MTF templates on the "
-                       "steady-cruise workload at the measured "
-                       "cycle-cache speedup below — >= 5x over the fast "
-                       "backend with the cache off, which compounds to "
-                       "well past the 3x target (and the 10x stretch) "
-                       "vs the PR 1 baseline, but only where frames "
-                       "reach a fingerprint fixed point.  Never-steady "
-                       "workloads stay at the general-purpose standing "
-                       "(EXPERIMENTS.md E23)."),
-            "cycle_cache_speedup_measured": {
-                backend: round(speedup, 2)
-                for backend, speedup in steady_speedups.items()},
-            "cycle_cache_faulty_overhead_ratio": round(
-                faulty_ratio["ratio"], 3),
-        },
+        "cycle_cache_speedup_measured": round(steady["speedup"], 2),
+        "cycle_cache_faulty_overhead_ratio": round(faulty_ratio["ratio"], 3),
     }
     path = emit_bench_json("event_core", workloads,
                            path=options.json, meta=meta)

@@ -11,7 +11,7 @@ provenance envelope:
 * ``git_rev`` — the commit the numbers were measured at;
 * ``host`` — python version and platform (ticks/sec are host-relative);
 * ``workloads`` — a list of :func:`workload_record` entries, each naming
-  its workload id, backend, throughput, speedup vs its stated reference,
+  its workload id, throughput, speedup vs its stated reference,
   and whether the deterministic digests were asserted equal before timing.
 
 Timing numbers are honest measurements on whatever host ran the benchmark;
@@ -48,7 +48,7 @@ def git_rev() -> str:
     return rev if out.returncode == 0 and rev else "unknown"
 
 
-def workload_record(workload: str, *, backend: str,
+def workload_record(workload: str, *,
                     ticks_per_s: Optional[float] = None,
                     speedup: Optional[float] = None,
                     speedup_reference: Optional[str] = None,
@@ -57,15 +57,14 @@ def workload_record(workload: str, *, backend: str,
     """One workload entry for :func:`emit_bench_json`.
 
     *speedup* is measured against *speedup_reference* (a human-readable
-    description of the baseline mode, e.g. ``"reference backend
-    run_fast"``), both measured in the same process on the same host.
+    description of the baseline mode, e.g. ``"per-tick run()"``), both
+    measured in the same process on the same host.
     *digests_asserted* records whether the deterministic digests (trace,
     metrics, oracle verdict) of the timed mode were asserted equal to the
     reference before timing — the bit-identity gate.
     """
     record: Dict[str, object] = {
         "workload": workload,
-        "backend": backend,
         "digests_asserted": bool(digests_asserted),
     }
     if ticks_per_s is not None:

@@ -25,7 +25,7 @@ Runs two ways:
 * ``pytest benchmarks/bench_snapshot_fork.py`` — asserts bit-identity
   always and the speedup floor on capable hosts;
 * ``python benchmarks/bench_snapshot_fork.py [--scenarios N] [--mtfs N]
-  [--prefix-mtfs N] [--backend B] [--json PATH] [--check]`` — standalone
+  [--prefix-mtfs N] [--json PATH] [--check]`` — standalone
   smoke (used by CI), writing the schema-versioned artifact to
   ``BENCH_snapshot_fork.json`` in the repo root (via ``bench_lib``).
 """
@@ -59,8 +59,7 @@ def _report_bytes(results) -> str:
 def run_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
                   mtfs: int = CAMPAIGN_MTFS,
                   prefix_mtfs: int = CAMPAIGN_PREFIX_MTFS,
-                  seed: int = 7, repeats: int = 3,
-                  backend: str = "reference") -> Dict[str, float]:
+                  seed: int = 7, repeats: int = 3) -> Dict[str, float]:
     """Time cold vs prefix-cached serial execution; assert bit-identity.
 
     Each mode is timed *repeats* times and the fastest run is kept — the
@@ -74,13 +73,13 @@ def run_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
     cold_s = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        cold = run_serial(campaign, prefix_cache=False, backend=backend)
+        cold = run_serial(campaign, prefix_cache=False)
         cold_s = min(cold_s, time.perf_counter() - start)
 
     cached_s = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        cached = run_serial(campaign, prefix_cache=True, backend=backend)
+        cached = run_serial(campaign, prefix_cache=True)
         cached_s = min(cached_s, time.perf_counter() - start)
 
     # The bit-identity invariant is not load-dependent: assert it on
@@ -97,7 +96,6 @@ def run_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
         "scenarios": scenarios,
         "mtfs": mtfs,
         "prefix_mtfs": prefix_mtfs,
-        "backend": backend,
         "cold_s": cold_s,
         "cached_s": cached_s,
         "cold_scenarios_per_s": scenarios / cold_s,
@@ -115,11 +113,6 @@ def run_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
 def test_cached_report_matches_cold():
     """Bit-identity at benchmark scale, small geometry (any host)."""
     run_benchmark(scenarios=6, mtfs=12, prefix_mtfs=9)
-
-
-def test_cached_report_matches_cold_fast_backend():
-    """Same bit-identity invariant with every run on the fast backend."""
-    run_benchmark(scenarios=6, mtfs=12, prefix_mtfs=9, backend="fast")
 
 
 def test_speedup_floor():
@@ -143,9 +136,6 @@ def main() -> int:
     parser.add_argument("--mtfs", type=int, default=CAMPAIGN_MTFS)
     parser.add_argument("--prefix-mtfs", type=int,
                         default=CAMPAIGN_PREFIX_MTFS)
-    parser.add_argument("--backend", default="reference",
-                        choices=("reference", "fast"),
-                        help="execution backend for prefixes and forks")
     parser.add_argument("--json", default=None,
                         help="artifact path (default: "
                              "BENCH_snapshot_fork.json in the repo root)")
@@ -154,8 +144,7 @@ def main() -> int:
     args = parser.parse_args()
 
     numbers = run_benchmark(scenarios=args.scenarios, mtfs=args.mtfs,
-                            prefix_mtfs=args.prefix_mtfs,
-                            backend=args.backend)
+                            prefix_mtfs=args.prefix_mtfs)
     print(f"snapshot fork: {args.scenarios} shared-seed chaos scenarios "
           f"x {args.mtfs} MTFs ({args.prefix_mtfs} MTFs fault-free)")
     print(f"  cold   : {numbers['cold_s']:8.3f}s "
@@ -168,16 +157,15 @@ def main() -> int:
     workload = (f"chaos-shared-seed-{args.scenarios}x{args.mtfs}"
                 f"-prefix{args.prefix_mtfs}")
     path = emit_bench_json("snapshot_fork", [
-        workload_record(workload, backend=args.backend, mode="cold",
+        workload_record(workload, mode="cold",
                         scenarios_per_s=round(
                             numbers["cold_scenarios_per_s"], 2),
                         digests_asserted=True),
-        workload_record(workload, backend=args.backend,
-                        mode="prefix-cached",
+        workload_record(workload, mode="prefix-cached",
                         scenarios_per_s=round(
                             numbers["cached_scenarios_per_s"], 2),
                         speedup=numbers["speedup"],
-                        speedup_reference="cold serial, same backend",
+                        speedup_reference="cold serial",
                         digests_asserted=True,
                         speedup_floor=SPEEDUP_FLOOR,
                         ticks_skipped=numbers["ticks_skipped"]),

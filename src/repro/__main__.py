@@ -38,7 +38,7 @@ from typing import List, Optional
 
 from .analysis.report import build_report
 from .config.loader import read_config
-from .kernel.simulator import BACKENDS, Simulator
+from .kernel.simulator import Simulator
 
 
 def _write_metrics(observer, path: str) -> None:
@@ -65,7 +65,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from .vitral.windows import VitralScreen
 
     handles = build_prototype()
-    simulator = make_simulator(handles, backend=args.backend)
+    simulator = make_simulator(handles)
     observer = None
     if args.metrics_out:
         from .obs import instrument
@@ -106,7 +106,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = read_config(args.config)
-    simulator = Simulator(config, backend=args.backend)
+    simulator = Simulator(config)
     observer = None
     if args.metrics_out:
         from .obs import instrument
@@ -232,7 +232,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                            chunksize=args.chunksize,
                            timeout_s=args.timeout,
                            prefix_cache=args.prefix_cache,
-                           backend=args.backend,
                            cycle_cache=args.cycle_cache,
                            prefix_depth=args.prefix_depth,
                            locality=args.locality,
@@ -243,7 +242,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.verify_serial and args.workers > 1:
         serial = run_campaign(scenarios, workers=1, timeout_s=args.timeout,
                               prefix_cache=args.prefix_cache,
-                              backend=args.backend,
                               cycle_cache=args.cycle_cache,
                               prefix_depth=args.prefix_depth)
         if report_json(results) != report_json(serial):
@@ -332,9 +330,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     demo.add_argument("--timeline-out", default=None,
                       help="write a Chrome trace-event / Perfetto JSON "
                            "timeline here")
-    demo.add_argument("--backend", choices=BACKENDS, default="reference",
-                      help="execution backend; 'fast' is bit-identical to "
-                           "the reference (default reference)")
     demo.set_defaults(handler=_cmd_demo)
 
     validate = commands.add_parser("validate",
@@ -362,9 +357,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           "timeline here")
     run.add_argument("--profile", action="store_true",
                      help="print a host-time self-profile to stderr")
-    run.add_argument("--backend", choices=BACKENDS, default="reference",
-                     help="execution backend; 'fast' is bit-identical to "
-                          "the reference (default reference)")
     run.set_defaults(handler=_cmd_run)
 
     observe = commands.add_parser(
@@ -462,11 +454,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="chaos suite: make the first N scenarios "
                                "crash deterministically (flight-recorder "
                                "drills; default 0)")
-    campaign.add_argument("--backend", choices=BACKENDS,
-                          default="reference",
-                          help="execution backend; 'fast' is bit-identical "
-                               "to the reference, so campaign digests do "
-                               "not depend on it (default reference)")
     campaign.add_argument("--no-cycle-cache", dest="cycle_cache",
                           action="store_const", const=False, default=None,
                           help="step every MTF instead of replaying "

@@ -183,17 +183,15 @@ def build_prototype(*, seed: int = 0, deadline_store: str = "list",
                             fdir_stats=fdir_stats)
 
 
-def make_simulator(handles: Optional[PrototypeHandles] = None,
-                   backend: str = "reference",
+def make_simulator(handles: Optional[PrototypeHandles] = None, *,
                    cycle_cache: Optional[bool] = None,
                    **kwargs) -> Simulator:
     """Convenience: build (or reuse) a prototype config and wrap it in a
-    simulator.  *backend* selects the execution backend; *cycle_cache*
-    ``False`` turns steady-state MTF memoization off."""
+    simulator.  *cycle_cache* ``False`` turns steady-state MTF
+    memoization off."""
     if handles is None:
         handles = build_prototype(**kwargs)
-    return Simulator(handles.config, backend=backend,
-                     cycle_cache=cycle_cache)
+    return Simulator(handles.config, cycle_cache=cycle_cache)
 
 
 #: Major time frame of the steady-state cruise configuration.
@@ -311,11 +309,10 @@ def build_steady_prototype(*, seed: int = 0) -> SystemConfig:
     return builder.build()
 
 
-def make_steady_simulator(backend: str = "reference",
-                          cycle_cache: Optional[bool] = None, *,
+def make_steady_simulator(*, cycle_cache: Optional[bool] = None,
                           seed: int = 0) -> Simulator:
     """Build the cruise-mode configuration wrapped in a simulator."""
-    return Simulator(build_steady_prototype(seed=seed), backend=backend,
+    return Simulator(build_steady_prototype(seed=seed),
                      cycle_cache=cycle_cache)
 
 

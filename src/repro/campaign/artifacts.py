@@ -14,7 +14,7 @@ through the observer — byte-identical to instrumenting from tick 0 for
 the unbounded traces campaigns run with, and crucially *zero cost when
 artifacts are off* (no observer rides along with the simulation).  The
 emitted metrics and timeline JSON are therefore byte-identical across
-worker counts, backends, and telemetry settings; only the flight-recorder
+worker counts and telemetry settings; only the flight-recorder
 bundles (failure-path, cache-dependent existence) are timing-channel
 material.
 """

@@ -448,7 +448,7 @@ class SnapshotCache:
 def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                        plan: PrefixPlan,
                        base_snapshot: Optional[SimulatorSnapshot],
-                       base_depth: int, *, backend: str,
+                       base_depth: int, *,
                        cycle_cache: Optional[bool] = None,
                        check_interval: int,
                        transport=None) -> Optional[SimulatorSnapshot]:
@@ -473,7 +473,7 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
         cursor = 0
         if base_snapshot is not None:
             simulator = base_snapshot.restore(
-                config, backend=backend, cycle_cache=cycle_cache)
+                config, cycle_cache=cycle_cache)
             cursor = base_depth
         else:
             root_depth, root_key, root_tick = plan.capture_levels[0]
@@ -481,11 +481,9 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                     if root_depth == 0 else None)
             if base is not None:
                 simulator = SimulatorSnapshot.from_bytes(
-                    base[1]).restore(config, backend=backend,
-                                     cycle_cache=cycle_cache)
+                    base[1]).restore(config, cycle_cache=cycle_cache)
             else:
-                simulator = Simulator(config, backend=backend,
-                                      cycle_cache=cycle_cache)
+                simulator = Simulator(config, cycle_cache=cycle_cache)
         injector = FaultInjector(simulator)
         if base_snapshot is not None and base_snapshot.extras:
             state = base_snapshot.extras.get("injector")
@@ -503,8 +501,8 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                 # shallower span — attach and jump instead of rebuilding.
                 fetched = transport.fetch(key, tick)
                 if fetched is not None:
-                    simulator = fetched.restore(config, backend=backend,
-                                                cycle_cache=cycle_cache)
+                    simulator = fetched.restore(
+                        config, cycle_cache=cycle_cache)
                     injector = FaultInjector(simulator)
                     if fetched.extras:
                         state = fetched.extras.get("injector")
@@ -534,7 +532,6 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
                           timeout_s: Optional[float] = None,
                           check_interval: int = 20_000,
                           quantum: Ticks = PREFIX_QUANTUM,
-                          backend: str = "reference",
                           cycle_cache: Optional[bool] = None,
                           plan: Optional[PrefixPlan] = None,
                           transport=None,
@@ -577,7 +574,7 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
         # dispatches to the constellation runner.
         return run_scenario(scenario, timeout_s=timeout_s,
                             check_interval=check_interval,
-                            backend=backend, cycle_cache=cycle_cache,
+                            cycle_cache=cycle_cache,
                             publisher=publisher, artifacts=artifacts)
     if plan is not None:
         snapshot = None
@@ -593,21 +590,21 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
                 found_depth < plan.capture_levels[-1][0]:
             built = _build_plan_levels(
                 scenario, cache, plan, snapshot, found_depth,
-                backend=backend, cycle_cache=cycle_cache,
+                cycle_cache=cycle_cache,
                 check_interval=check_interval, transport=transport)
             if built is not None:
                 snapshot = built
         return run_scenario(scenario, timeout_s=timeout_s,
                             check_interval=check_interval,
                             from_snapshot=snapshot,
-                            backend=backend, cycle_cache=cycle_cache,
+                            cycle_cache=cycle_cache,
                             publisher=publisher,
                             artifacts=artifacts)
     snap_tick = (divergence_tick(scenario) // quantum) * quantum
     if snap_tick < MIN_PREFIX_TICKS:
         return run_scenario(scenario, timeout_s=timeout_s,
                             check_interval=check_interval,
-                            backend=backend, cycle_cache=cycle_cache,
+                            cycle_cache=cycle_cache,
                             publisher=publisher,
                             artifacts=artifacts)
     fingerprint = scenario_fingerprint(scenario)
@@ -618,11 +615,9 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
             config = scenario.build_config()
             if base is not None:
                 simulator = SimulatorSnapshot.from_bytes(
-                    base[1]).restore(config, backend=backend,
-                                     cycle_cache=cycle_cache)
+                    base[1]).restore(config, cycle_cache=cycle_cache)
             else:
-                simulator = Simulator(config, backend=backend,
-                                      cycle_cache=cycle_cache)
+                simulator = Simulator(config, cycle_cache=cycle_cache)
             simulator.run_fast(snap_tick - simulator.now)
             snapshot = SimulatorSnapshot.capture(simulator)
             cache.put(fingerprint, snap_tick, snapshot.to_bytes(), snapshot)
@@ -632,6 +627,6 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
     return run_scenario(scenario, timeout_s=timeout_s,
                         check_interval=check_interval,
                         from_snapshot=snapshot,
-                        backend=backend, cycle_cache=cycle_cache,
+                        cycle_cache=cycle_cache,
                         publisher=publisher,
                         artifacts=artifacts)

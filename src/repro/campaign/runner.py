@@ -119,7 +119,6 @@ def run_scenario(scenario: Scenario, *,
                  timeout_s: Optional[float] = None,
                  check_interval: int = TIMEOUT_CHECK_INTERVAL,
                  from_snapshot: Optional[SimulatorSnapshot] = None,
-                 backend: str = "reference",
                  cycle_cache: Optional[bool] = None,
                  publisher=None,
                  artifacts: Optional[ScenarioArtifacts] = None
@@ -147,14 +146,11 @@ def run_scenario(scenario: Scenario, *,
     contract); only the nondeterministic ``forked_at_tick`` field records
     that a fork happened.
 
-    *backend* selects the execution backend
-    (:data:`repro.kernel.simulator.BACKENDS`); the fast backend is
-    bit-identical to the reference, so campaign digests are independent
-    of it.  *cycle_cache* is passed to the scenario's simulators:
-    steady-state MTF memoization (DESIGN decision 13) is armed unless it
-    is ``False`` — the same bit-identity contract, so digests are
-    independent of it too; its host-side hit counters accumulate into
-    the per-worker execution sidecar.
+    *cycle_cache* is passed to the scenario's simulators: steady-state
+    MTF memoization (DESIGN decision 13) is armed unless it is ``False``
+    — a bit-identity contract, so digests are independent of it; its
+    host-side hit counters accumulate into the per-worker execution
+    sidecar.
 
     Unless the scenario opts out (``oracle=False``), the finished trace is
     audited by the TSP invariant oracle
@@ -180,7 +176,7 @@ def run_scenario(scenario: Scenario, *,
 
         return run_constellation_scenario(
             scenario, timeout_s=timeout_s, check_interval=check_interval,
-            backend=backend, cycle_cache=cycle_cache, publisher=publisher,
+            cycle_cache=cycle_cache, publisher=publisher,
             artifacts=artifacts)
     start = time.perf_counter()
     if check_interval < 1:
@@ -194,14 +190,12 @@ def run_scenario(scenario: Scenario, *,
     try:
         config = scenario.build_config()
         if from_snapshot is not None:
-            simulator = from_snapshot.restore(config, backend=backend,
-                                              cycle_cache=cycle_cache)
+            simulator = from_snapshot.restore(config, cycle_cache=cycle_cache)
             forked_at = simulator.now
             if publisher is not None:
                 publisher.scenario_forked(scenario.scenario_id, forked_at)
         else:
-            simulator = Simulator(config, backend=backend,
-                                  cycle_cache=cycle_cache)
+            simulator = Simulator(config, cycle_cache=cycle_cache)
         injector = FaultInjector(simulator)
         applied = 0
         if from_snapshot is not None and from_snapshot.extras:
@@ -367,7 +361,7 @@ def _worker_transport(run_id: Optional[str]):
 
 def _run_one(scenario: Scenario, *, timeout_s: Optional[float],
              check_interval: int, prefix_cache: bool,
-             backend: str, cycle_cache: Optional[bool] = None,
+             cycle_cache: Optional[bool] = None,
              artifacts: Optional[ScenarioArtifacts] = None
              ) -> ScenarioResult:
     """One unit of campaign work, with or without prefix sharing."""
@@ -375,7 +369,7 @@ def _run_one(scenario: Scenario, *, timeout_s: Optional[float],
     if not prefix_cache:
         return run_scenario(scenario, timeout_s=timeout_s,
                             check_interval=check_interval,
-                            backend=backend, cycle_cache=cycle_cache,
+                            cycle_cache=cycle_cache,
                             publisher=publisher,
                             artifacts=artifacts)
     from .prefix import run_with_prefix_cache
@@ -383,20 +377,20 @@ def _run_one(scenario: Scenario, *, timeout_s: Optional[float],
     return run_with_prefix_cache(scenario, _worker_cache(),
                                  timeout_s=timeout_s,
                                  check_interval=check_interval,
-                                 backend=backend, cycle_cache=cycle_cache,
+                                 cycle_cache=cycle_cache,
                                  publisher=publisher,
                                  artifacts=artifacts)
 
 
-def _pool_worker(payload: Tuple[Scenario, Optional[float], int, bool, str,
+def _pool_worker(payload: Tuple[Scenario, Optional[float], int, bool,
                                 Optional[bool], Optional[ScenarioArtifacts]]
                  ) -> ScenarioResult:
-    (scenario, timeout_s, check_interval, prefix_cache, backend,
-     cycle_cache, artifacts) = payload
+    (scenario, timeout_s, check_interval, prefix_cache, cycle_cache,
+     artifacts) = payload
     return _run_one(scenario, timeout_s=timeout_s,
                     check_interval=check_interval,
                     prefix_cache=prefix_cache,
-                    backend=backend, cycle_cache=cycle_cache,
+                    cycle_cache=cycle_cache,
                     artifacts=artifacts)
 
 
@@ -410,8 +404,8 @@ def _group_worker(payload):
     (keyed by pid on the parent side; later tasks from the same worker
     simply overwrite with larger counts).
     """
-    (indices, group, plans, timeout_s, check_interval, backend,
-     cycle_cache, run_id, artifacts) = payload
+    (indices, group, plans, timeout_s, check_interval, cycle_cache,
+     run_id, artifacts) = payload
     from .prefix import run_with_prefix_cache
 
     cache = _worker_cache()
@@ -420,7 +414,7 @@ def _group_worker(payload):
     results = [
         run_with_prefix_cache(scenario, cache, timeout_s=timeout_s,
                               check_interval=check_interval,
-                              backend=backend, cycle_cache=cycle_cache,
+                              cycle_cache=cycle_cache,
                               plan=plan,
                               transport=transport, publisher=publisher,
                               artifacts=artifacts)
@@ -471,7 +465,6 @@ def run_serial(scenarios: Sequence[Scenario], *,
                timeout_s: Optional[float] = None,
                check_interval: int = TIMEOUT_CHECK_INTERVAL,
                prefix_cache: bool = True,
-               backend: str = "reference",
                cycle_cache: Optional[bool] = None,
                prefix_depth: Optional[int] = None,
                telemetry: Optional[Dict] = None,
@@ -504,7 +497,7 @@ def run_serial(scenarios: Sequence[Scenario], *,
     if not prefix_cache:
         results = [run_scenario(scenario, timeout_s=timeout_s,
                                 check_interval=check_interval,
-                                backend=backend, cycle_cache=cycle_cache,
+                                cycle_cache=cycle_cache,
                                 publisher=publisher,
                                 artifacts=artifacts)
                    for scenario in scenarios]
@@ -522,8 +515,7 @@ def run_serial(scenarios: Sequence[Scenario], *,
     results = [
         run_with_prefix_cache(
             scenario, cache, timeout_s=timeout_s,
-            check_interval=check_interval, backend=backend,
-            cycle_cache=cycle_cache,
+            check_interval=check_interval, cycle_cache=cycle_cache,
             plan=None if plans is None else plans[scenario.scenario_id],
             publisher=publisher, artifacts=artifacts)
         for scenario in scenarios]
@@ -583,7 +575,6 @@ def run_pool(scenarios: Sequence[Scenario], *,
              timeout_s: Optional[float] = None,
              check_interval: int = TIMEOUT_CHECK_INTERVAL,
              prefix_cache: bool = True,
-             backend: str = "reference",
              cycle_cache: Optional[bool] = None,
              prefix_depth: Optional[int] = None,
              locality: bool = True,
@@ -630,7 +621,7 @@ def run_pool(scenarios: Sequence[Scenario], *,
         return run_serial(scenarios, timeout_s=timeout_s,
                           check_interval=check_interval,
                           prefix_cache=prefix_cache,
-                          backend=backend, cycle_cache=cycle_cache,
+                          cycle_cache=cycle_cache,
                           prefix_depth=prefix_depth,
                           telemetry=telemetry, bus=bus,
                           artifacts=artifacts)
@@ -654,7 +645,7 @@ def run_pool(scenarios: Sequence[Scenario], *,
             # on this.
             chunksize = max(1, len(scenarios) // (workers * 4))
         payloads = [(scenario, timeout_s, check_interval, prefix_cache,
-                     backend, cycle_cache, artifacts)
+                     cycle_cache, artifacts)
                     for scenario in scenarios]
         with context.Pool(processes=workers, initializer=initializer,
                           initargs=initargs) as pool:
@@ -699,8 +690,8 @@ def run_pool(scenarios: Sequence[Scenario], *,
                 tuple(chunk),
                 tuple(scenarios[i] for i in chunk),
                 tuple(plans[scenarios[i].scenario_id] for i in chunk),
-                timeout_s, check_interval, backend, cycle_cache,
-                run_id, artifacts))
+                timeout_s, check_interval, cycle_cache, run_id,
+                artifacts))
 
     if transport is not None and split_groups:
         # Pre-build each split group's checkpoint chain once in the
@@ -719,8 +710,7 @@ def run_pool(scenarios: Sequence[Scenario], *,
             plan = plans[scenario.scenario_id]
             if plan.capture_levels:
                 _build_plan_levels(scenario, prebuild_cache, plan,
-                                   None, -1, backend=backend,
-                                   cycle_cache=cycle_cache,
+                                   None, -1, cycle_cache=cycle_cache,
                                    check_interval=check_interval,
                                    transport=transport)
 
@@ -773,7 +763,6 @@ def run_campaign(scenarios: Sequence[Scenario], *,
                  timeout_s: Optional[float] = None,
                  check_interval: int = TIMEOUT_CHECK_INTERVAL,
                  prefix_cache: bool = True,
-                 backend: str = "reference",
                  cycle_cache: Optional[bool] = None,
                  prefix_depth: Optional[int] = None,
                  locality: bool = True,
@@ -794,14 +783,14 @@ def run_campaign(scenarios: Sequence[Scenario], *,
         return run_serial(scenarios, timeout_s=timeout_s,
                           check_interval=check_interval,
                           prefix_cache=prefix_cache,
-                          backend=backend, cycle_cache=cycle_cache,
+                          cycle_cache=cycle_cache,
                           prefix_depth=prefix_depth,
                           telemetry=telemetry, bus=bus,
                           artifacts=artifacts)
     return run_pool(scenarios, workers=workers, chunksize=chunksize,
                     timeout_s=timeout_s, check_interval=check_interval,
                     prefix_cache=prefix_cache,
-                    backend=backend, cycle_cache=cycle_cache,
+                    cycle_cache=cycle_cache,
                     prefix_depth=prefix_depth,
                     locality=locality, shm=shm, telemetry=telemetry,
                     bus=bus, artifacts=artifacts)

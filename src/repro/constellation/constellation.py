@@ -95,7 +95,6 @@ class Constellation:
     """N AIR nodes in deterministic lockstep over an inter-node fabric."""
 
     def __init__(self, config: ConstellationConfig, seed: int, *,
-                 backend: str = "reference",
                  cycle_cache: Optional[bool] = None) -> None:
         self.config = config
         self.seed = seed
@@ -110,8 +109,7 @@ class Constellation:
         for index in range(config.nodes):
             node_seed = seeds.fork(f"node-{index}").seed
             system = factory(seed=node_seed, **dict(config.factory_kwargs))
-            simulator = Simulator(system, backend=backend,
-                                  cycle_cache=cycle_cache)
+            simulator = Simulator(system, cycle_cache=cycle_cache)
             self.system_configs.append(system)
             self.nodes.append(Node(index, simulator,
                                    config.heartbeat_timeout))
@@ -174,8 +172,8 @@ class Constellation:
         """Advance the whole constellation by *ticks*.
 
         Returns False if *should_abort* tripped (the campaign wall-clock
-        budget), True on normal completion.  Bit-identical for both
-        simulator backends and any abort-poll cadence.
+        budget), True on normal completion.  Bit-identical for any
+        abort-poll cadence.
         """
         target = self.now + ticks
         while self.now < target:
@@ -360,9 +358,9 @@ class Constellation:
     def combined_digest(self) -> str:
         """One digest over every node trace + fabric + protocol record.
 
-        Byte-identical across backends, worker counts and abort-poll
-        cadences — the constellation's extension of the single-node
-        trace-digest invariant.
+        Byte-identical across worker counts and abort-poll cadences — the
+        constellation's extension of the single-node trace-digest
+        invariant.
         """
         parts = [node.simulator.trace.digest() for node in self.nodes]
         parts.append(self.comm.events_digest())

@@ -11,8 +11,8 @@ observation log — and compact everything into one
 :class:`~repro.campaign.results.ScenarioResult`.  The result's
 ``trace_digest`` is the constellation's *combined* digest (node traces +
 fabric events + protocol record), so campaign digests inherit
-byte-identity across worker counts and backends from the lockstep
-loop's determinism.
+byte-identity across worker counts from the lockstep loop's
+determinism.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ def run_constellation_scenario(
         scenario: ConstellationScenario, *,
         timeout_s: Optional[float] = None,
         check_interval: int = 20_000,
-        backend: str = "reference",
         cycle_cache: Optional[bool] = None,
         publisher=None,
         artifacts: Optional[ScenarioArtifacts] = None) -> ScenarioResult:
@@ -151,8 +150,7 @@ def run_constellation_scenario(
     if publisher is not None:
         publisher.scenario_started(scenario.scenario_id, scenario.ticks)
     try:
-        constellation = Constellation(scenario.constellation,
-                                      scenario.seed, backend=backend,
+        constellation = Constellation(scenario.constellation, scenario.seed,
                                       cycle_cache=cycle_cache)
         for tick, fault in scenario.faults:
             constellation.schedule_fault(tick, fault)

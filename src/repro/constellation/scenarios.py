@@ -223,7 +223,7 @@ def constellation_campaign(*, count: int = 50, nodes: int = 3,
     nodes.  Fault ticks land in ``[MTF, (mtfs-3)·MTF]`` so every injected
     failover has a full deadline-plus-settle tail before the horizon.
     Fully deterministic: same *base_seed*, same scenarios, same campaign
-    digest at any worker count and either backend.
+    digest at any worker count.
     """
     if count < 1 or mtfs < 6 or nodes < 2:
         raise ConfigurationError(

@@ -428,71 +428,6 @@ class Pmk(ModuleControl, ActionExecutor):
                     self._emulate_memory_traffic(active, now)
         self.router.pump(now)
 
-    def clock_tick_fast(self, now: Ticks) -> None:
-        """:meth:`clock_tick` mirror for the fast execution backend.
-
-        Behaviourally identical to the reference ISR (asserted by the
-        backend equivalence matrices), with the profile-guided shortcuts:
-
-        * *now* is passed in by the driving loop instead of re-read from
-          the time source;
-        * Algorithm 1 runs only at preemption points — the memoized
-          scheduler horizon already knows whether this tick matches a
-          table entry, so off-match ticks settle the statistics without
-          re-deriving the table offset;
-        * partition execution goes through the POS dispatch memo
-          (:meth:`~repro.pos.base.PartitionOs.execute_tick_fast`);
-        * the router pump is skipped while the memoized delivery horizon
-          lies in the future (the pump would be a no-op).
-
-        Kept as a mirror rather than inline conditionals in
-        :meth:`clock_tick` so the reference ISR stays untouched.
-        """
-        if self.stopped:
-            return
-        if self.profiler is not None:
-            self._profiled_tick()
-            return
-        self.ticks_executed += 1
-        if self.fdir is not None:
-            self.fdir.poll(now)
-        elapsed: Ticks = 1
-        scheduler = self.scheduler
-        if scheduler.next_preemption_tick(now) > now:
-            # Off-match tick: Algorithm 1 would take its fast path and
-            # return False — settle its statistics directly.
-            stats = scheduler.stats
-            stats.ticks += 1
-            stats.fast_path += 1
-        elif scheduler.tick(now):
-            active = self.dispatcher.active_partition
-            running = (self.runtimes[active].pos.running
-                       if active is not None else None)
-            outcome = self.dispatcher.run(
-                now, running_process=running.name if running else None)
-            elapsed = outcome.elapsed_ticks
-        active = self.dispatcher.active_partition
-        if active is None:
-            self.idle_ticks += 1
-        else:
-            self.partition_ticks[active] += 1
-            runtime = self.runtimes[active]
-            # Inlined pal.announce_ticks_fast: native POS announcement,
-            # then the Algorithm 3 verification (whose check/comparison
-            # counters are deterministic state — it must run on every
-            # stepped announcement to stay bit-identical).
-            pal = runtime.pal
-            pal.pos.announce_ticks(now, elapsed)
-            pal.monitor.verify(now)
-            if not self.stopped:
-                executed = runtime.execute_tick_fast(now)
-                if executed is not None and self._memory_probes:
-                    self._emulate_memory_traffic(active, now)
-        router = self.router
-        delivery = router.next_delivery_tick()
-        if delivery is not None and delivery <= now:
-            router.pump(now)
-
     def _profiled_tick(self) -> None:
         """`clock_tick` with ``perf_counter`` probes around each subsystem.
 

@@ -135,18 +135,6 @@ class PartitionRuntime(PartitionControl):
             return None  # idle / still starting: no process execution
         return self.pos.execute_tick(now)
 
-    def execute_tick_fast(self, now: Ticks) -> Optional[str]:
-        """:meth:`execute_tick` through the POS dispatch memo.
-
-        NORMAL mode implies no pending restart (a restart request moves
-        the mode to coldStart/warmStart immediately), so the restart and
-        initialization ladder only matters off the NORMAL path — those
-        rare ticks are delegated to the reference method wholesale.
-        """
-        if self._mode is PartitionMode.NORMAL:
-            return self.pos.execute_tick_fast(now)
-        return self.execute_tick(now)
-
     # -------------------------------------------------------------- #
     # event-driven execution support
     # -------------------------------------------------------------- #

@@ -134,7 +134,7 @@ class PartitionScheduler:
 
     def request_switch(self, schedule_id: str, *, now: Ticks,
                        requested_by: str = "") -> None:
-        """SET_MODULE_SCHEDULE backend: store the next-schedule identifier.
+        """SET_MODULE_SCHEDULE service: store the next-schedule identifier.
 
         "The immediate result is only that of storing the identifier of
         the next schedule" — the switch takes effect at the start of the

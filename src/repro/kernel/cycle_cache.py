@@ -714,11 +714,10 @@ class CycleCache:
     """Fingerprint-keyed whole-MTF replay for one simulator instance.
 
     Armed by default (``Simulator(config, cycle_cache=False)`` turns it
-    off), orthogonal to the execution backend, and bit-identity-preserving
-    by construction: every observable the determinism contract covers —
-    trace bytes, metrics digests, deterministic counters, oracle
-    verdicts — is reproduced exactly, which the fast-skip/fork/chaos
-    identity matrices assert.
+    off) and bit-identity-preserving by construction: every observable
+    the determinism contract covers — trace bytes, metrics digests,
+    deterministic counters, oracle verdicts — is reproduced exactly,
+    which the fast-skip/fork/chaos identity matrices assert.
     """
 
     def __init__(self, simulator: Any) -> None:

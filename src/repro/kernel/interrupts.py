@@ -120,13 +120,3 @@ class InterruptController:
     def dispatch_count(self, vector: Vector) -> int:
         """How many times *vector* has been delivered (unmasked)."""
         return self._dispatch_counts[vector]
-
-    def account_bypassed(self, vector: Vector, count: int) -> None:
-        """Settle *count* deliveries performed outside the vector table.
-
-        The fast execution backend calls the PMK clock ISR directly when
-        the clock wiring is provably default (single unmasked PMK
-        handler); this keeps :meth:`dispatch_count` identical to what the
-        reference backend would report.
-        """
-        self._dispatch_counts[vector] += count

@@ -27,10 +27,6 @@ from .trace import Trace
 __all__ = ["Simulator", "cycle_cache_armed"]
 
 
-#: Execution backends selectable at construction time.
-BACKENDS = ("reference", "fast")
-
-
 def cycle_cache_armed(cycle_cache: Optional[bool]) -> bool:
     """Whether ``Simulator(..., cycle_cache=cycle_cache)`` arms
     steady-state MTF memoization.
@@ -45,35 +41,20 @@ def cycle_cache_armed(cycle_cache: Optional[bool]) -> bool:
 class Simulator:
     """Deterministic tick-driven execution of one AIR module.
 
-    ``backend`` selects the execution engine behind :meth:`run_fast`:
+    ``run`` and ``step`` deliver every tick through the clock interrupt
+    vector; ``run_fast`` batches provably uniform spans between event
+    ticks and steps only those, through the same ISR.
 
-    * ``"reference"`` (default) — the PR 1 event-driven loop, every
-      stepped tick through the full interrupt-vector ISR;
-    * ``"fast"`` — the profile-guided engine (DESIGN decision 9):
-      memoized per-layer horizons, a dispatch-memoizing ISR mirror and
-      an interrupt-controller bypass for the default clock wiring.  The
-      contract is bit-identity: same trace, same deterministic counters,
-      same digests as the reference backend, asserted by the equivalence
-      matrices.
-
-    ``run`` and ``step`` always use the per-tick reference ISR — the
-    backend only changes how provably uniform spans are driven.
-
-    ``cycle_cache`` (orthogonal to the backend) controls steady-state
-    MTF cycle memoization (DESIGN decision 13): the ``run_fast`` loops
-    probe MTF boundaries for a fingerprint fixed point and replay
-    verified whole-frame templates instead of stepping, under the same
-    bit-identity contract.  It is armed by default (see
-    :func:`cycle_cache_armed`); ``cycle_cache=False`` is the off switch.
+    ``cycle_cache`` controls steady-state MTF cycle memoization (DESIGN
+    decision 13): ``run_fast`` probes MTF boundaries for a fingerprint
+    fixed point and replays verified whole-frame templates instead of
+    stepping, under the same bit-identity contract.  It is armed by
+    default (see :func:`cycle_cache_armed`); ``cycle_cache=False`` is the
+    off switch.
     """
 
     def __init__(self, config: SystemConfig, *,
-                 backend: str = "reference",
                  cycle_cache: Optional[bool] = None) -> None:
-        if backend not in BACKENDS:
-            raise SimulationError(
-                f"unknown backend {backend!r} (choose from {BACKENDS})")
-        self.backend = backend
         self.config = config
         self.time = TimeSource()
         self.trace = Trace(capacity=config.trace_capacity)
@@ -139,20 +120,12 @@ class Simulator:
 
         The trace (and every instrumentation counter) stays bit-identical
         to :meth:`run`, asserted by the equivalence tests across active
-        windows, mode switches, deadline misses and HM restarts.  With
-        ``backend="fast"`` the stepped ticks additionally go through the
-        profile-guided ISR mirror (:meth:`_run_fast_optimized`) under the
-        same bit-identity contract.
+        windows, mode switches, deadline misses and HM restarts.  Every
+        stepped tick goes through the full clock interrupt vector, exactly
+        as :meth:`step` delivers it.
         """
         if ticks < 0:
             raise SimulationError(f"cannot run {ticks} ticks")
-        if self.backend == "fast":
-            self._run_fast_optimized(ticks)
-        else:
-            self._run_fast_reference(ticks)
-
-    def _run_fast_reference(self, ticks: Ticks) -> None:
-        """The PR 1 event-driven loop: full ISR on every stepped tick."""
         time = self.time
         pmk = self.pmk
         step = self.step
@@ -185,74 +158,6 @@ class Simulator:
             # no need to recompute the horizon to discover that.
             step()
             now += 1
-
-    def _run_fast_optimized(self, ticks: Ticks) -> None:
-        """Profile-guided event loop (``backend="fast"``).
-
-        The PR 3 self-profiler put ~86% of ``run_fast`` host time in the
-        stepped-tick ISR path; this loop attacks exactly that:
-
-        * the interrupt-vector machinery is bypassed for the clock tick —
-          legal only under the default wiring (a single unmasked PMK
-          handler on ``Vector.CLOCK``), checked up front and falling back
-          to the reference loop otherwise; the controller's dispatch
-          count is settled in aggregate so post-run introspection is
-          indistinguishable from the reference backend;
-        * each stepped tick runs :meth:`~repro.core.pmk.Pmk.clock_tick_fast`,
-          the ISR mirror that leans on the memoized per-layer horizons
-          (scheduler fast path without re-deriving the table offset,
-          POS dispatch memo, router pump skip).
-
-        Everything observable — trace, deterministic counters, digests,
-        oracle verdicts — stays bit-identical to the reference backend.
-        """
-        interrupts = self.interrupts
-        chain = interrupts.handlers_on(Vector.CLOCK)
-        if (len(chain) != 1 or chain[0].handler != self.pmk.clock_tick
-                or interrupts.is_masked(Vector.CLOCK)):
-            # Non-default clock wiring (extra ISRs, masking, replaced
-            # handler): the bypass would skip user handlers, so degrade
-            # to the reference loop, which honours the full vector.
-            self._run_fast_reference(ticks)
-            return
-        time = self.time
-        pmk = self.pmk
-        tick_fast = pmk.clock_tick_fast
-        next_event = pmk.next_event_tick
-        execute_span = pmk.execute_span
-        skip = time.skip
-        advance = time.advance
-        cache = self._cycle_cache
-        now = time.now
-        target = now + ticks
-        stepped = 0
-        try:
-            while now < target:
-                if pmk.stopped:
-                    return
-                if cache is not None and cache.on_boundary(now, target):
-                    now = time.now
-                    continue
-                event = next_event(now)
-                if event > now:
-                    span = min(event, target) - now
-                    execute_span(now, span)
-                    skip(span)
-                    self._spans_batched += 1
-                    self._ticks_batched += span
-                    now += span
-                    if event >= target:
-                        continue
-                    if cache is not None and cache.on_boundary(now, target):
-                        now = time.now
-                        continue
-                tick_fast(now)
-                advance()
-                now += 1
-                stepped += 1
-        finally:
-            self._ticks_stepped += stepped
-            interrupts.account_bypassed(Vector.CLOCK, stepped)
 
     def run_until(self, tick: Ticks) -> None:
         """Run until simulated time reaches *tick*."""

@@ -148,7 +148,6 @@ class SimulatorSnapshot:
     # ------------------------------------------------------------ #
 
     def restore(self, config: SystemConfig, *,
-                backend: str = "reference",
                 cycle_cache: Optional[bool] = None) -> Simulator:
         """Build a fresh simulator continuing from this checkpoint.
 
@@ -160,9 +159,6 @@ class SimulatorSnapshot:
         body reconstruction happen inside), then the trace — wholesale,
         erasing any events the replays emitted.
 
-        *backend* selects the continuation's execution backend; snapshots
-        are backend-agnostic (they capture deterministic state only), so
-        a checkpoint taken on one backend forks onto any other.
         *cycle_cache* is passed to the continuation's :class:`Simulator`
         (steady-state cycle memoization, armed unless ``False``) — cache
         state is host-side and never captured.
@@ -176,18 +172,16 @@ class SimulatorSnapshot:
             raise SimulationError(
                 f"snapshot/config mismatch: captured {self.identity}, "
                 f"restoring onto {identity}")
-        sim = Simulator(config, backend=backend, cycle_cache=cycle_cache)
+        sim = Simulator(config, cycle_cache=cycle_cache)
         sim.time.restore(self.time)
         sim.pmk.restore(self.pmk)
         sim.trace.restore(self.trace)
         return sim
 
     def fork(self, config: SystemConfig, *,
-             backend: str = "reference",
              cycle_cache: Optional[bool] = None) -> Simulator:
         """Alias of :meth:`restore` — every call is an independent fork."""
-        return self.restore(config, backend=backend,
-                            cycle_cache=cycle_cache)
+        return self.restore(config, cycle_cache=cycle_cache)
 
     # ------------------------------------------------------------ #
     # process-boundary transport

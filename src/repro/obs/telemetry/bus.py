@@ -343,7 +343,7 @@ def derive_deterministic_events(campaign_id: str,
     Scenario-id-sorted ``record`` + compact-metric events, then the
     closing ``report`` carrying the post-run campaign digest.  Derived
     purely from the results, so equal results (the repo's core
-    invariant across worker counts and backends) give byte-equal blocks.
+    invariant across worker counts) give byte-equal blocks.
     """
     from ...campaign.results import aggregate
 

@@ -25,7 +25,7 @@ Hierarchy (one segment per ``/``; ``<angle>`` segments are placeholders):
 
 Channels are the hard governance line (DESIGN decision 11): a
 ``deterministic`` topic's payload must be byte-identical across worker
-counts, backends and telemetry consumption; a ``timing`` topic carries
+counts and telemetry consumption; a ``timing`` topic carries
 host-dependent material (wall times, pids, cache luck) and must never
 feed a digest.
 
@@ -258,7 +258,7 @@ class TopicRegistry:
 #: Core ``bench_lib.workload_record`` fields; extras are benchmark-
 #: specific and ride under the same governed pattern (the ``<field>``
 #: placeholder is deliberately unconstrained — see the registry entry).
-BENCH_CORE_FIELDS = ("workload", "backend", "mode", "digests_asserted",
+BENCH_CORE_FIELDS = ("workload", "mode", "digests_asserted",
                      "ticks_per_s", "scenarios_per_s", "speedup",
                      "speedup_reference", "speedup_floor")
 
@@ -304,7 +304,7 @@ def default_registry() -> TopicRegistry:
         version="1.0.0",
         description="final deterministic per-scenario record "
                     "(ScenarioResult.to_dict; byte-stable across worker "
-                    "counts and backends)"))
+                    "counts)"))
     registry.register(TopicSpec(
         pattern="campaign/<digest>/scenario/<id>/metric/<name>",
         type="counter", units="events", channel=CHANNEL_DETERMINISTIC,
@@ -318,7 +318,7 @@ def default_registry() -> TopicRegistry:
         version="1.0.0",
         description="per-node inter-node fabric counter from "
                     "ScenarioResult.node_comm (constellation scenarios; "
-                    "byte-stable across worker counts and backends)",
+                    "byte-stable across worker counts)",
         segment_values={"stat": tuple(NODE_COMM_STAT_KEYS)}))
     registry.register(TopicSpec(
         pattern="campaign/<digest>/report",

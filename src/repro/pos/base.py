@@ -92,10 +92,9 @@ class PartitionOs:
         # Scheduling-state generation counter.  Every eq. (13) transition
         # funnels through Tcb.set_state -> _forward_state_change, so the
         # counter advances whenever the ready set, a wait condition or a
-        # priority can have changed; horizon and dispatch memos key on it.
+        # priority can have changed; the timer-horizon memo keys on it.
         self._generation = 0
         self._timer_memo: Tuple[int, Optional[Ticks]] = (-1, None)
-        self._dispatch_generation = -1
         #: Optional generator-resume observer — the cycle cache's
         #: recording tap (:mod:`repro.kernel.cycle_cache`): ``enter()``
         #: before every resume, ``(partition, process, send_value,
@@ -413,28 +412,6 @@ class PartitionOs:
                                        heir.name if heir else None)
         return heir
 
-    def dispatch_fast(self, now: Ticks) -> Optional[Tcb]:
-        """Memoized :meth:`dispatch` for the fast execution backend.
-
-        When no scheduling-relevant state changed since the last dispatch
-        (same generation), :meth:`dispatch` provably selects the same heir
-        and performs no transition or callback, so the memo returns the
-        running process directly.  The memo is never consulted or stored
-        while the preemption lock is held: the lock makes the heir depend
-        on the lock level, which has no generation of its own.
-
-        Policies whose heir choice carries per-call state (round-robin
-        rotation in :class:`~repro.pos.generic.GenericPos`) must override
-        this back to plain :meth:`dispatch`.
-        """
-        if self._dispatch_generation == self._generation \
-                and not self._preemption_lock:
-            return self._running
-        heir = self.dispatch(now)
-        if not self._preemption_lock:
-            self._dispatch_generation = self._generation
-        return heir
-
     def execute_tick(self, now: Ticks) -> Optional[str]:
         """Run the partition's processes for one tick of window time.
 
@@ -443,21 +420,6 @@ class PartitionOs:
         """
         for _ in range(_MAX_ZERO_TIME_STEPS):
             heir = self.dispatch(now)
-            if heir is None:
-                return None
-            if heir.compute_remaining > 0:
-                heir.compute_remaining -= 1
-                self.on_tick_consumed(heir)
-                return heir.name
-            self._advance_body(heir, now)
-        raise SimulationError(
-            f"partition {self.name!r}: livelock — more than "
-            f"{_MAX_ZERO_TIME_STEPS} zero-time steps at tick {now}")
-
-    def execute_tick_fast(self, now: Ticks) -> Optional[str]:
-        """:meth:`execute_tick` through :meth:`dispatch_fast` (fast backend)."""
-        for _ in range(_MAX_ZERO_TIME_STEPS):
-            heir = self.dispatch_fast(now)
             if heir is None:
                 return None
             if heir.compute_remaining > 0:

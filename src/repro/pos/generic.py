@@ -85,12 +85,6 @@ class GenericPos(PartitionOs):
             self._ticks_on_current = 0
         return heir
 
-    def dispatch_fast(self, now: Ticks) -> Optional[Tcb]:
-        """Round-robin dispatch cannot be memoized: :meth:`choose_heir`
-        reads (and rotates on) the quantum counter, which advances without
-        a state-generation bump — every call must run the real policy."""
-        return self.dispatch(now)
-
     def on_tick_consumed(self, tcb: Tcb) -> None:
         """Charge the consumed tick against the running quantum."""
         self._ticks_on_current += 1

@@ -111,18 +111,6 @@ class PosAdaptationLayer:
         self.pos.announce_ticks(now, elapsed)
         return self.monitor.verify(now)
 
-    def announce_ticks_fast(self, now: Ticks, elapsed: Ticks) -> List[Violation]:
-        """:meth:`announce_ticks` with *now* supplied by the caller.
-
-        The fast execution backend already holds the current tick in the
-        driving loop, so the ``PAL_GETCURRENTTIME`` read is redundant.
-        The Algorithm 3 verification still runs on every announcement —
-        its check/comparison counters are deterministic state captured by
-        snapshots, so skipping a verify would break bit-identity.
-        """
-        self.pos.announce_ticks(now, elapsed)
-        return self.monitor.verify(now)
-
     def announce_span(self, elapsed: Ticks) -> None:
         """Batch form of :meth:`announce_ticks` for a provably quiet span.
 

@@ -13,6 +13,7 @@ from repro.apps.prototype import (
     build_prototype,
     inject_faulty_process,
     make_simulator,
+    make_steady_simulator,
 )
 from repro.kernel.trace import (
     DeadlineMissed,
@@ -155,3 +156,16 @@ class TestModeBasedScheduleScenario:
         assert status.current_schedule == "chi2"
         assert status.last_switch_tick % MTF == 0
         assert status.last_switch_tick > 0
+
+
+class TestFactories:
+    """The factories take ``cycle_cache`` by keyword only, so a stray
+    positional argument raises instead of silently arming the cache."""
+
+    def test_steady_factory_refuses_a_positional_argument(self):
+        with pytest.raises(TypeError):
+            make_steady_simulator("fast")
+
+    def test_prototype_factory_refuses_a_second_positional_argument(self):
+        with pytest.raises(TypeError):
+            make_simulator(build_prototype(), "fast")

@@ -188,11 +188,10 @@ class TestCampaignExecution:
         assert autodetect_workers() >= 1
 
 
-class TestBackendDigestEquality:
-    """The fast-backend acceptance gate at campaign scale: a 50-scenario
-    chaos barrage produces byte-identical deterministic reports (trace
-    digests, metrics, oracle verdicts) on both backends, serial and
-    pooled."""
+class TestChaosDigestEquality:
+    """Pooled execution at campaign scale: a 50-scenario chaos barrage
+    produces byte-identical deterministic reports (trace digests,
+    metrics, oracle verdicts) at any worker count and serially."""
 
     @pytest.fixture(scope="class")
     def chaos_50(self):
@@ -201,22 +200,15 @@ class TestBackendDigestEquality:
         return chaos_campaign(count=50, mtfs=5, base_seed=11)
 
     @pytest.fixture(scope="class")
-    def reference_report(self, chaos_50):
-        return self.deterministic(run_serial(chaos_50))
-
-    def deterministic(self, results):
-        import json
-
-        from repro.campaign.results import deterministic_report
-
-        return json.dumps(deterministic_report(results), sort_keys=True)
+    def serial_report(self, chaos_50):
+        return deterministic(run_serial(chaos_50))
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_fast_backend_chaos_digests_match_reference(
-            self, chaos_50, reference_report, workers):
-        fast = run_campaign(chaos_50, workers=workers, backend="fast")
-        assert self.deterministic(fast) == reference_report
-        assert all(result.ok for result in fast)
+    def test_pooled_chaos_digests_match_serial(
+            self, chaos_50, serial_report, workers):
+        pooled = run_campaign(chaos_50, workers=workers)
+        assert deterministic(pooled) == serial_report
+        assert all(result.ok for result in pooled)
 
 
 def deterministic(results):
@@ -263,7 +255,7 @@ class TestPrefixTreeDigestEquality:
     def test_pooled_digests_match_at_any_worker_count(
             self, shared_chaos, tree_off_report, workers, prefix_depth):
         pooled = run_campaign(shared_chaos, workers=workers,
-                              backend="fast", prefix_depth=prefix_depth)
+                              prefix_depth=prefix_depth)
         assert deterministic(pooled) == tree_off_report
 
     def test_locality_off_matches_too(self, shared_chaos, tree_off_report):

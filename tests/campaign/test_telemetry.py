@@ -2,8 +2,8 @@
 
 The load-bearing invariant: enabling the telemetry bus must not perturb
 the simulation — campaign digests are byte-identical with telemetry on
-vs off, at any worker count, on either backend — and the deterministic
-channel of the event log is itself byte-stable across worker counts.
+vs off, at any worker count — and the deterministic channel of the
+event log is itself byte-stable across worker counts.
 """
 
 import json
@@ -31,15 +31,14 @@ def small_chaos(crash_scenarios=0):
                           crash_scenarios=crash_scenarios)
 
 
-def run_with_bus(scenarios, *, workers, backend="reference", log_path=None,
-                 artifacts=None, panel=None):
+def run_with_bus(scenarios, *, workers, log_path=None, artifacts=None,
+                 panel=None):
     bus = TelemetryAggregator(campaign_spec_digest(scenarios),
                               log_path=log_path, panel=panel,
                               total=len(scenarios))
     telemetry: dict = {}
-    results = run_campaign(scenarios, workers=workers, backend=backend,
-                           telemetry=telemetry, bus=bus,
-                           artifacts=artifacts)
+    results = run_campaign(scenarios, workers=workers, telemetry=telemetry,
+                           bus=bus, artifacts=artifacts)
     return results, telemetry
 
 
@@ -50,12 +49,6 @@ class TestTelemetryDoesNotPerturbDigests:
         baseline = run_campaign(scenarios, workers=workers)
         with_bus, _ = run_with_bus(scenarios, workers=workers)
         assert report_json(with_bus) == report_json(baseline)
-
-    def test_fast_backend_identical_with_bus(self):
-        scenarios = small_chaos()
-        reference = run_campaign(scenarios, workers=1)
-        fast, _ = run_with_bus(scenarios, workers=2, backend="fast")
-        assert report_json(fast) == report_json(reference)
 
 
 class TestDeterministicChannelByteStability:

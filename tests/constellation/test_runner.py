@@ -1,7 +1,7 @@
 """Constellation runner + campaign integration tests.
 
-The expensive acceptance sweep (50 scenarios x workers {1,2,4} x both
-backends) lives in CI's constellation-smoke job; here a smaller barrage
+The expensive acceptance sweep (50 scenarios x workers {1,2,4}) lives in
+CI's constellation-smoke job; here a smaller barrage
 proves the same invariants so the suite stays fast.
 """
 
@@ -95,18 +95,15 @@ class TestRunner:
 
 
 class TestCampaignIntegration:
-    def test_digest_identical_across_workers_and_backends(self):
+    def test_digest_identical_across_workers(self):
         scenarios = constellation_campaign(count=6, base_seed=0)
         reports = []
         for workers in (1, 2):
-            for backend in ("reference", "fast"):
-                results = run_campaign(scenarios, workers=workers,
-                                       backend=backend)
-                assert all(r.status == STATUS_OK for r in results), [
-                    (r.scenario_id, r.error) for r in results
-                    if r.status != STATUS_OK]
-                reports.append(json.dumps(
-                    aggregate(results), sort_keys=True))
+            results = run_campaign(scenarios, workers=workers)
+            assert all(r.status == STATUS_OK for r in results), [
+                (r.scenario_id, r.error) for r in results
+                if r.status != STATUS_OK]
+            reports.append(json.dumps(aggregate(results), sort_keys=True))
         assert len(set(reports)) == 1
 
     def test_digests_identical_with_cycle_cache_on_and_off(self):

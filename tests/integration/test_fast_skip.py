@@ -6,12 +6,6 @@ counters must match bit-for-bit.  The matrix below covers idle skipping,
 in-flight remote messages, memory-emulation probes, generic-POS quantum
 rotation, deadline misses, mid-window schedule-switch requests and HM
 partition restarts.
-
-The matrix is parametrized over the execution backend: the per-tick
-reference simulator always runs ``backend="reference"``, while the
-``run_fast`` side runs the parametrized backend — so every ``fast`` row
-is a cross-backend bit-identity gate for the profile-guided backend
-(DESIGN.md decision 9).
 """
 
 import pytest
@@ -172,7 +166,6 @@ def assert_counters_match(fast, normal):
             == normal.pmk.scheduler.stats.fast_path)
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
 @pytest.mark.parametrize("make_config,ticks", [
     (sparse_config, 5000),
     (build_two_partition_config, 3000),
@@ -182,9 +175,9 @@ def assert_counters_match(fast, normal):
     (hm_restart_config, 4000),
     (supervised_prototype_config, 4 * 1300 + 137),
 ])
-def test_fast_skip_trace_equivalence(make_config, ticks, backend):
+def test_fast_skip_trace_equivalence(make_config, ticks):
     normal = Simulator(make_config())
-    fast = Simulator(make_config(), backend=backend)
+    fast = Simulator(make_config())
     normal.run(ticks)
     fast.run_fast(ticks)
     assert full_signature(fast) == full_signature(normal)
@@ -209,9 +202,9 @@ def test_fast_skip_is_actually_faster_on_sparse_schedules():
     simulator.run_fast(10_000)
     assert simulator.pmk.idle_ticks == 9 * 1000  # 900 idle per MTF
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_respects_module_stop(backend):
-    simulator = Simulator(sparse_config(), backend=backend)
+
+def test_fast_skip_respects_module_stop():
+    simulator = Simulator(sparse_config())
     simulator.run_fast(100)
     simulator.pmk.module_stop()
     before = simulator.now
@@ -219,19 +212,17 @@ def test_fast_skip_respects_module_stop(backend):
     assert simulator.now == before
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_mixed_with_normal_run(backend):
+def test_fast_skip_mixed_with_normal_run():
     reference = Simulator(sparse_config())
     reference.run(4000)
-    mixed = Simulator(sparse_config(), backend=backend)
+    mixed = Simulator(sparse_config())
     mixed.run(700)
     mixed.run_fast(2000)
     mixed.run(1300)
     assert signature(mixed) == signature(reference)
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_memory_probes_fire_per_tick(backend):
+def test_fast_skip_memory_probes_fire_per_tick():
     """With memory emulation on, the batched spans must replay exactly the
     per-tick MMU probe sequence — counted read-for-read, write-for-write."""
 
@@ -253,7 +244,7 @@ def test_fast_skip_memory_probes_fire_per_tick(backend):
         return counts
 
     normal = Simulator(memory_config())
-    fast = Simulator(memory_config(), backend=backend)
+    fast = Simulator(memory_config())
     normal_counts = count_probes(normal, "run", 3000)
     fast_counts = count_probes(fast, "run_fast", 3000)
     assert fast_counts == normal_counts
@@ -261,14 +252,13 @@ def test_fast_skip_memory_probes_fire_per_tick(backend):
     assert full_signature(fast) == full_signature(normal)
 
 
-def drive_prototype(runner_name, *, faulty_at=None, switches=(),
-                    backend="reference"):
+def drive_prototype(runner_name, *, faulty_at=None, switches=()):
     """Replay the E13 storyline with the given runner.
 
     *switches* is a sequence of ``(tick, schedule)`` requests issued
     mid-window; *faulty_at* injects the overrunning process at that tick.
     """
-    simulator = make_simulator(build_prototype(), backend=backend)
+    simulator = make_simulator(build_prototype())
     runner = getattr(simulator, runner_name)
     actions = sorted(
         [(tick, "switch", name) for tick, name in switches]
@@ -285,40 +275,36 @@ def drive_prototype(runner_name, *, faulty_at=None, switches=(),
     return simulator
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_mid_window_schedule_switch(backend):
+def test_fast_skip_mid_window_schedule_switch():
     """chi1 -> chi2 -> chi1, each requested mid-window: the request itself
     is asynchronous but only takes effect at the MTF boundary, and the
     event core must not batch across either point."""
     reference = drive_prototype(
         "run", switches=[(650, "chi2"), (4 * 1300 + 210, "chi1")])
     fast = drive_prototype(
-        "run_fast", switches=[(650, "chi2"), (4 * 1300 + 210, "chi1")],
-        backend=backend)
+        "run_fast", switches=[(650, "chi2"), (4 * 1300 + 210, "chi1")])
     from repro.kernel.trace import ScheduleSwitched
     assert reference.trace.count(ScheduleSwitched) == 2
     assert full_signature(fast) == full_signature(reference)
     assert_counters_match(fast, reference)
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_deadline_misses_and_hm(backend):
+def test_fast_skip_deadline_misses_and_hm():
     """The E13 faulty process: every P1 dispatch after the injection
     detects a violation, runs the HM chain and the error handler."""
     reference = drive_prototype("run", faulty_at=1950)
-    fast = drive_prototype("run_fast", faulty_at=1950, backend=backend)
+    fast = drive_prototype("run_fast", faulty_at=1950)
     from repro.kernel.trace import DeadlineMissed
     assert reference.trace.count(DeadlineMissed) > 0
     assert full_signature(fast) == full_signature(reference)
     assert_counters_match(fast, reference)
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
-def test_fast_skip_hm_partition_restart_mid_run(backend):
+def test_fast_skip_hm_partition_restart_mid_run():
     """RESTART_PARTITION recovery: the partition is torn down and
     re-initialized mid-run; restart and init ticks cannot be batched."""
     normal = Simulator(hm_restart_config())
-    fast = Simulator(hm_restart_config(), backend=backend)
+    fast = Simulator(hm_restart_config())
     normal.run(4000)
     fast.run_fast(4000)
     assert normal.runtime("P1").restart_count > 0 \

@@ -218,9 +218,8 @@ class TestCycleCache:
         simulator.run_fast(STEADY_MTF * 4)
         assert tuple(simulator.cycle_cache_stats) == CYCLE_CACHE_STAT_KEYS
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_steady_workload_replays_most_frames(self, backend):
-        simulator = make_steady_simulator(backend=backend, cycle_cache=True)
+    def test_steady_workload_replays_most_frames(self):
+        simulator = make_steady_simulator(cycle_cache=True)
         simulator.run_fast(STEADY_MTF * 20)
         stats = simulator.cycle_cache_stats
         # A few warm-up frames: the counter gate needs two equal deltas,
@@ -228,11 +227,10 @@ class TestCycleCache:
         assert stats["hits"] >= 12
         assert stats["invalidations"] == 0
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_bit_identity_steady(self, backend):
-        cached = make_steady_simulator(backend=backend, cycle_cache=True)
+    def test_bit_identity_steady(self):
+        cached = make_steady_simulator(cycle_cache=True)
         cached.run_fast(STEADY_MTF * 12)
-        plain = make_steady_simulator(backend=backend, cycle_cache=False)
+        plain = make_steady_simulator(cycle_cache=False)
         plain.run_fast(STEADY_MTF * 12)
         assert cached.cycle_cache_stats["hits"] > 0  # genuinely replayed
         assert full_signature(cached) == full_signature(plain)
@@ -241,15 +239,12 @@ class TestCycleCache:
         assert cached.pmk.partition_ticks == plain.pmk.partition_ticks
         assert state_fingerprint(cached) == state_fingerprint(plain)
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_faulty_workload_never_fires_but_stays_identical(self, backend):
-        cached = make_simulator(build_prototype(), backend=backend,
-                                cycle_cache=True)
+    def test_faulty_workload_never_fires_but_stays_identical(self):
+        cached = make_simulator(build_prototype(), cycle_cache=True)
         cached.run_fast(STEADY_MTF * 4)
         inject_faulty_process(cached)
         cached.run_fast(STEADY_MTF * 4)
-        plain = make_simulator(build_prototype(), backend=backend,
-                               cycle_cache=False)
+        plain = make_simulator(build_prototype(), cycle_cache=False)
         plain.run_fast(STEADY_MTF * 4)
         inject_faulty_process(plain)
         plain.run_fast(STEADY_MTF * 4)

@@ -43,9 +43,9 @@ from repro.kernel.snapshot import (
 from repro.obs import instrument
 
 
-def build_sim(backend="reference", **kwargs):
+def build_sim(**kwargs):
     handles = build_prototype(fdir_supervision=True, **kwargs)
-    return make_simulator(handles, backend=backend), handles.config
+    return make_simulator(handles), handles.config
 
 
 def cold_run(faults, total):
@@ -59,16 +59,9 @@ def cold_run(faults, total):
     return sim, config, observer
 
 
-def forked_run(faults, total, fork_tick, *, precondition=None,
-               backend="reference"):
-    """Prefix to *fork_tick*, checkpoint (via pickle), fork, continue.
-
-    *backend* drives both the prefix and the forked continuation; the
-    cold run it is compared against always uses the reference backend,
-    so the fast-backend matrix entries assert cross-backend
-    bit-identity through a checkpoint.
-    """
-    prefix_sim, _ = build_sim(backend=backend)
+def forked_run(faults, total, fork_tick, *, precondition=None):
+    """Prefix to *fork_tick*, checkpoint (via pickle), fork, continue."""
+    prefix_sim, _ = build_sim()
     prefix_injector = FaultInjector(prefix_sim)
     for tick, make in faults:
         if tick < fork_tick:
@@ -79,7 +72,7 @@ def forked_run(faults, total, fork_tick, *, precondition=None,
         precondition(prefix_sim)
     snapshot = SimulatorSnapshot.from_bytes(prefix_sim.snapshot().to_bytes())
     _, config = build_sim()
-    sim = snapshot.restore(config, backend=backend)
+    sim = snapshot.restore(config)
     observer = instrument(sim, replay=True)
     injector = FaultInjector(sim)
     for tick, make in faults:
@@ -89,12 +82,10 @@ def forked_run(faults, total, fork_tick, *, precondition=None,
     return sim, config, observer
 
 
-def assert_fork_equivalent(faults, total, fork_tick, *, precondition=None,
-                           backend="reference"):
+def assert_fork_equivalent(faults, total, fork_tick, *, precondition=None):
     cold_sim, cold_config, cold_obs = cold_run(faults, total)
     fork_sim, fork_config, fork_obs = forked_run(
-        faults, total, fork_tick, precondition=precondition,
-        backend=backend)
+        faults, total, fork_tick, precondition=precondition)
     assert fork_sim.now == cold_sim.now
     assert fork_sim.trace.digest() == cold_sim.trace.digest()
     assert fork_obs.collect().digest() == cold_obs.collect().digest()
@@ -116,16 +107,12 @@ CHAOS_FAULTS = (
 CHAOS_TOTAL = 8 * MTF
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
 class TestForkEquivalenceMatrix:
-    """Every entry runs once per backend: the prefix and the forked
-    continuation execute on *backend* while the cold run stays on the
-    reference interpreter, so the ``fast`` rows double as cross-backend
-    bit-identity gates."""
+    """Each entry forks a checkpoint and compares the continuation with a
+    cold run from tick 0."""
 
-    def test_fault_free_mid_window_fork(self, backend):
-        assert_fork_equivalent((), 4 * MTF + 77, 2 * MTF + 391,
-                               backend=backend)
+    def test_fault_free_mid_window_fork(self):
+        assert_fork_equivalent((), 4 * MTF + 77, 2 * MTF + 391)
 
     @pytest.mark.parametrize("fork_tick", [
         137,             # inside the very first partition window
@@ -136,20 +123,17 @@ class TestForkEquivalenceMatrix:
         4 * MTF + 60,    # just after the partition crash
         5 * MTF + 3,     # right after the commanded switch took effect
     ])
-    def test_chaos_schedule_forked_at(self, fork_tick, backend):
-        assert_fork_equivalent(CHAOS_FAULTS, CHAOS_TOTAL, fork_tick,
-                               backend=backend)
+    def test_chaos_schedule_forked_at(self, fork_tick):
+        assert_fork_equivalent(CHAOS_FAULTS, CHAOS_TOTAL, fork_tick)
 
-    def test_fork_straddling_pending_schedule_switch(self, backend):
+    def test_fork_straddling_pending_schedule_switch(self):
         # Request lands at 2*MTF - 60; Algorithm 1 applies it at the
         # 2*MTF boundary.  Forking in between must carry the pending
         # switch (scheduler.next_schedule) across the checkpoint.
         faults = ((2 * MTF - 60, lambda: ScheduleSwitchFault("chi2")),)
-        assert_fork_equivalent(faults, 4 * MTF, 2 * MTF - 25,
-                               backend=backend)
+        assert_fork_equivalent(faults, 4 * MTF, 2 * MTF - 25)
 
-    def test_fork_exactly_at_mtf_boundary_with_pending_chi2_switch(
-            self, backend):
+    def test_fork_exactly_at_mtf_boundary_with_pending_chi2_switch(self):
         # The boundary tick itself performs the switch; a snapshot taken
         # at now == boundary precedes that tick's ISR, so the fork must
         # replay the switch exactly once — not zero, not two times.
@@ -160,9 +144,9 @@ class TestForkEquivalenceMatrix:
             assert scheduler.next_schedule is not None
 
         assert_fork_equivalent(faults, 4 * MTF, 2 * MTF,
-                               precondition=pending, backend=backend)
+                               precondition=pending)
 
-    def test_fork_while_partition_parked_by_fdir(self, backend):
+    def test_fork_while_partition_parked_by_fdir(self):
         # Crash-loop P2 faster than the storm window: FDIR parks it at
         # tick 2510 (pinned by the supervision integration suite).  Fork
         # after parking, with one more (suppressed) injection after the
@@ -174,10 +158,9 @@ class TestForkEquivalenceMatrix:
         def parked(sim):
             assert sim.pmk.fdir.parked == ("P2",)
 
-        assert_fork_equivalent(faults, 5 * MTF, 3000, precondition=parked,
-                               backend=backend)
+        assert_fork_equivalent(faults, 5 * MTF, 3000, precondition=parked)
 
-    def test_fork_with_nonempty_queuing_port(self, backend):
+    def test_fork_with_nonempty_queuing_port(self):
         # Flood P4's alert queue, fork while messages are still queued.
         faults = ((2 * MTF + 100,
                    lambda: MessageFloodFault("P4", "alert_out",
@@ -192,17 +175,16 @@ class TestForkEquivalenceMatrix:
             assert any(depth > 0 for depth in depths), depths
 
         assert_fork_equivalent(faults, 5 * MTF, 2 * MTF + 140,
-                               precondition=queued, backend=backend)
+                               precondition=queued)
 
-    def test_fork_after_watchdog_relevant_kill(self, backend):
+    def test_fork_after_watchdog_relevant_kill(self):
         # Silencing P4's heartbeat exercises the watchdog expiry path;
         # fork between the kill and the expiry.
         faults = ((2 * MTF + 10,
                    lambda: ProcessKillFault("P4", "fdir-heartbeat")),)
-        assert_fork_equivalent(faults, 6 * MTF, 2 * MTF + 400,
-                               backend=backend)
+        assert_fork_equivalent(faults, 6 * MTF, 2 * MTF + 400)
 
-    def test_fork_after_applied_faults_with_injector_extras(self, backend):
+    def test_fork_after_applied_faults_with_injector_extras(self):
         # Interior divergence-trie node: the checkpoint is taken AFTER
         # two faults fired, with the injector's applied log riding in the
         # extras side-channel.  The continuation seeds its injector from
@@ -210,7 +192,7 @@ class TestForkEquivalenceMatrix:
         fork_tick = 3 * MTF
         cold_sim, cold_config, cold_obs = cold_run(CHAOS_FAULTS,
                                                    CHAOS_TOTAL)
-        prefix_sim, _ = build_sim(backend=backend)
+        prefix_sim, _ = build_sim()
         prefix_injector = FaultInjector(prefix_sim)
         for tick, make in CHAOS_FAULTS:
             if tick < fork_tick:
@@ -222,7 +204,7 @@ class TestForkEquivalenceMatrix:
                 extras={"injector": prefix_injector.state_dict()},
             ).to_bytes())
         _, config = build_sim()
-        sim = snapshot.restore(config, backend=backend)
+        sim = snapshot.restore(config)
         observer = instrument(sim, replay=True)
         resumed = FaultInjector(sim)
         resumed.load_state_dict(snapshot.extras["injector"])
@@ -237,7 +219,7 @@ class TestForkEquivalenceMatrix:
         assert check_trace(sim.trace, config) == \
             check_trace(cold_sim.trace, cold_config)
 
-    def test_one_snapshot_forks_many_equivalent_continuations(self, backend):
+    def test_one_snapshot_forks_many_equivalent_continuations(self):
         # The SAME live snapshot object is restored three times — the
         # prefix cache leans on restore copying every mutable container
         # out of the snapshot state rather than aliasing it, so a prior
@@ -250,7 +232,7 @@ class TestForkEquivalenceMatrix:
             prefix_sim.snapshot().to_bytes())
         for _ in range(3):
             _, config = build_sim()
-            fork = shared.restore(config, backend=backend)
+            fork = shared.restore(config)
             injector = FaultInjector(fork)
             for tick, make in CHAOS_FAULTS:
                 injector.schedule(tick, make())
