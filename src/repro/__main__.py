@@ -27,7 +27,8 @@ Integrator-facing entry points over the library:
 The ``demo`` and ``run`` commands accept ``--metrics-out`` (deterministic
 metrics registry JSON), ``--timeline-out`` (Chrome trace-event JSON for
 ``ui.perfetto.dev``) and — ``run`` only — ``--trace-out`` (JSON Lines
-event log) and ``--profile`` (host-time self-profile on stderr).
+event log) and ``--profile`` (host time per ``repro`` module, measured
+with cProfile, on stderr).
 """
 
 from __future__ import annotations
@@ -104,6 +105,59 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _profile_run_fast(simulator: Simulator, ticks: int) -> str:
+    """``simulator.run_fast(ticks)`` under cProfile; returns the report.
+
+    Self time and call counts are summed by the ``repro`` module each
+    function lives in (``core.pmk``, ``pos.pal``, ``comm.router``, ...),
+    named from its file path; builtins share one ``(builtins)`` bucket and
+    code outside the package one ``(other)`` bucket.  Host time is
+    nondeterministic by nature, so the report says so and never enters
+    the metrics registry.
+    """
+    import cProfile
+    import json
+    import os
+    import pstats
+    from time import perf_counter
+
+    profile = cProfile.Profile()
+    started = perf_counter()
+    profile.runcall(simulator.run_fast, ticks)
+    wall = perf_counter() - started
+    package = os.path.dirname(os.path.abspath(__file__))
+    seconds: dict = {}
+    calls: dict = {}
+    for (filename, _, _), (_, ncalls, tottime, _, _) in \
+            pstats.Stats(profile).stats.items():
+        path = os.path.relpath(os.path.abspath(filename), package)
+        if filename == "~":
+            module = "(builtins)"
+        elif path.startswith(os.pardir):
+            module = "(other)"
+        else:
+            module = os.path.splitext(path)[0].replace(os.sep, ".") \
+                .removesuffix(".__init__")
+        seconds[module] = seconds.get(module, 0.0) + tottime
+        calls[module] = calls.get(module, 0) + ncalls
+    accounted = sum(seconds.values())
+    stats = simulator.event_core_stats
+    executed = stats["ticks_batched"] + stats["ticks_stepped"]
+    return json.dumps({
+        "deterministic": False,
+        "wall_seconds": wall,
+        "accounted_seconds": accounted,
+        "subsystems": {
+            module: {"seconds": seconds[module], "calls": calls[module],
+                     "share": (seconds[module] / accounted
+                               if accounted else 0.0)}
+            for module in seconds},
+        "event_core": dict(stats, batched_fraction=(
+            stats["ticks_batched"] / executed if executed else 0.0)),
+        "cycle_cache": simulator.cycle_cache_stats,
+    }, sort_keys=True, indent=2)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = read_config(args.config)
     simulator = Simulator(config)
@@ -112,21 +166,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .obs import instrument
 
         observer = instrument(simulator)
-    profiler = simulator.enable_profiling() if args.profile else None
-    occupancy: dict = {}
-    for _ in range(args.ticks):
-        if simulator.stopped:
-            break
-        active = simulator.active_partition
-        occupancy[active] = occupancy.get(active, 0) + 1
-        simulator.step()
+    profile = None
+    if args.profile:
+        profile = _profile_run_fast(simulator, args.ticks)
+    else:
+        simulator.run_fast(args.ticks)
+    pmk = simulator.pmk
     print(f"ran {simulator.now} ticks under "
-          f"{simulator.pmk.scheduler.current_schedule!r}")
-    for partition, ticks in sorted(occupancy.items(),
-                                   key=lambda item: str(item[0])):
-        label = partition if partition is not None else "(idle)"
-        print(f"  {label:12s} {ticks:8d} ticks "
-              f"({ticks / simulator.now:6.1%})")
+          f"{pmk.scheduler.current_schedule!r}")
+    occupancy = sorted(pmk.partition_ticks.items())
+    occupancy.append(("(idle)", pmk.idle_ticks))
+    for label, ticks in occupancy:
+        if ticks:
+            print(f"  {label:12s} {ticks:8d} ticks "
+                  f"({ticks / simulator.now:6.1%})")
     if args.trace_out:
         count = simulator.trace.save_jsonl(args.trace_out)
         print(f"trace written to {args.trace_out} ({count} events)")
@@ -134,8 +187,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _write_metrics(observer, args.metrics_out)
     if args.timeline_out:
         _write_timeline(simulator.trace, args.timeline_out)
-    if profiler is not None:
-        print(profiler.report_json(simulator), file=sys.stderr)
+    if profile is not None:
+        print(profile, file=sys.stderr)
     return 0
 
 
@@ -313,6 +366,14 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     return 1 if invalid else 0
 
 
+def _count(text: str) -> int:
+    """argparse type for a tick or MTF count: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -322,7 +383,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
 
     demo = commands.add_parser("demo", help="run the Sect. 6 prototype demo")
-    demo.add_argument("--mtfs", type=int, default=3,
+    demo.add_argument("--mtfs", type=_count, default=3,
                       help="MTFs per demo phase (default 3)")
     demo.add_argument("--metrics-out", default=None,
                       help="write the deterministic metrics registry JSON "
@@ -345,7 +406,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     run = commands.add_parser("run",
                               help="execute a config's scheduling skeleton")
     run.add_argument("config", help="path to a config JSON document")
-    run.add_argument("--ticks", type=int, default=10_000,
+    run.add_argument("--ticks", type=_count, default=10_000,
                      help="ticks to simulate (default 10000)")
     run.add_argument("--trace-out", default=None,
                      help="write the trace as JSON Lines here")
@@ -356,7 +417,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                      help="write a Chrome trace-event / Perfetto JSON "
                           "timeline here")
     run.add_argument("--profile", action="store_true",
-                     help="print a host-time self-profile to stderr")
+                     help="profile the run with cProfile and print host "
+                          "time per repro module to stderr")
     run.set_defaults(handler=_cmd_run)
 
     observe = commands.add_parser(

@@ -142,8 +142,6 @@ class Pmk(ModuleControl, ActionExecutor):
                 trace=trace)
             self.health_monitor.supervisor = self.fdir
 
-        #: Optional host-time profiler (``Simulator.enable_profiling``).
-        self.profiler = None
         self.ticks_executed = 0
         self.idle_ticks = 0
         #: Ticks each partition held the processor (window occupancy).
@@ -400,9 +398,6 @@ class Pmk(ModuleControl, ActionExecutor):
         """
         if self.stopped:
             return
-        if self.profiler is not None:
-            self._profiled_tick()
-            return
         now = self.time.now
         self.ticks_executed += 1
         if self.fdir is not None:
@@ -427,56 +422,6 @@ class Pmk(ModuleControl, ActionExecutor):
                 if executed is not None and self._memory_probes:
                     self._emulate_memory_traffic(active, now)
         self.router.pump(now)
-
-    def _profiled_tick(self) -> None:
-        """`clock_tick` with ``perf_counter`` probes around each subsystem.
-
-        Behaviourally identical to the unprofiled body (asserted by the
-        profiling equivalence test); kept as a mirror rather than inline
-        conditionals so the unprofiled hot path stays probe-free.
-        """
-        from time import perf_counter
-
-        profiler = self.profiler
-        now = self.time.now
-        self.ticks_executed += 1
-        if self.fdir is not None:
-            t0 = perf_counter()
-            self.fdir.poll(now)
-            profiler.record("fdir", perf_counter() - t0)
-        elapsed: Ticks = 1
-        t0 = perf_counter()
-        preempt = self.scheduler.tick(now)
-        profiler.record("scheduler", perf_counter() - t0)
-        if preempt:
-            active = self.dispatcher.active_partition
-            running = (self.runtimes[active].pos.running
-                       if active is not None else None)
-            t0 = perf_counter()
-            outcome = self.dispatcher.run(
-                now, running_process=running.name if running else None)
-            profiler.record("dispatcher", perf_counter() - t0)
-            elapsed = outcome.elapsed_ticks
-        active = self.dispatcher.active_partition
-        if active is None:
-            self.idle_ticks += 1
-        else:
-            self.partition_ticks[active] += 1
-            runtime = self.runtimes[active]
-            t0 = perf_counter()
-            runtime.pal.announce_ticks(elapsed)
-            profiler.record("pal", perf_counter() - t0)
-            if not self.stopped:
-                t0 = perf_counter()
-                executed = runtime.execute_tick(now)
-                profiler.record("runtime", perf_counter() - t0)
-                if executed is not None and self._memory_probes:
-                    t0 = perf_counter()
-                    self._emulate_memory_traffic(active, now)
-                    profiler.record("memory", perf_counter() - t0)
-        t0 = perf_counter()
-        self.router.pump(now)
-        profiler.record("router", perf_counter() - t0)
 
     # -------------------------------------------------------------- #
     # event-driven execution core
@@ -535,15 +480,6 @@ class Pmk(ModuleControl, ActionExecutor):
         inherently per-tick (addresses walk with the clock), so they are
         batch-sampled in a tight loop — still far cheaper than full ISRs.
         """
-        if self.profiler is not None:
-            from time import perf_counter
-            t0 = perf_counter()
-            self._execute_span(now, ticks)
-            self.profiler.record("execute_span", perf_counter() - t0)
-            return
-        self._execute_span(now, ticks)
-
-    def _execute_span(self, now: Ticks, ticks: Ticks) -> None:
         self.ticks_executed += ticks
         self.scheduler.batch_account(ticks)
         active = self.dispatcher.active_partition

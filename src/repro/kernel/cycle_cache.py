@@ -760,16 +760,10 @@ class CycleCache:
         """
         if self._disabled:
             return 0
-        pmk = self._pmk
-        scheduler = pmk.scheduler
+        scheduler = self._pmk.scheduler
         mtf = scheduler.current.mtf
         if (now - scheduler.last_schedule_switch) % mtf:
             return 0  # not an MTF boundary
-        if pmk.profiler is not None:
-            # Replayed frames are invisible to the host-time profiler;
-            # keep profiled runs fully live.
-            self._reset_pipeline()
-            return 0
         if self._skip > 0:
             self._skip -= 1
             self._reset_pipeline()

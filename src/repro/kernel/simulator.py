@@ -64,8 +64,8 @@ class Simulator:
                                 owner=InterruptController.PMK_OWNER)
         # Event-core efficiency counters.  Host-side bookkeeping only:
         # they differ between run() and run_fast() by design, so they are
-        # reported through the self-profiling channel, never through the
-        # deterministic metrics registry.
+        # read through ``event_core_stats`` (and ``repro run --profile``),
+        # never through the deterministic metrics registry.
         self._spans_batched = 0
         self._ticks_batched = 0
         self._ticks_stepped = 0
@@ -206,7 +206,7 @@ class Simulator:
         return SimulatorSnapshot.capture(self)
 
     # -------------------------------------------------------------- #
-    # self-profiling (DESIGN decision 6)
+    # host-side counters (DESIGN decision 6)
     # -------------------------------------------------------------- #
 
     @property
@@ -229,21 +229,6 @@ class Simulator:
         if self._cycle_cache is None:
             return None
         return dict(self._cycle_cache.stats)
-
-    def enable_profiling(self):
-        """Opt into host-time self-profiling; returns the profiler.
-
-        The PMK's ISR body then times each subsystem with
-        ``perf_counter``.  Simulated behaviour is unchanged (asserted by
-        the profiling equivalence test); host throughput drops by the
-        probe overhead.  Read ``profiler.report(self)`` afterwards.
-        """
-        from ..obs.profiling import SelfProfiler
-
-        profiler = SelfProfiler()
-        profiler.start()
-        self.pmk.profiler = profiler
-        return profiler
 
     # -------------------------------------------------------------- #
     # convenience accessors

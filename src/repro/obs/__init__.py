@@ -1,6 +1,6 @@
 """Observability: deterministic telemetry for the simulated AIR system.
 
-DESIGN decision 6.  Four pieces, with a hard line between them:
+DESIGN decision 6.  Five pieces:
 
 * :mod:`repro.obs.metrics` — deterministic instruments (counters, gauges,
   fixed-bucket histograms) timestamped in simulated ticks;
@@ -9,11 +9,13 @@ DESIGN decision 6.  Four pieces, with a hard line between them:
 * :mod:`repro.obs.derived` — paper-level quantities recomputed offline
   from any saved :class:`~repro.kernel.trace.Trace`;
 * :mod:`repro.obs.timeline` — Chrome trace-event / Perfetto JSON export;
-* :mod:`repro.obs.profiling` — host-time self-profiling, explicitly
-  nondeterministic and kept out of the registry;
 * :mod:`repro.obs.telemetry` — the campaign telemetry bus: governed
   topic namespace, live worker streaming, crash flight recorder
   (DESIGN decision 11).
+
+Host time never enters the metrics registry: ``repro run --profile``
+reports it per module through cProfile, next to the simulator's
+host-side ``event_core_stats`` and ``cycle_cache_stats`` counters.
 """
 
 from .derived import COMPACT_METRIC_NAMES, compact_metrics, \
@@ -26,7 +28,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .profiling import SelfProfiler
 from .timeline import save_timeline, to_chrome_trace
 
 __all__ = [
@@ -44,5 +45,4 @@ __all__ = [
     "compact_metrics",
     "to_chrome_trace",
     "save_timeline",
-    "SelfProfiler",
 ]

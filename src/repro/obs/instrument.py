@@ -13,7 +13,7 @@ Determinism: every input is either a trace event (bit-identical between
 kept batch-identical by the event core's ``batch_account`` paths — so the
 serialized registry is byte-identical across execution modes, runs and
 campaign worker counts.  Host-time quantities never enter the registry;
-those live in :mod:`repro.obs.profiling`.
+``repro run --profile`` reports them per module through cProfile.
 """
 
 from __future__ import annotations

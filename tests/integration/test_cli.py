@@ -24,6 +24,12 @@ class TestDemo:
         assert "deadline misses:" in out
         assert "schedule switches: 2" in out
 
+    def test_demo_rejects_negative_mtfs(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["demo", "--mtfs", "-1"])
+        assert exit_info.value.code == 2
+        assert "--mtfs: must be >= 0" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_valid_config_exits_zero(self, config_path, capsys):
@@ -57,8 +63,18 @@ class TestRun:
         assert main(["run", config_path, "--ticks", "2600"]) == 0
         out = capsys.readouterr().out
         assert "ran 2600 ticks" in out
-        for partition in ("P1", "P2", "P3", "P4"):
-            assert partition in out
+        # Occupancy comes from the PMK's own counters: tick 0 belongs to
+        # P1 (its window opens in that tick's ISR), so no tick is idle.
+        for partition, ticks in (("P1", 400), ("P2", 400), ("P3", 400),
+                                 ("P4", 1400)):
+            assert f"  {partition:12s} {ticks:8d} ticks" in out
+        assert "(idle)" not in out
+
+    def test_run_rejects_negative_ticks(self, config_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", config_path, "--ticks", "-5"])
+        assert exit_info.value.code == 2
+        assert "--ticks: must be >= 0" in capsys.readouterr().err
 
     def test_run_trace_out_writes_jsonl(self, config_path, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
@@ -90,9 +106,22 @@ class TestRun:
                      "--profile"]) == 0
         report = json.loads(capsys.readouterr().err)
         assert report["deterministic"] is False
-        assert report["subsystems"]
+        assert {"core.pmk", "core.scheduler"} <= set(report["subsystems"])
         assert report["event_core"]["ticks_batched"] + \
             report["event_core"]["ticks_stepped"] == 1300
+
+    def test_run_profile_keeps_outputs_byte_identical(self, config_path,
+                                                      tmp_path):
+        outputs = {}
+        for flags in ([], ["--profile"]):
+            trace_path = tmp_path / f"trace{len(flags)}.jsonl"
+            metrics_path = tmp_path / f"metrics{len(flags)}.json"
+            assert main(["run", config_path, "--ticks", "2600",
+                         "--trace-out", str(trace_path),
+                         "--metrics-out", str(metrics_path)] + flags) == 0
+            outputs[bool(flags)] = (trace_path.read_bytes(),
+                                    metrics_path.read_bytes())
+        assert outputs[True] == outputs[False]
 
 
 class TestDemoArtifacts:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.prototype import MTF, build_prototype, make_simulator
 from repro.exceptions import SimulationError
 from repro.kernel.simulator import Simulator
 from repro.kernel.trace import ProcessDispatched
@@ -79,3 +80,19 @@ class TestLifecycle:
         first = signature(Simulator(build_two_partition_config()))
         second = signature(Simulator(build_two_partition_config()))
         assert first == second
+
+
+class TestEventCoreStats:
+    def test_stepped_run_batches_nothing(self):
+        simulator = make_simulator(build_prototype())
+        simulator.run(MTF)
+        stats = simulator.event_core_stats
+        assert stats == {"spans_batched": 0, "ticks_batched": 0,
+                         "ticks_stepped": MTF}
+
+    def test_fast_run_batches_most_ticks(self):
+        simulator = make_simulator(build_prototype())
+        simulator.run_fast(10 * MTF)
+        stats = simulator.event_core_stats
+        assert stats["ticks_batched"] + stats["ticks_stepped"] == 10 * MTF
+        assert stats["ticks_batched"] > stats["ticks_stepped"]
