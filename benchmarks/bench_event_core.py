@@ -166,8 +166,9 @@ def _time_steady(cycle_cache: bool, ticks: int) -> float:
 
 
 def assert_steady_equivalent(mtfs: int = 12) -> None:
-    """Cycle cache on vs off over *mtfs* steady MTFs: identical traces
-    and identical full-state fingerprints, and the cached run must have
+    """Cycle cache on vs off over *mtfs* steady MTFs: identical traces,
+    identical full-state fingerprints and identical raw snapshots (the
+    fingerprint excludes counter values), and the cached run must have
     genuinely replayed frames."""
     reference = make_steady_simulator(cycle_cache=False)
     reference.run_fast(STEADY_MTF * mtfs)
@@ -175,6 +176,8 @@ def assert_steady_equivalent(mtfs: int = 12) -> None:
     cached.run_fast(STEADY_MTF * mtfs)
     assert trace_signature(cached) == trace_signature(reference)
     assert state_fingerprint(cached) == state_fingerprint(reference)
+    assert cached.pmk.snapshot() == reference.pmk.snapshot()
+    assert cached.time.snapshot() == reference.time.snapshot()
     assert cached.cycle_cache_stats["hits"] > 0
 
 

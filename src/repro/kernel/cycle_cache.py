@@ -48,8 +48,16 @@ Three verification layers keep replay honest:
 A replayed frame is then: verified generator sends, the recorded trace
 delta re-recorded with rebased ticks (observers — the deterministic
 metrics registry — fire exactly as live), and one ``time.skip(MTF)``.
-Live component state is resynchronized from an advanced copy of the
-boundary snapshot when replay hands control back to the event loop.
+
+The fingerprint walk is the only pass that classifies snapshot leaves.
+While it encodes, it records where each rebased tick, counter and
+resume log lives (a tuple of real keys and indices from the PMK-state
+root).  When replay hands control back to the event loop, live
+component state is resynchronized from a copy of the boundary snapshot
+in which exactly those recorded leaves are rewritten: ticks gain the
+replayed time, counters their verified per-frame delta per frame, and
+resume logs the verified per-frame slice per frame.  Deltas and edits
+come from the same leaves, so they cannot disagree.
 
 All statistics live in :data:`CYCLE_CACHE_STAT_KEYS` and are host-side
 (nondeterministic) telemetry, governed under the ``timing.execution``
@@ -61,9 +69,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from enum import Enum
+from functools import reduce
 from itertools import islice
+from operator import getitem
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..exceptions import SimulationError
 from ..types import Ticks
@@ -81,6 +91,10 @@ CYCLE_CACHE_STAT_KEYS = ("hits", "misses", "invalidations",
 # --------------------------------------------------------------------- #
 
 _RAW, _TIME, _TIME_MOD, _COUNTER = range(4)
+
+#: Where a leaf lives: the real dict keys, list/tuple indices and
+#: dataclass field names leading to it from the PMK-state root.
+_Path = Tuple[Any, ...]
 
 #: Snapshot keys whose integer values are absolute simulation ticks that
 #: advance with time in steady state (encoded relative to the boundary).
@@ -156,6 +170,11 @@ class _Fingerprinter:
     collide across type or structure differences.  Dict items are encoded
     in insertion order — snapshot construction order, which is fixed by
     code, making digests stable across processes and interpreters.
+
+    Alongside the bytes the walk records, per component, the path of
+    every leaf replay must advance (a :data:`_Path`): *ticks* (each rebased
+    tick), *counters* (path -> value) and *logs* (each resume log with
+    its ``(partition, process)`` key).
     """
 
     def __init__(self, *, origin: Ticks, mtf: Ticks,
@@ -168,27 +187,30 @@ class _Fingerprinter:
         self.prev_lens: Dict[Tuple[str, str], int] = {}
         #: (partition, process) -> resume-log length at this boundary.
         self.new_lens: Dict[Tuple[str, str], int] = {}
-        self.counters: Dict[str, int] = {}
-        self.had_time = False
+        self.ticks: List[_Path] = []
+        self.counters: Dict[_Path, int] = {}
+        self.logs: List[Tuple[_Path, Tuple[str, str]]] = []
         self.slices_empty = True
         self._buffer = bytearray()
-        self._stack: List[str] = []
+        self._stack: List[Any] = []
         self._partition = ""
         self._process = ""
 
     # -- component entry point ------------------------------------- #
 
-    def encode_component(self, name: str, value: Any,
+    def encode_component(self, name: str, root: _Path, value: Any,
                          prev_lens: Optional[Dict[Tuple[str, str], int]]
                          = None) -> Tuple[bytes, int]:
-        """Encode one component; returns ``(digest, byte_count)``."""
+        """Encode one component found at *root*; returns ``(digest,
+        byte_count)``."""
         self._buffer.clear()
         self.prev_lens = prev_lens if prev_lens is not None else {}
         self.new_lens = {}
+        self.ticks = []
         self.counters = {}
-        self.had_time = False
+        self.logs = []
         self.slices_empty = True
-        self._stack = [name]
+        self._stack = list(root)
         if name.startswith("partition:"):
             self._partition = name[len("partition:"):]
         else:
@@ -198,9 +220,6 @@ class _Fingerprinter:
         return hashlib.sha256(data).digest(), len(data)
 
     # -- recursion -------------------------------------------------- #
-
-    def _path(self) -> str:
-        return "/".join(self._stack)
 
     def _walk(self, value: Any, key: Any, parent: Any, raw: bool) -> None:
         out = self._buffer
@@ -217,12 +236,12 @@ class _Fingerprinter:
         if kind is int:
             cls = _RAW if raw else _classify(key, parent)
             if cls is _TIME:
-                self.had_time = True
+                self.ticks.append(tuple(self._stack))
                 out += b"t%d" % (value - self.origin)
             elif cls is _TIME_MOD:
                 out += b"m%d" % ((value - self.origin) % self.mtf)
             elif cls is _COUNTER:
-                self.counters[self._path()] = value
+                self.counters[tuple(self._stack)] = value
                 out += b"c"
             else:
                 out += b"i%d" % value
@@ -246,7 +265,7 @@ class _Fingerprinter:
             out += b"l%d:" % len(value)
             stack = self._stack
             for index, item in enumerate(value):
-                stack.append(str(index))
+                stack.append(index)
                 self._walk(item, None, key, raw)
                 stack.pop()
             return
@@ -254,7 +273,7 @@ class _Fingerprinter:
             out += b"u%d:" % len(value)
             stack = self._stack
             for index, item in enumerate(value):
-                stack.append(str(index))
+                stack.append(index)
                 self._walk(item, None, key, raw)
                 stack.pop()
             return
@@ -277,7 +296,7 @@ class _Fingerprinter:
                         type(value).__qualname__).encode("utf-8"))
             return
         raise _Unsupported(f"cycle cache cannot encode {type(value)!r} "
-                           f"at {self._path()}")
+                           f"at {'/'.join(map(str, self._stack))}")
 
     def _walk_dict(self, value: Dict[Any, Any], key: Any,
                    raw: bool) -> None:
@@ -289,7 +308,7 @@ class _Fingerprinter:
             encoded_key = repr(k).encode("utf-8")
             out += b"k%d:" % len(encoded_key)
             out += encoded_key
-            stack.append(str(k))
+            stack.append(k)
             if in_tcbs:
                 self._process = str(k)
             if raw:
@@ -326,6 +345,7 @@ class _Fingerprinter:
         lkey = (self._partition, self._process)
         length = len(log)
         self.new_lens[lkey] = length
+        self.logs.append((tuple(self._stack), lkey))
         if self.full_logs:
             out += b"R%d:" % length
             start = 0
@@ -340,7 +360,7 @@ class _Fingerprinter:
             self.slices_empty = False
         stack = self._stack
         for index in range(start, length):
-            stack.append(str(index))
+            stack.append(index)
             self._walk(log[index], None, "resume_log", True)
             stack.pop()
 
@@ -350,23 +370,22 @@ class _Fingerprinter:
         out = self._buffer
         out += b"d%d:" % len(armed)
         origin = self.origin
+        path = tuple(self._stack)
         for k, v in armed.items():
             encoded_key = repr(k).encode("utf-8")
             out += b"k%d:" % len(encoded_key)
             out += encoded_key
             last_kick, deadline = v
-            self.had_time = True
+            self.ticks += [path + (k, 0), path + (k, 1)]
             out += b"u2:t%d t%d" % (last_kick - origin, deadline - origin)
 
     def _encode_wait_entries(self, entries: List[Any]) -> None:
         """Wait-queue entries: ``(arrival-ordinal, process-name)``."""
         out = self._buffer
         out += b"l%d:" % len(entries)
-        stack = self._stack
+        path = tuple(self._stack)
         for index, (arrival, name) in enumerate(entries):
-            stack.append("%d/arrival" % index)
-            self.counters[self._path()] = arrival
-            stack.pop()
+            self.counters[path + (index, 0)] = arrival
             encoded = name.encode("utf-8")
             out += b"u2:cs%d:" % len(encoded)
             out += encoded
@@ -376,16 +395,14 @@ class _Fingerprinter:
         out = self._buffer
         out += b"l%d:" % len(entries)
         origin = self.origin
-        stack = self._stack
+        path = tuple(self._stack)
         for index, (process, deadline_time, sequence) in enumerate(entries):
             encoded = process.encode("utf-8")
-            self.had_time = True
+            self.ticks.append(path + (index, 1))
+            self.counters[path + (index, 2)] = sequence
             out += b"u3:s%d:" % len(encoded)
             out += encoded
             out += b"t%dc" % (deadline_time - origin)
-            stack.append("%d/seq" % index)
-            self.counters[self._path()] = sequence
-            stack.pop()
 
     def _encode_in_flight(self, entries: List[Any]) -> None:
         """Network-link in-flight entries:
@@ -394,211 +411,50 @@ class _Fingerprinter:
         origin = self.origin
         out += b"l%d:" % len(entries)
         stack = self._stack
+        path = tuple(stack)
         for index, (arrival, sequence, envelope, tag) in enumerate(entries):
-            self.had_time = True
+            self.ticks.append(path + (index, 0))
+            self.counters[path + (index, 1)] = sequence
             out += b"u4:t%d" % (arrival - origin)
             out += b"c"
-            stack.append("%d/seq" % index)
-            self.counters[self._path()] = sequence
-            stack.pop()
-            stack.append("%d/env" % index)
+            stack += (index, 2)
             self._walk(envelope, None, "in_flight", False)
-            stack.pop()
+            del stack[-2:]
             self._walk(tag, None, "in_flight", True)
-
-
-# --------------------------------------------------------------------- #
-# state advancement (replay resynchronization)
-# --------------------------------------------------------------------- #
-
-class _Advancer:
-    """Pure rewrite of a boundary snapshot *n* frames into the future.
-
-    Mirrors the fingerprint walk's classification exactly (the identity
-    matrices in CI are the cross-check): absolute ticks gain ``n * MTF``,
-    counters gain ``n *`` their verified per-frame delta (looked up by
-    the same path the fingerprint walk recorded), resume logs append the
-    verified per-frame slice ``n`` times, raw subtrees are carried by
-    reference.  Consumption of every counter path is tracked so a walk
-    mismatch surfaces as a template rejection, never as silent state
-    corruption.
-    """
-
-    def __init__(self, *, shift: Ticks, cycles: int,
-                 deltas: Dict[str, int],
-                 slices: Dict[Tuple[str, str], Tuple[Any, ...]]) -> None:
-        self.shift = shift
-        self.cycles = cycles
-        self.deltas = deltas
-        self.slices = slices
-        self.consumed: set = set()
-        self._stack: List[str] = []
-        self._partition = ""
-        self._process = ""
-
-    def advance_component(self, name: str, value: Any) -> Any:
-        self._stack = [name]
-        if name.startswith("partition:"):
-            self._partition = name[len("partition:"):]
-        else:
-            self._partition = ""
-        return self._walk(value, name, None, False)
-
-    def _path(self) -> str:
-        return "/".join(self._stack)
-
-    def _counter(self, value: int) -> int:
-        path = self._path()
-        self.consumed.add(path)
-        delta = self.deltas.get(path)
-        if delta is None:
-            raise _Unsupported(f"no counter delta recorded for {path}")
-        return value + self.cycles * delta
-
-    def _walk(self, value: Any, key: Any, parent: Any, raw: bool) -> Any:
-        if raw or value is None or value is True or value is False:
-            return value
-        kind = type(value)
-        if kind is int:
-            cls = _classify(key, parent)
-            if cls is _TIME:
-                return value + self.shift
-            if cls is _COUNTER:
-                return self._counter(value)
-            return value  # RAW and TIME_MOD ints are frame-invariant
-        if kind in (str, bytes, float):
-            return value
-        if kind is dict:
-            return self._walk_dict(value, key)
-        if kind is list:
-            stack = self._stack
-            result = []
-            for index, item in enumerate(value):
-                stack.append(str(index))
-                result.append(self._walk(item, None, key, False))
-                stack.pop()
-            return result
-        if kind is tuple:
-            stack = self._stack
-            result = []
-            for index, item in enumerate(value):
-                stack.append(str(index))
-                result.append(self._walk(item, None, key, False))
-                stack.pop()
-            return tuple(result)
-        if isinstance(value, Enum):
-            return value
-        if dataclasses.is_dataclass(value):
-            stack = self._stack
-            kwargs = {}
-            for field in dataclasses.fields(value):
-                stack.append(field.name)
-                kwargs[field.name] = self._walk(
-                    getattr(value, field.name), field.name, None, False)
-                stack.pop()
-            return dataclasses.replace(value, **kwargs)
-        return value
-
-    def _walk_dict(self, value: Dict[Any, Any], key: Any) -> Dict[Any, Any]:
-        stack = self._stack
-        in_tcbs = key == "tcbs"
-        result: Dict[Any, Any] = {}
-        for k, v in value.items():
-            stack.append(str(k))
-            if in_tcbs:
-                self._process = str(k)
-            if k in _RAW_SUBTREES:
-                result[k] = v
-            elif k == "resume_log" and type(v) is list:
-                result[k] = self._advance_resume_log(v)
-            elif k == "armed" and type(v) is dict:
-                result[k] = {
-                    name: (last_kick + self.shift, deadline + self.shift)
-                    for name, (last_kick, deadline) in v.items()}
-            elif (k == "entries" and key in _WAIT_QUEUE_PARENTS
-                    and type(v) is list):
-                result[k] = self._advance_wait_entries(v)
-            elif k == "entries" and key == "store" and type(v) is list:
-                result[k] = self._advance_store_entries(v)
-            elif k == "in_flight" and type(v) is list:
-                result[k] = self._advance_in_flight(v)
-            else:
-                result[k] = self._walk(v, k, key, False)
-            stack.pop()
-        if in_tcbs:
-            self._process = ""
-        return result
-
-    def _advance_resume_log(self, log: List[Any]) -> List[Any]:
-        slice_ = self.slices.get((self._partition, self._process))
-        if not slice_:
-            return log
-        return log + list(slice_) * self.cycles
-
-    def _advance_wait_entries(self, entries: List[Any]) -> List[Any]:
-        stack = self._stack
-        result = []
-        for index, (arrival, name) in enumerate(entries):
-            stack.append("%d/arrival" % index)
-            result.append((self._counter(arrival), name))
-            stack.pop()
-        return result
-
-    def _advance_store_entries(self, entries: List[Any]) -> List[Any]:
-        stack = self._stack
-        result = []
-        for index, (process, deadline_time, sequence) in enumerate(entries):
-            stack.append("%d/seq" % index)
-            result.append((process, deadline_time + self.shift,
-                           self._counter(sequence)))
-            stack.pop()
-        return result
-
-    def _advance_in_flight(self, entries: List[Any]) -> List[Any]:
-        stack = self._stack
-        result = []
-        for index, (arrival, sequence, envelope, tag) in enumerate(entries):
-            stack.append("%d/seq" % index)
-            sequence = self._counter(sequence)
-            stack.pop()
-            stack.append("%d/env" % index)
-            envelope = self._walk(envelope, None, "in_flight", False)
-            stack.pop()
-            result.append((arrival + self.shift, sequence, envelope, tag))
-        return result
 
 
 # --------------------------------------------------------------------- #
 # component decomposition
 # --------------------------------------------------------------------- #
 
-def _components(state: dict, time_state: dict) -> List[Tuple[str, Any]]:
+def _components(state: dict,
+                time_state: dict) -> List[Tuple[str, _Path, Any]]:
     """Split a PMK snapshot (+ time snapshot) into fingerprint components.
 
     The split is the dirty-reuse granularity: partitions are one
     component each, the rng stream is isolated (so steady frames that
     draw nothing reuse its digest), and the remaining module-level
     captures keep their snapshot keys.  The ``rng`` capture is wrapped
-    one level so both walks treat its internals as a raw subtree.
+    one level so the walk treats its internals as a raw subtree.  Each
+    component comes with its root, the path to it in the PMK state (the
+    ``rng`` and ``core`` wrappers sit at the root itself); the time
+    source's capture is no part of the PMK state and is rooted at its own
+    snapshot.
     """
-    components: List[Tuple[str, Any]] = [
-        ("time", time_state),
-        ("rng", {"rng": state["rng"]}),
-        ("core", {"stopped": state["stopped"],
-                  "module_restarts": state["module_restarts"],
-                  "ticks_executed": state["ticks_executed"],
-                  "idle_ticks": state["idle_ticks"]}),
-        ("partition_ticks", state["partition_ticks"]),
-        ("scheduler", state["scheduler"]),
-        ("contexts", state["contexts"]),
-        ("dispatcher", state["dispatcher"]),
-        ("mmu", state["mmu"]),
-        ("router", state["router"]),
-        ("health_monitor", state["health_monitor"]),
-        ("fdir", state["fdir"]),
+    components: List[Tuple[str, _Path, Any]] = [
+        ("time", (), time_state),
+        ("rng", (), {"rng": state["rng"]}),
+        ("core", (), {"stopped": state["stopped"],
+                      "module_restarts": state["module_restarts"],
+                      "ticks_executed": state["ticks_executed"],
+                      "idle_ticks": state["idle_ticks"]}),
     ]
+    for name in ("partition_ticks", "scheduler", "contexts", "dispatcher",
+                 "mmu", "router", "health_monitor", "fdir"):
+        components.append((name, (name,), state[name]))
     for name, partition_state in state["partitions"].items():
-        components.append(("partition:" + name, partition_state))
+        components.append(("partition:" + name, ("partitions", name),
+                           partition_state))
     return components
 
 
@@ -608,20 +464,24 @@ def _components(state: dict, time_state: dict) -> List[Tuple[str, Any]]:
 
 class _Record:
     """Per-component fingerprint record, reusable while the component's
-    raw snapshot is unchanged and contains no boundary-relative ticks."""
+    raw snapshot is unchanged and contains no boundary-relative ticks.
 
-    __slots__ = ("raw", "digest", "counters", "lens", "had_time",
+    *ticks*, *counters* and *logs* are the leaves the walk recorded (see
+    :class:`_Fingerprinter`); replay rewrites exactly those.
+    """
+
+    __slots__ = ("raw", "digest", "ticks", "counters", "lens", "logs",
                  "slices_empty")
 
-    def __init__(self, raw: Any, digest: bytes, counters: Dict[str, int],
-                 lens: Dict[Tuple[str, str], int], had_time: bool,
-                 slices_empty: bool) -> None:
+    def __init__(self, raw: Any, digest: bytes, walker: _Fingerprinter,
+                 ) -> None:
         self.raw = raw
         self.digest = digest
-        self.counters = counters
-        self.lens = lens
-        self.had_time = had_time
-        self.slices_empty = slices_empty
+        self.ticks = walker.ticks
+        self.counters = walker.counters
+        self.lens = walker.new_lens
+        self.logs = walker.logs
+        self.slices_empty = walker.slices_empty
 
 
 class _Boundary:
@@ -631,7 +491,7 @@ class _Boundary:
                  "trace_len")
 
     def __init__(self, now: Ticks, mtf: Ticks, fp: bytes,
-                 records: Dict[str, _Record], counters: Dict[str, int],
+                 records: Dict[str, _Record], counters: Dict[_Path, int],
                  state: dict, trace_len: int) -> None:
         self.now = now
         self.mtf = mtf
@@ -656,7 +516,7 @@ class _Template:
 
     def __init__(self, fp: bytes, mtf: Ticks, recorded_start: Ticks,
                  sends: List[Tuple[Any, Any, Any, Tuple[Any, ...], Ticks]],
-                 events: Tuple[Any, ...], deltas: Dict[str, int],
+                 events: Tuple[Any, ...], deltas: Dict[_Path, int],
                  slices: Dict[Tuple[str, str], Tuple[Any, ...]]) -> None:
         self.fp = fp
         self.mtf = mtf
@@ -921,11 +781,11 @@ class CycleCache:
         prev_records = prev1.records if prev1 is not None else {}
         walker = _Fingerprinter(origin=now, mtf=mtf)
         records: Dict[str, _Record] = {}
-        counters: Dict[str, int] = {}
+        counters: Dict[_Path, int] = {}
         digest = hashlib.sha256()
-        for name, value in _components(state, time_state):
+        for name, root, value in _components(state, time_state):
             prev = prev_records.get(name)
-            if (prev is not None and not prev.had_time
+            if (prev is not None and not prev.ticks
                     and prev.slices_empty and prev.raw == value):
                 # Unchanged pure-data component with no boundary-relative
                 # leaves and no resume-log growth: its canonical bytes
@@ -934,11 +794,10 @@ class CycleCache:
                 record = prev
             else:
                 comp_digest, nbytes = walker.encode_component(
-                    name, value, prev.lens if prev is not None else None)
+                    name, root, value,
+                    prev.lens if prev is not None else None)
                 self.stats["bytes"] += nbytes
-                record = _Record(value, comp_digest, walker.counters,
-                                 walker.new_lens, walker.had_time,
-                                 walker.slices_empty)
+                record = _Record(value, comp_digest, walker)
             records[name] = record
             counters.update(record.counters)
             digest.update(record.digest)
@@ -957,7 +816,7 @@ class CycleCache:
         if a.counters.keys() != b.counters.keys() \
                 or b.counters.keys() != c.counters.keys():
             return None
-        deltas: Dict[str, int] = {}
+        deltas: Dict[_Path, int] = {}
         for path, value_b in b.counters.items():
             delta = value_b - a.counters[path]
             if c.counters[path] - value_b != delta:
@@ -979,19 +838,19 @@ class CycleCache:
         # 4. Resume-log growth must be explained exactly by the observed
         #    resumes: a send that faulted or completed the body appends to
         #    the log without reaching the probe, and must block replay.
-        slices: Dict[Tuple[str, str], Tuple[Any, ...]] = {}
         observed: Dict[Tuple[str, str], List[Any]] = {}
         for partition, process, send, _effect in entries_bc:
             observed.setdefault((partition, process), []).append(send)
-        for name, partition_state in c.state["partitions"].items():
-            for process, tcb_state in partition_state["pos"]["tcbs"].items():
-                key = (name, process)
-                length_c = len(tcb_state["resume_log"])
-                record_b = b.records.get("partition:" + name)
-                if record_b is None or key not in record_b.lens:
+        lens_b: Dict[Tuple[str, str], int] = {}
+        for record in b.records.values():
+            lens_b.update(record.lens)
+        slices: Dict[Tuple[str, str], Tuple[Any, ...]] = {}
+        for record in c.records.values():
+            for path, key in record.logs:
+                if key not in lens_b:
                     return None
-                length_b = record_b.lens[key]
-                grown = tcb_state["resume_log"][length_b:length_c]
+                log = reduce(getitem, path, c.state)
+                grown = log[lens_b[key]:]
                 if grown != observed.get(key, []):
                     return None
                 if grown:
@@ -1011,19 +870,6 @@ class CycleCache:
                           effect, tuple(rebase_plan(event)
                                         for event in logged),
                           tick - b.now))
-        # 6. Dry-run the advancement walk so a classification mismatch
-        #    between the fingerprint and advance traversals rejects the
-        #    template instead of corrupting a resynchronization.
-        advancer = _Advancer(shift=0, cycles=0, deltas=deltas,
-                             slices=slices)
-        try:
-            for name, value in _components(c.state, {}):
-                if name != "time":
-                    advancer.advance_component(name, value)
-        except _Unsupported:
-            return None
-        if advancer.consumed != set(deltas):
-            return None
         return _Template(c.fp, mtf, b.now, sends, tuple(events_bc),
                          deltas, slices)
 
@@ -1099,22 +945,7 @@ class CycleCache:
         # generators *are* the advanced state and are kept.  The time
         # source needs no overlay: replay advanced it via ``skip`` and
         # the tamper history is raw-compared by the fingerprint.
-        advancer = _Advancer(shift=committed * mtf, cycles=committed,
-                             deltas=template.deltas,
-                             slices=template.slices)
-        state = boundary.state
-        advanced: Dict[str, Any] = {"rng": state["rng"],
-                                    "partitions": {}}
-        for name, value in _components(state, {}):
-            if name in ("time", "rng"):
-                continue
-            result = advancer.advance_component(name, value)
-            if name == "core":
-                advanced.update(result)
-            elif name.startswith("partition:"):
-                advanced["partitions"][name[len("partition:"):]] = result
-            else:
-                advanced[name] = result
+        advanced = _advance(boundary, template, committed)
         try:
             # A rollback rebuilds bodies by resume-log replay, which must
             # not re-record their history either.
@@ -1138,6 +969,56 @@ class CycleCache:
         self._reset_pipeline()
         self._arm_hook()
         return committed
+
+
+def _advance(boundary: _Boundary, template: _Template, cycles: int) -> dict:
+    """The PMK state of *boundary* advanced by *cycles* replayed frames.
+
+    Rewrites exactly the leaves the fingerprint walk recorded: each
+    rebased tick gains ``cycles * MTF``, each counter ``cycles`` times
+    its verified per-frame delta, and each resume log the verified
+    per-frame slice ``cycles`` times.  The time source is no part of the
+    PMK state (replay advanced it with ``time.skip``).
+    """
+    edits: Dict[Any, Any] = {}
+
+    def put(path: _Path, addend: Any) -> None:
+        node = edits
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = addend
+
+    shift = cycles * template.mtf
+    for name, record in boundary.records.items():
+        if name == "time":
+            continue
+        for path in record.ticks:
+            put(path, shift)
+        for path in record.counters:
+            put(path, cycles * template.deltas[path])
+        for path, key in record.logs:
+            grown = template.slices.get(key)
+            if grown:
+                put(path, list(grown) * cycles)
+    return _rewrite(boundary.state, edits)
+
+
+def _rewrite(value: Any, edit: Any) -> Any:
+    """*value* with *edit* applied.  A leaf edit is added to the leaf
+    (``int + int``, ``list + list``); a dict of edits copies the
+    container (dict, list, tuple, or dataclass via
+    :func:`dataclasses.replace`) and rewrites the children it names.
+    Everything off the edited paths is carried by reference."""
+    if type(edit) is not dict:
+        return value + edit
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{
+            name: _rewrite(getattr(value, name), child)
+            for name, child in edit.items()})
+    copy = list(value) if type(value) is tuple else value.copy()
+    for key, child in edit.items():
+        copy[key] = _rewrite(copy[key], child)
+    return tuple(copy) if type(value) is tuple else copy
 
 
 def _same_events(events: List[Any], plans: Tuple[Any, ...],
@@ -1164,10 +1045,14 @@ def state_fingerprint(simulator: Any) -> str:
 
     The regression-test entry point: uses the cycle cache's canonical
     encoding with full resume-log content (no growth slicing, no digest
-    reuse), so two simulators in genuinely different states — divergent
-    rng streams, FDIR escalation rungs, queued port payloads, pending
-    schedule switches — produce different digests, and identical states
-    produce identical digests across processes and interpreters.
+    reuse), so identical states produce identical digests across
+    processes and interpreters, and states that differ in anything the
+    kernel branches on — rng streams, FDIR escalation rungs, queued port
+    payloads, pending schedule switches — produce different ones.
+    Monotonic counters are excluded like in the cache's own fingerprint
+    (each is encoded as a ``c`` placeholder), so states that differ only
+    in counter values collide; a test that needs exact state equality
+    compares ``pmk.snapshot()`` and ``time.snapshot()`` instead.
     """
     pmk_state = simulator.pmk.snapshot()
     time_state = simulator.time.snapshot()
@@ -1175,7 +1060,7 @@ def state_fingerprint(simulator: Any) -> str:
     walker = _Fingerprinter(origin=simulator.time.now,
                             mtf=scheduler.current.mtf, full_logs=True)
     digest = hashlib.sha256()
-    for name, value in _components(pmk_state, time_state):
-        comp_digest, _ = walker.encode_component(name, value)
+    for name, root, value in _components(pmk_state, time_state):
+        comp_digest, _ = walker.encode_component(name, root, value)
         digest.update(comp_digest)
     return digest.hexdigest()

@@ -13,7 +13,9 @@ from repro.core.model import (
     SystemModel,
     TimeWindow,
 )
+from repro.fdir.policy import FdirConfig
 from repro.kernel.simulator import Simulator
+from repro.types import PartitionMode, PortDirection
 
 
 def make_schedule(schedule_id="s1", mtf=100,
@@ -93,4 +95,66 @@ def build_two_partition_config(*, p2_spins=False, deadline_store="list"):
         .window("P1", offset=0, duration=60) \
         .require("P2", cycle=200, duration=60) \
         .window("P2", offset=100, duration=60)
+    return builder.build()
+
+
+def remote_config(*, latency=120, watchdog=None):
+    """SRC sends one message per 500-tick MTF over a remote queuing
+    channel to DST.
+
+    The default latency lands deliveries inside idle gaps (the event core
+    must defer its skip).  A *latency* above the MTF keeps a message in
+    flight across every frame boundary.  With *watchdog*, SRC kicks an
+    FDIR watchdog of that window each frame, so a window above the MTF
+    keeps it armed across every boundary.
+    """
+    builder = SystemBuilder()
+    src = builder.partition("SRC")
+    src.process("tx", period=500, deadline=500, priority=1, wcet=5)
+
+    def tx(ctx):
+        while True:
+            yield Compute(2)
+            yield Call(ctx.apex.queuing_port("out").send, (b"ping",))
+            if watchdog is not None:
+                yield Call(ctx.apex.kick_watchdog)
+            yield Call(ctx.apex.periodic_wait)
+
+    src.body("tx", tx)
+
+    def src_init(apex):
+        apex.create_queuing_port("out", PortDirection.SOURCE)
+        apex.start("tx")
+        apex.set_partition_mode(PartitionMode.NORMAL)
+
+    src.init_hook(src_init)
+
+    dst = builder.partition("DST")
+    dst.process("rx", period=500, deadline=500, priority=1, wcet=5)
+
+    def rx(ctx):
+        while True:
+            yield Compute(1)
+            result = yield Call(ctx.apex.queuing_port("in").receive)
+            if result.is_ok:
+                ctx.log(f"rx {result.value!r}")
+            yield Call(ctx.apex.periodic_wait)
+
+    dst.body("rx", rx)
+
+    def dst_init(apex):
+        apex.create_queuing_port("in", PortDirection.DESTINATION)
+        apex.start("rx")
+        apex.set_partition_mode(PartitionMode.NORMAL)
+
+    dst.init_hook(dst_init)
+    builder.queuing_channel("ch", source=("SRC", "out"),
+                            destination=("DST", "in"), latency=latency)
+    if watchdog is not None:
+        builder.fdir(FdirConfig(watchdogs={"SRC": watchdog}))
+    builder.schedule("main", mtf=500) \
+        .require("SRC", cycle=500, duration=40) \
+        .window("SRC", offset=0, duration=40) \
+        .require("DST", cycle=500, duration=40) \
+        .window("DST", offset=300, duration=40)
     return builder.build()

@@ -17,7 +17,12 @@ from repro.hm.tables import HmTables
 from repro.kernel.simulator import Simulator
 from repro.types import ErrorCode, PortDirection, RecoveryAction
 
-from ..conftest import build_two_partition_config, periodic_body, spin_body
+from ..conftest import (
+    build_two_partition_config,
+    periodic_body,
+    remote_config,
+    spin_body,
+)
 
 
 def sparse_config():
@@ -29,61 +34,6 @@ def sparse_config():
     builder.schedule("sparse", mtf=1000) \
         .require("P1", cycle=1000, duration=100) \
         .window("P1", offset=300, duration=100)
-    return builder.build()
-
-
-def remote_config():
-    """Idle gaps *with* in-flight remote messages (skip must defer)."""
-    builder = SystemBuilder()
-    src = builder.partition("SRC")
-    src.process("tx", period=500, deadline=500, priority=1, wcet=5)
-
-    def tx(ctx):
-        while True:
-            yield Compute(2)
-            yield Call(ctx.apex.queuing_port("out").send, (b"ping",))
-            yield Call(ctx.apex.periodic_wait)
-
-    src.body("tx", tx)
-
-    def src_init(apex):
-        from repro.types import PartitionMode
-
-        apex.create_queuing_port("out", PortDirection.SOURCE)
-        apex.start("tx")
-        apex.set_partition_mode(PartitionMode.NORMAL)
-
-    src.init_hook(src_init)
-
-    dst = builder.partition("DST")
-    dst.process("rx", period=500, deadline=500, priority=1, wcet=5)
-
-    def rx(ctx):
-        while True:
-            yield Compute(1)
-            result = yield Call(ctx.apex.queuing_port("in").receive)
-            if result.is_ok:
-                ctx.log(f"rx {result.value!r}")
-            yield Call(ctx.apex.periodic_wait)
-
-    dst.body("rx", rx)
-
-    def dst_init(apex):
-        from repro.types import PartitionMode
-
-        apex.create_queuing_port("in", PortDirection.DESTINATION)
-        apex.start("rx")
-        apex.set_partition_mode(PartitionMode.NORMAL)
-
-    dst.init_hook(dst_init)
-    # Remote channel whose latency lands deliveries inside idle gaps.
-    builder.queuing_channel("ch", source=("SRC", "out"),
-                            destination=("DST", "in"), latency=120)
-    builder.schedule("main", mtf=500) \
-        .require("SRC", cycle=500, duration=40) \
-        .window("SRC", offset=0, duration=40) \
-        .require("DST", cycle=500, duration=40) \
-        .window("DST", offset=300, duration=40)
     return builder.build()
 
 

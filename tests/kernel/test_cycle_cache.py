@@ -10,7 +10,9 @@ bookkeeping, queued port payloads, pending schedule switches — must
 produce a *distinct* digest.  Second, the cache itself: on a steady
 workload it replays most frames, on a faulty workload it conservatively
 replays none, and in both cases traces, counters and end state are
-bit-identical to a cache-off run.
+bit-identical to a cache-off run.  End state is compared as raw
+snapshots (:func:`assert_same_state`): the fingerprint excludes counter
+values, so it cannot see a wrong counter advance.
 """
 
 import gc
@@ -32,6 +34,8 @@ from repro.kernel.cycle_cache import CYCLE_CACHE_STAT_KEYS, state_fingerprint
 from repro.kernel.simulator import Simulator
 from repro.types import PartitionMode
 
+from ..conftest import remote_config
+
 #: Pinned full-state digests (see module docstring).  STEADY_DIGEST is
 #: the steady cruise prototype after 3 MTFs; PROTO_DIGEST the chi1
 #: prototype after 2 MTFs.  Both must survive re-encoding changes or the
@@ -45,6 +49,12 @@ PROTO_DIGEST = \
 def full_signature(simulator):
     """Every trace event, every field — the strictest equivalence check."""
     return [repr(e) for e in simulator.trace.events]
+
+
+def assert_same_state(cached, plain):
+    """Raw PMK and time snapshots are equal, counters included."""
+    assert cached.pmk.snapshot() == plain.pmk.snapshot()
+    assert cached.time.snapshot() == plain.time.snapshot()
 
 
 class TestFingerprintStability:
@@ -238,6 +248,7 @@ class TestCycleCache:
         assert cached.pmk.ticks_executed == plain.pmk.ticks_executed
         assert cached.pmk.partition_ticks == plain.pmk.partition_ticks
         assert state_fingerprint(cached) == state_fingerprint(plain)
+        assert_same_state(cached, plain)
 
     def test_faulty_workload_never_fires_but_stays_identical(self):
         cached = make_simulator(build_prototype(), cycle_cache=True)
@@ -251,6 +262,7 @@ class TestCycleCache:
         assert cached.cycle_cache_stats["hits"] == 0  # conservative
         assert full_signature(cached) == full_signature(plain)
         assert state_fingerprint(cached) == state_fingerprint(plain)
+        assert_same_state(cached, plain)
 
     def test_odd_chunked_runs_stay_identical(self):
         # run_fast calls that straddle MTF boundaries arbitrarily must
@@ -264,6 +276,7 @@ class TestCycleCache:
         assert cached.cycle_cache_stats["hits"] > 0
         assert full_signature(cached) == full_signature(plain)
         assert state_fingerprint(cached) == state_fingerprint(plain)
+        assert_same_state(cached, plain)
 
     def test_body_side_effect_events_are_not_recorded_twice(self):
         # Replay re-drives the generator, which runs the body's ctx.log
@@ -274,6 +287,7 @@ class TestCycleCache:
         plain.run_fast(500 * 12)
         assert cached.cycle_cache_stats["hits"] > 0
         assert full_signature(cached) == full_signature(plain)
+        assert_same_state(cached, plain)
 
     def test_rollback_does_not_re_record_the_body_history(self):
         # A divergent replay rebuilds bodies by resume-log replay, which
@@ -285,6 +299,7 @@ class TestCycleCache:
         plain.run_fast(500 * 12)
         assert cached.cycle_cache_stats["invalidations"] > 0
         assert full_signature(cached) == full_signature(plain)
+        assert_same_state(cached, plain)
 
     @pytest.mark.parametrize("lines", [
         lambda cycles: ["warming" if cycles < 8 else "cruising"],
@@ -303,3 +318,20 @@ class TestCycleCache:
         assert cached.cycle_cache_stats["invalidations"] > 0
         assert full_signature(cached) == full_signature(plain)
         assert cached.trace.digest() == plain.trace.digest()
+        assert_same_state(cached, plain)
+
+    def test_armed_watchdog_and_in_flight_message_replay(self):
+        # The two tuple-shaped timers: a kicked watchdog's
+        # (last_kick, deadline) and a link's (arrival, sequence,
+        # envelope, tag), both live across every replayed boundary.
+        cached = Simulator(remote_config(latency=620, watchdog=800))
+        cached.run_fast(500 * 20)
+        plain = Simulator(remote_config(latency=620, watchdog=800),
+                          cycle_cache=False)
+        plain.run_fast(500 * 20)
+        assert cached.cycle_cache_stats["hits"] >= 12
+        state = cached.pmk.snapshot()
+        assert state["fdir"]["watchdog"]["armed"]
+        assert state["router"]["channels"]["ch"]["link"]["in_flight"]
+        assert full_signature(cached) == full_signature(plain)
+        assert_same_state(cached, plain)
