@@ -8,14 +8,16 @@ Three suites over the campaign engine (``repro.campaign``):
   byte-identical to serial).  Speedup floor: >= 3x at 4 workers.
 
 * **prefix-tree** (E20) — a deep shared-fault chaos campaign (>= 16
-  scenarios sharing >= 2 identical leading faults) run with the
-  divergence trie on (``prefix_depth=None``) vs off (``prefix_depth=0``,
-  the root-only prefix sharing of before).  Reports simulated ticks/sec
-  for both and asserts the digest matrix — byte-identical deterministic
-  reports across {serial, pooled x {1, 2, 4}} x {tree on, tree off}.
-  Speedup floor: >= 2x ticks/sec over the root-only
-  baseline, serial.  Per-worker prefix-cache hit rates and shared-memory
-  attach counts ride in the artifact's nondeterministic ``meta`` sidecar.
+  scenarios sharing >= 2 identical leading faults) run with the full
+  divergence trie vs root-only sharing (the same executor over
+  ``build_divergence_trie(..., max_depth=0)`` plans: one shared checkpoint
+  at the first divergence).  Reports simulated ticks/sec for both and
+  asserts the digest matrix — byte-identical deterministic reports across
+  {serial, pooled x {1, 2, 4}} x {cache on, cache off}, against the
+  serial cold reference.  Speedup floor: >= 2x ticks/sec over the
+  root-only baseline, serial.  Per-worker prefix-cache hit rates and
+  shared-memory attach counts ride in the artifact's nondeterministic
+  ``meta`` sidecar.
 
 * **telemetry** (E21) — the E15 fault-matrix workload pooled with the
   campaign telemetry bus fully enabled (live streaming to a discarding
@@ -33,7 +35,7 @@ Runs two ways:
 * ``pytest benchmarks/bench_campaign.py`` — asserts determinism always and
   the speedup floors where the host allows;
 * ``python benchmarks/bench_campaign.py [--scenarios N] [--mtfs N]
-  [--workers N] [--depth N] [--prefix-scenarios N]
+  [--workers N] [--prefix-scenarios N]
   [--prefix-mtfs N] [--json PATH] [--check]`` — standalone smoke (used by
   CI), writing the schema-versioned artifact to ``BENCH_campaign.json``
   in the repo root (via ``bench_lib``).
@@ -43,17 +45,20 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 import pytest
 
 from repro.campaign import (
+    SnapshotCache,
+    build_divergence_trie,
     chaos_campaign,
     deterministic_report,
     fault_matrix_campaign,
     run_campaign,
     run_pool,
     run_serial,
+    run_with_prefix_cache,
 )
 from repro.campaign.runner import autodetect_workers
 
@@ -137,26 +142,37 @@ def deep_shared_campaign(*, scenarios: int = PREFIX_SCENARIOS,
                           shared_seed=True, shared_faults=shared_faults)
 
 
-def assert_digest_matrix(campaign, *, depth: Optional[int],
-                         worker_counts=(1, 2, 4)) -> int:
-    """Byte-identical reports across dispatch x tree.
+def run_root_only(campaign):
+    """Root-only prefix sharing, serial: depth-0 trie plans, so each
+    shared configuration forks from one checkpoint at its first
+    divergence and never from an interior level."""
+    plans = build_divergence_trie(campaign, max_depth=0)
+    cache = SnapshotCache()
+    return [run_with_prefix_cache(scenario, cache,
+                                  plan=plans[scenario.scenario_id])
+            for scenario in campaign]
 
-    Runs {serial, pooled x *worker_counts*} x {tree on (*depth*), tree
-    off (0)} and asserts every deterministic report equals the
-    serial/tree-off one.  Returns the number of variants checked.
+
+def assert_digest_matrix(campaign, *, worker_counts=(1, 2, 4)) -> int:
+    """Byte-identical reports across dispatch x prefix cache.
+
+    Runs {serial, pooled x *worker_counts*} x {cache on, cache off} and
+    asserts every deterministic report equals the serial cache-off (cold)
+    one.  Returns the number of variants checked.
     """
-    expected = _report_bytes(run_serial(campaign, prefix_depth=0))
+    expected = _report_bytes(run_serial(campaign, prefix_cache=False))
     checked = 1
-    for prefix_depth in (depth, 0):
+    for prefix_cache in (True, False):
         for workers in (None, *worker_counts):
-            if prefix_depth == 0 and workers is None:
+            if not prefix_cache and workers is None:
                 continue  # the expected variant itself
             if workers is None:
-                results = run_serial(campaign, prefix_depth=prefix_depth)
+                results = run_serial(campaign, prefix_cache=prefix_cache)
             else:
                 results = run_campaign(campaign, workers=workers,
-                                       prefix_depth=prefix_depth)
-            label = f"depth={prefix_depth} workers={workers or 'serial'}"
+                                       prefix_cache=prefix_cache)
+            label = (f"prefix_cache={prefix_cache} "
+                     f"workers={workers or 'serial'}")
             assert _report_bytes(results) == expected, \
                 f"digest mismatch: {label}"
             checked += 1
@@ -185,33 +201,28 @@ def _worker_sidecar(telemetry: Dict) -> Dict:
 def run_prefix_benchmark(*, scenarios: int = PREFIX_SCENARIOS,
                          mtfs: int = PREFIX_MTFS,
                          shared_faults: int = PREFIX_SHARED_FAULTS,
-                         depth: Optional[int] = None, workers: int = 4,
+                         workers: int = 4,
                          digest_matrix: bool = True) -> Dict:
-    """Time tree-on vs tree-off (root-only) on the deep shared workload."""
+    """Time the trie vs root-only sharing on the deep shared workload."""
     campaign = deep_shared_campaign(scenarios=scenarios, mtfs=mtfs,
                                     shared_faults=shared_faults)
 
     start = time.perf_counter()
-    baseline = run_serial(campaign, prefix_depth=0)
+    baseline = run_root_only(campaign)
     baseline_s = time.perf_counter() - start
     total_ticks = sum(result.ticks for result in baseline)
 
     start = time.perf_counter()
-    tree = run_serial(campaign, prefix_depth=depth)
+    tree = run_serial(campaign)
     tree_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    pooled_baseline = run_pool(campaign, workers=workers, prefix_depth=0)
-    pooled_baseline_s = time.perf_counter() - start
 
     telemetry: Dict = {}
     start = time.perf_counter()
-    pooled_tree = run_pool(campaign, workers=workers, prefix_depth=depth,
-                           telemetry=telemetry)
+    pooled_tree = run_pool(campaign, workers=workers, telemetry=telemetry)
     pooled_tree_s = time.perf_counter() - start
 
     expected = _report_bytes(baseline)
-    for results in (tree, pooled_baseline, pooled_tree):
+    for results in (tree, pooled_tree):
         assert _report_bytes(results) == expected, \
             "prefix-tree variant changed the deterministic report"
     assert all(result.ok for result in baseline), \
@@ -219,25 +230,21 @@ def run_prefix_benchmark(*, scenarios: int = PREFIX_SCENARIOS,
 
     matrix_checked = 0
     if digest_matrix:
-        matrix_checked = assert_digest_matrix(campaign, depth=depth)
+        matrix_checked = assert_digest_matrix(campaign)
 
     return {
         "scenarios": scenarios,
         "mtfs": mtfs,
         "shared_faults": shared_faults,
-        "depth": depth,
         "workers": workers,
         "total_ticks": total_ticks,
         "baseline_s": baseline_s,
         "tree_s": tree_s,
-        "pooled_baseline_s": pooled_baseline_s,
         "pooled_tree_s": pooled_tree_s,
         "baseline_ticks_per_s": total_ticks / baseline_s,
         "tree_ticks_per_s": total_ticks / tree_s,
-        "pooled_baseline_ticks_per_s": total_ticks / pooled_baseline_s,
         "pooled_tree_ticks_per_s": total_ticks / pooled_tree_s,
         "serial_speedup": baseline_s / tree_s,
-        "pooled_speedup": pooled_baseline_s / pooled_tree_s,
         "digest_matrix_checked": matrix_checked,
         "sidecar": _worker_sidecar(telemetry),
     }
@@ -326,10 +333,9 @@ def test_speedup_floor_at_four_workers():
 
 
 def test_prefix_tree_digest_matrix_small():
-    """The full dispatch x tree matrix at smoke scale."""
+    """The full dispatch x cache matrix at smoke scale."""
     campaign = deep_shared_campaign(scenarios=8, mtfs=12, shared_faults=2)
-    assert assert_digest_matrix(campaign, depth=None,
-                                worker_counts=(2,)) == 4
+    assert assert_digest_matrix(campaign, worker_counts=(2,)) == 4
 
 
 def test_telemetry_on_matches_off_at_smoke_scale():
@@ -372,9 +378,6 @@ def main() -> int:
     parser.add_argument("--json", default=None,
                         help="artifact path (default: BENCH_campaign.json "
                              "in the repo root)")
-    parser.add_argument("--depth", type=int, default=None,
-                        help="divergence-trie depth cap for the "
-                             "prefix-tree suite (default: unlimited)")
     parser.add_argument("--prefix-scenarios", type=int,
                         default=PREFIX_SCENARIOS,
                         help="scenario count for the prefix-tree suite")
@@ -414,25 +417,20 @@ def main() -> int:
 
     prefix = run_prefix_benchmark(
         scenarios=args.prefix_scenarios, mtfs=args.prefix_mtfs,
-        shared_faults=args.shared_faults, depth=args.depth,
-        workers=args.workers)
+        shared_faults=args.shared_faults, workers=args.workers)
     print(f"prefix-tree: {prefix['scenarios']} scenarios x "
           f"{prefix['mtfs']} MTFs, {prefix['shared_faults']} shared "
-          f"leading faults, depth="
-          f"{'unlimited' if prefix['depth'] is None else prefix['depth']}")
+          f"leading faults")
     print(f"  root-only serial : {prefix['baseline_s']:8.3f}s "
           f"({prefix['baseline_ticks_per_s']:12,.0f} ticks/s)")
     print(f"  trie serial      : {prefix['tree_s']:8.3f}s "
           f"({prefix['tree_ticks_per_s']:12,.0f} ticks/s, "
           f"{prefix['serial_speedup']:.2f}x)")
-    print(f"  root-only pooled : {prefix['pooled_baseline_s']:8.3f}s "
-          f"({prefix['pooled_baseline_ticks_per_s']:12,.0f} ticks/s, "
-          f"{args.workers} workers)")
     print(f"  trie pooled      : {prefix['pooled_tree_s']:8.3f}s "
           f"({prefix['pooled_tree_ticks_per_s']:12,.0f} ticks/s, "
-          f"{prefix['pooled_speedup']:.2f}x)")
+          f"{args.workers} workers)")
     print(f"  digest matrix    : {prefix['digest_matrix_checked']} "
-          f"variants byte-identical (dispatch x tree)")
+          f"variants byte-identical (dispatch x cache)")
 
     matrix = f"fault-matrix-{args.scenarios}x{args.mtfs}"
     deep = (f"prefix-tree-{prefix['scenarios']}x{prefix['mtfs']}"
@@ -465,9 +463,6 @@ def main() -> int:
         workload_record(deep,
                         mode=f"prefix-tree-pooled-{args.workers}",
                         ticks_per_s=prefix["pooled_tree_ticks_per_s"],
-                        speedup=prefix["pooled_speedup"],
-                        speedup_reference="root-only prefix sharing, "
-                                          "same worker count",
                         digests_asserted=True),
         workload_record(matrix,
                         mode=f"telemetry-enabled-{args.workers}",

@@ -286,17 +286,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                            timeout_s=args.timeout,
                            prefix_cache=args.prefix_cache,
                            cycle_cache=args.cycle_cache,
-                           prefix_depth=args.prefix_depth,
-                           locality=args.locality,
-                           shm=args.shm,
                            telemetry=telemetry,
                            bus=bus,
                            artifacts=artifacts)
     if args.verify_serial and args.workers > 1:
         serial = run_campaign(scenarios, workers=1, timeout_s=args.timeout,
                               prefix_cache=args.prefix_cache,
-                              cycle_cache=args.cycle_cache,
-                              prefix_depth=args.prefix_depth)
+                              cycle_cache=args.cycle_cache)
         if report_json(results) != report_json(serial):
             print("DETERMINISM VIOLATION: pooled aggregate differs from "
                   "serial aggregate", file=sys.stderr)
@@ -315,9 +311,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print(render_summary(results))
     if args.json:
         meta = {"suite": args.spec or args.suite,
-                "scenarios": len(scenarios), "workers": args.workers,
-                "prefix_depth": args.prefix_depth,
-                "locality": args.locality}
+                "scenarios": len(scenarios), "workers": args.workers}
         with open(args.json, "w", encoding="utf-8") as stream:
             stream.write(report_json(results, include_timing=True,
                                      meta=meta,
@@ -479,28 +473,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     campaign.add_argument("--no-prefix-cache", dest="prefix_cache",
                           action="store_false",
                           help="always simulate scenarios from tick 0")
-    campaign.add_argument("--prefix-depth", type=int, default=None,
-                          help="divergence-trie depth cap: scenarios "
-                               "sharing identical leading faults fork from "
-                               "interior checkpoints up to this many "
-                               "events deep (default: unlimited; 0 = "
-                               "root-only prefix sharing as before)")
-    campaign.add_argument("--locality", dest="locality",
-                          action="store_true", default=True,
-                          help="group scenarios sharing a prefix onto the "
-                               "same worker (default)")
-    campaign.add_argument("--no-locality", dest="locality",
-                          action="store_false",
-                          help="plain order-preserving pool dispatch")
-    campaign.add_argument("--shm", dest="shm", action="store_true",
-                          default=None,
-                          help="publish prefix checkpoints via shared "
-                               "memory so sibling workers attach instead "
-                               "of rebuilding (default: auto where the "
-                               "fork start method exists)")
-    campaign.add_argument("--no-shm", dest="shm", action="store_false",
-                          help="never use the shared-memory snapshot "
-                               "transport")
     campaign.add_argument("--shared-seed", action="store_true",
                           help="chaos suite: one seed for every scenario "
                                "(maximizes prefix sharing)")

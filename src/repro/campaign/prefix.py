@@ -15,29 +15,29 @@ This module removes that redundancy at every level of the divergence tree:
 * :func:`scenario_fingerprint` — content digest of everything that shapes
   a scenario's pre-divergence execution (config factory, seed, kwargs,
   inline config document);
-* :func:`divergence_tick` — the first tick at which a scenario stops being
-  a pure prefix run (its earliest fault or schedule command);
 * :func:`prefix_key` — the fingerprint extended with the scenario's first
   *depth* timeline events; equal keys mean bit-identical execution up to
   the next event, so interior checkpoints (snapshots taken *after* shared
   faults applied) are interchangeable too;
-* :func:`prefix_levels` / :func:`build_divergence_trie` — the campaign-side
-  planner: enumerate each scenario's usable fork levels, pin every level
-  shared by >= 2 scenarios to one common capture tick, and hand each
-  scenario a :class:`PrefixPlan` (which checkpoints to build, where to
-  fork, which locality group it belongs to);
-* :class:`SnapshotCache` — bounded LRU of *pickled*
+* :func:`prefix_levels` / :func:`build_divergence_trie` — the campaign's
+  only fork planner: enumerate each scenario's usable fork levels, pin
+  every level shared by >= 2 scenarios to one common capture tick, and
+  hand each scenario a :class:`PrefixPlan` (which checkpoints to build,
+  where to fork, which locality group it belongs to).  Root-only sharing
+  is the depth-0 slice of the same plans;
+* :class:`SnapshotCache` — LRU of *pickled*
   :class:`~repro.kernel.snapshot.SimulatorSnapshot` payloads, keyed by
   ``(prefix key, tick)``;
-* :func:`run_with_prefix_cache` — the drop-in scenario executor: fork from
-  the deepest cached ancestor (local cache first, then an optional
-  shared-memory transport), build and publish any missing checkpoints on
-  the way down, and run the scenario's divergent suffix from the fork.
+* :func:`run_with_prefix_cache` — the scenario executor: fork from the
+  deepest cached checkpoint on the scenario's plan (local cache first,
+  then an optional shared-memory transport), build and publish any
+  missing checkpoints on the way down, and run the scenario's divergent
+  suffix from the fork.  An empty plan is a plain cold run.
 
 Correctness rests on the snapshot layer's bit-identity contract (tested by
 the fork-equivalence matrix): a forked run's trace digest, metrics and
 oracle verdict equal a cold run's, so the campaign digest is identical
-with the cache on or off, at any worker count and any trie depth.
+with the cache on or off and at any worker count.
 Interior checkpoints carry the fault injector's applied log in the
 snapshot's ``extras`` side-channel; a forked run seeds its injector from
 it and schedules only the not-yet-applied remainder of the timeline, so
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -65,7 +64,6 @@ __all__ = [
     "PrefixPlan",
     "SnapshotCache",
     "build_divergence_trie",
-    "divergence_tick",
     "prefix_key",
     "prefix_levels",
     "run_with_prefix_cache",
@@ -75,9 +73,8 @@ __all__ = [
 #: Prefixes shorter than this are not worth a capture/restore round trip.
 MIN_PREFIX_TICKS: Ticks = 256
 
-#: Snapshot ticks are quantized down to multiples of this, so scenarios
-#: whose divergence ticks fall in the same quantum share one cache entry
-#: (one capture + pickle, many forks) instead of each capturing its own.
+#: Capture ticks are quantized down to multiples of this, so sharers whose
+#: level boundaries fall in the same quantum pin one common capture tick.
 #: The sub-quantum remainder is simply simulated inside the forked run.
 PREFIX_QUANTUM: Ticks = 1024
 
@@ -102,28 +99,14 @@ def scenario_fingerprint(scenario: Scenario) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def divergence_tick(scenario: Scenario) -> Ticks:
-    """First tick at which *scenario* stops being a pure prefix run.
-
-    The earliest fault or schedule-command tick, clamped to the scenario
-    horizon.  A fault at tick T applies before T's clock ISR, so a
-    snapshot taken *at* tick T is still strictly pre-divergence.
-    """
-    events = [tick for tick, _ in scenario.faults]
-    events += [tick for tick, _ in scenario.schedule_commands]
-    first = min(events) if events else scenario.ticks
-    return max(0, min(first, scenario.ticks))
-
-
 def prefix_key(scenario: Scenario, depth: int) -> str:
     """Content key of the scenario's execution prefix through *depth* events.
 
     ``depth == 0`` is the fault-free root and returns
-    :func:`scenario_fingerprint` unchanged (PR 5 cache entries and trie
-    roots are the same namespace).  Deeper keys fold in the first *depth*
-    entries of :meth:`Scenario.timeline` — ticks and full fault payloads —
-    so two scenarios with equal ``prefix_key(s, d)`` execute
-    bit-identically until their ``d``-th event (exclusive): same
+    :func:`scenario_fingerprint` unchanged.  Deeper keys fold in the
+    first *depth* entries of :meth:`Scenario.timeline` — ticks and full
+    fault payloads — so two scenarios with equal ``prefix_key(s, d)``
+    execute bit-identically until their ``d``-th event (exclusive): same
     configuration and seed, same faults applied at the same ticks.
     """
     fingerprint = scenario_fingerprint(scenario)
@@ -258,7 +241,7 @@ def build_divergence_trie(scenarios: Sequence[Scenario], *,
 
 
 class SnapshotCache:
-    """Bounded LRU of prefix snapshots.
+    """LRU of prefix snapshots, bounded by entry count.
 
     Content-addressed by ``(prefix key, tick)``.  Each entry holds the
     pickled payload (the canonical, explicitly-sized form) plus a memoized
@@ -269,21 +252,6 @@ class SnapshotCache:
     trace's event objects, which are immutable: each fork's log is a
     fresh deque over them (pinned by the repeated-fork and shared-event
     entries of the fork-equivalence matrix).
-
-    Two independent LRU bounds apply: *capacity* (entry count) and
-    *max_bytes* (sum of stored payload sizes; ``None`` = unbounded).
-    With *compress_level* set, payloads are zlib-compressed at ``put`` —
-    the byte budget then meters compressed sizes — and every consumer
-    decompresses transparently through the magic-byte sniffing in
-    :meth:`SimulatorSnapshot.from_bytes`.
-
-    A payload larger than *max_bytes* on its own is **rejected** (counted
-    in ``rejects``) rather than inserted: inserting it would force every
-    other entry out and still leave the budget blown, so the next insert
-    would evict it in turn — an eviction-thrash loop where the cache holds
-    at most one oversized entry and rebuilds everything else forever.
-    Because every accepted payload fits the budget, eviction never needs
-    to touch the entry just inserted.
 
     Re-``put`` of an existing key is an explicit **refresh** (counted in
     ``refreshes``, not ``stores``): the payload is replaced and the
@@ -304,29 +272,19 @@ class SnapshotCache:
     #: The fixed key set :meth:`stats` emits.  The governed telemetry
     #: namespace constrains ``worker/<n>/cache/<stat>`` to this set.
     STAT_KEYS = ("entries", "hits", "misses", "stores", "refreshes",
-                 "rejects", "evictions", "fallbacks", "total_bytes",
-                 "stored_bytes", "hit_bytes", "evicted_bytes")
+                 "evictions", "fallbacks", "total_bytes", "stored_bytes",
+                 "hit_bytes", "evicted_bytes")
 
-    def __init__(self, capacity: int = 16,
-                 max_bytes: Optional[int] = None,
-                 compress_level: Optional[int] = None) -> None:
+    def __init__(self, capacity: int = 16) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        if compress_level is not None and not 0 <= compress_level <= 9:
-            raise ValueError(
-                f"compress_level must be in 0..9, got {compress_level}")
         self.capacity = capacity
-        self.max_bytes = max_bytes
-        self.compress_level = compress_level
         # key -> [payload bytes, memoized SimulatorSnapshot or None]
         self._entries: "OrderedDict[Tuple[str, Ticks], list]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.refreshes = 0
-        self.rejects = 0
         self.evictions = 0
         self.fallbacks = 0
         self.total_bytes = 0
@@ -338,20 +296,13 @@ class SnapshotCache:
         return len(self._entries)
 
     def put(self, fingerprint: str, tick: Ticks, payload: bytes,
-            snapshot: Optional[SimulatorSnapshot] = None) -> bool:
+            snapshot: Optional[SimulatorSnapshot] = None) -> None:
         """Insert or refresh the snapshot at ``(fingerprint, tick)``.
 
-        Returns False (and counts a reject) when the payload alone
-        exceeds *max_bytes*; True otherwise.  An existing key is
-        refreshed in place: payload replaced, memoized snapshot reset to
-        *snapshot*, recency touched.
+        An existing key is refreshed in place: payload replaced, memoized
+        snapshot reset to *snapshot*, recency touched.
         """
         key = (fingerprint, tick)
-        if self.compress_level is not None:
-            payload = zlib.compress(payload, self.compress_level)
-        if self.max_bytes is not None and len(payload) > self.max_bytes:
-            self.rejects += 1
-            return False
         entry = self._entries.get(key)
         if entry is not None:
             self.total_bytes -= len(entry[0])
@@ -364,25 +315,14 @@ class SnapshotCache:
             self.stores += 1
         self.total_bytes += len(payload)
         self.stored_bytes += len(payload)
-        while (len(self._entries) > self.capacity
-               or (self.max_bytes is not None
-                   and self.total_bytes > self.max_bytes)):
-            oldest = next(iter(self._entries))
-            if oldest == key:  # never evict the just-inserted entry
-                break
-            evicted = self._entries.pop(oldest)
+        while len(self._entries) > self.capacity:
+            evicted = self._entries.popitem(last=False)[1]
             self.evictions += 1
             self.total_bytes -= len(evicted[0])
             self.evicted_bytes += len(evicted[0])
-        return True
 
     def get(self, fingerprint: str, tick: Ticks) -> Optional[bytes]:
-        """Exact payload lookup; counts a hit or miss, refreshes recency.
-
-        The returned bytes may be zlib-compressed (when the cache runs a
-        compression tier); :meth:`SimulatorSnapshot.from_bytes` sniffs
-        and handles both forms.
-        """
+        """Exact payload lookup; counts a hit or miss, refreshes recency."""
         entry = self._entries.get((fingerprint, tick))
         if entry is None:
             self.misses += 1
@@ -406,32 +346,11 @@ class SnapshotCache:
             entry[1] = SimulatorSnapshot.from_bytes(entry[0])
         return entry[1]
 
-    def best_prefix(self, fingerprint: str,
-                    max_tick: Ticks) -> Optional[Tuple[Ticks, bytes]]:
-        """Longest cached prefix of *fingerprint* at or before *max_tick*.
-
-        Advisory (used to extend a shorter prefix rather than rebuild
-        from cold); does not touch the hit/miss counters but does refresh
-        the winner's LRU recency (an entry still seeding new builds is an
-        entry worth keeping).  Ties cannot arise — keys are unique per
-        ``(fingerprint, tick)`` — and among candidates the *highest* tick
-        at or below the cap wins.
-        """
-        best: Optional[Tuple[Ticks, bytes]] = None
-        for (cached_fp, tick), entry in self._entries.items():
-            if cached_fp != fingerprint or tick > max_tick:
-                continue
-            if best is None or tick > best[0]:
-                best = (tick, entry[0])
-        if best is not None:
-            self._entries.move_to_end((fingerprint, best[0]))
-        return best
-
     def stats(self) -> Dict[str, int]:
         """Counters for the nondeterministic reporting sidecar."""
         return {"entries": len(self._entries), "hits": self.hits,
                 "misses": self.misses, "stores": self.stores,
-                "refreshes": self.refreshes, "rejects": self.rejects,
+                "refreshes": self.refreshes,
                 "evictions": self.evictions,
                 "fallbacks": self.fallbacks,
                 "total_bytes": self.total_bytes,
@@ -445,6 +364,28 @@ class SnapshotCache:
 # ------------------------------------------------------------------ #
 
 
+def _resume(snapshot: Optional[SimulatorSnapshot], config, *,
+            cycle_cache: Optional[bool]):
+    """A simulator and injector continuing *snapshot* (cold when None).
+
+    The injector is seeded from the applied log the checkpoint carries
+    in its ``extras``, so only the rest of the timeline is scheduled.
+    """
+    from ..fault.injector import FaultInjector
+    from ..kernel.simulator import Simulator
+
+    if snapshot is None:
+        simulator = Simulator(config, cycle_cache=cycle_cache)
+    else:
+        simulator = snapshot.restore(config, cycle_cache=cycle_cache)
+    injector = FaultInjector(simulator)
+    state = snapshot.extras.get("injector") \
+        if snapshot is not None and snapshot.extras else None
+    if state is not None:
+        injector.load_state_dict(state)
+    return simulator, injector
+
+
 def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                        plan: PrefixPlan,
                        base_snapshot: Optional[SimulatorSnapshot],
@@ -454,8 +395,7 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                        transport=None) -> Optional[SimulatorSnapshot]:
     """Build, cache and publish the plan's missing checkpoints.
 
-    Starts from *base_snapshot* (a hit at *base_depth*), else from the
-    longest cached fault-free root below the first capture tick, else
+    Starts from *base_snapshot* (the checkpoint at *base_depth*), else
     cold; schedules timeline events incrementally so a checkpoint at
     level *d* has exactly the first *d* events applied and nothing deeper
     pending.  Each level boundary re-checks the shared-memory *transport*
@@ -465,30 +405,11 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
     *base_snapshot* if nothing new was needed); returns None to degrade
     on any failure.
     """
-    from ..fault.injector import FaultInjector
-    from ..kernel.simulator import Simulator
-
     try:
         config = scenario.build_config()
-        cursor = 0
-        if base_snapshot is not None:
-            simulator = base_snapshot.restore(
-                config, cycle_cache=cycle_cache)
-            cursor = base_depth
-        else:
-            root_depth, root_key, root_tick = plan.capture_levels[0]
-            base = (cache.best_prefix(root_key, root_tick)
-                    if root_depth == 0 else None)
-            if base is not None:
-                simulator = SimulatorSnapshot.from_bytes(
-                    base[1]).restore(config, cycle_cache=cycle_cache)
-            else:
-                simulator = Simulator(config, cycle_cache=cycle_cache)
-        injector = FaultInjector(simulator)
-        if base_snapshot is not None and base_snapshot.extras:
-            state = base_snapshot.extras.get("injector")
-            if state is not None:
-                injector.load_state_dict(state)
+        simulator, injector = _resume(base_snapshot, config,
+                                      cycle_cache=cycle_cache)
+        cursor = max(base_depth, 0)
         events = scenario.timeline()
         deepest = base_snapshot
         for depth, key, tick in plan.capture_levels:
@@ -501,13 +422,8 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                 # shallower span — attach and jump instead of rebuilding.
                 fetched = transport.fetch(key, tick)
                 if fetched is not None:
-                    simulator = fetched.restore(
-                        config, cycle_cache=cycle_cache)
-                    injector = FaultInjector(simulator)
-                    if fetched.extras:
-                        state = fetched.extras.get("injector")
-                        if state is not None:
-                            injector.load_state_dict(state)
+                    simulator, injector = _resume(
+                        fetched, config, cycle_cache=cycle_cache)
                     cursor = depth
                     deepest = fetched
                     continue
@@ -528,33 +444,53 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
         return None
 
 
+def _fork_snapshot(scenario: Scenario, cache: SnapshotCache,
+                   plan: PrefixPlan, *, cycle_cache: Optional[bool],
+                   check_interval: int,
+                   transport=None) -> Optional[SimulatorSnapshot]:
+    """The checkpoint *scenario* forks from under *plan*, or None (cold).
+
+    Walks the plan's fork levels deepest-first — local *cache*, then the
+    optional shared-memory *transport* (an object with ``fetch(key,
+    tick) -> snapshot|None`` and ``publish(key, tick, snapshot)``) — and,
+    unless the deepest level was found, builds, caches and publishes
+    every missing checkpoint below the deepest one found (from cold when
+    none was).  An empty plan needs no checkpoint.
+    """
+    snapshot = None
+    found_depth = -1
+    for depth, key, tick in plan.fork_levels:
+        snapshot = cache.get_snapshot(key, tick)
+        if snapshot is None and transport is not None:
+            snapshot = transport.fetch(key, tick)
+        if snapshot is not None:
+            found_depth = depth
+            break
+    if plan.capture_levels and found_depth < plan.capture_levels[-1][0]:
+        built = _build_plan_levels(
+            scenario, cache, plan, snapshot, found_depth,
+            cycle_cache=cycle_cache, check_interval=check_interval,
+            transport=transport)
+        if built is not None:
+            snapshot = built
+    return snapshot
+
+
 def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
+                          plan: PrefixPlan,
                           timeout_s: Optional[float] = None,
                           check_interval: int = 20_000,
-                          quantum: Ticks = PREFIX_QUANTUM,
                           cycle_cache: Optional[bool] = None,
-                          plan: Optional[PrefixPlan] = None,
                           transport=None,
                           publisher=None,
                           artifacts=None):
-    """Run *scenario*, sharing its execution prefix through *cache*.
+    """Run *scenario* from the checkpoint its *plan* names in *cache*.
 
-    Without a *plan* this is root-only sharing (the PR 5 behaviour): the
-    snapshot tick is the scenario's divergence tick quantized down to a
-    multiple of *quantum*, so scenarios whose divergence ticks land in
-    the same quantum fork from one shared cache entry (the sub-quantum
-    remainder is simulated inside the forked run, where it costs one
-    event-core pass).  On a miss the prefix is built once — extending the
-    longest shorter cached prefix when one exists, from cold otherwise —
-    cached, and forked.
-
-    With a *plan* (one scenario's slice of :func:`build_divergence_trie`)
-    the lookup walks the scenario's fork levels deepest-first — local
-    cache, then the optional shared-memory *transport* (an object with
-    ``fetch(key, tick) -> snapshot|None`` and
-    ``publish(key, tick, snapshot)``) — and forks from the deepest
-    ancestor found, building, caching and publishing every missing
-    checkpoint on the way.
+    *plan* is the scenario's slice of :func:`build_divergence_trie`;
+    :func:`_fork_snapshot` finds or builds the deepest checkpoint on it
+    (through the optional shared-memory *transport* too) and the
+    scenario's divergent suffix runs from there.  An empty plan is a
+    cold run.
 
     Prefix construction failures degrade to an uncached cold run: the
     cache is an optimization, never a correctness dependency.
@@ -564,66 +500,12 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
     ``False``).  Checkpoints capture deterministic state only, so they
     are byte-identical whichever mode built them or forks from them.
     """
-    from ..kernel.simulator import Simulator
     from .runner import run_scenario
 
-    if quantum < 1:
-        raise ValueError(f"quantum must be >= 1, got {quantum}")
-    if getattr(scenario, "is_constellation", False):
-        # Constellations never fork from snapshots; run_scenario
-        # dispatches to the constellation runner.
-        return run_scenario(scenario, timeout_s=timeout_s,
-                            check_interval=check_interval,
-                            cycle_cache=cycle_cache,
-                            publisher=publisher, artifacts=artifacts)
-    if plan is not None:
-        snapshot = None
-        found_depth = -1
-        for depth, key, tick in plan.fork_levels:
-            snapshot = cache.get_snapshot(key, tick)
-            if snapshot is None and transport is not None:
-                snapshot = transport.fetch(key, tick)
-            if snapshot is not None:
-                found_depth = depth
-                break
-        if plan.capture_levels and \
-                found_depth < plan.capture_levels[-1][0]:
-            built = _build_plan_levels(
-                scenario, cache, plan, snapshot, found_depth,
-                cycle_cache=cycle_cache,
-                check_interval=check_interval, transport=transport)
-            if built is not None:
-                snapshot = built
-        return run_scenario(scenario, timeout_s=timeout_s,
-                            check_interval=check_interval,
-                            from_snapshot=snapshot,
-                            cycle_cache=cycle_cache,
-                            publisher=publisher,
-                            artifacts=artifacts)
-    snap_tick = (divergence_tick(scenario) // quantum) * quantum
-    if snap_tick < MIN_PREFIX_TICKS:
-        return run_scenario(scenario, timeout_s=timeout_s,
-                            check_interval=check_interval,
-                            cycle_cache=cycle_cache,
-                            publisher=publisher,
-                            artifacts=artifacts)
-    fingerprint = scenario_fingerprint(scenario)
-    snapshot = cache.get_snapshot(fingerprint, snap_tick)
-    if snapshot is None:
-        base = cache.best_prefix(fingerprint, snap_tick)
-        try:
-            config = scenario.build_config()
-            if base is not None:
-                simulator = SimulatorSnapshot.from_bytes(
-                    base[1]).restore(config, cycle_cache=cycle_cache)
-            else:
-                simulator = Simulator(config, cycle_cache=cycle_cache)
-            simulator.run_fast(snap_tick - simulator.now)
-            snapshot = SimulatorSnapshot.capture(simulator)
-            cache.put(fingerprint, snap_tick, snapshot.to_bytes(), snapshot)
-        except Exception:  # noqa: BLE001 — degrade to a cold run
-            cache.fallbacks += 1
-            snapshot = None
+    snapshot = _fork_snapshot(scenario, cache, plan,
+                              cycle_cache=cycle_cache,
+                              check_interval=check_interval,
+                              transport=transport)
     return run_scenario(scenario, timeout_s=timeout_s,
                         check_interval=check_interval,
                         from_snapshot=snapshot,

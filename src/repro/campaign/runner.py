@@ -15,11 +15,16 @@ and nothing nondeterministic (wall time, delivery order, pid) enters the
 deterministic record.
 
 Prefix sharing (on by default, ``prefix_cache=False`` / ``--no-prefix-cache``
-to disable): scenarios with a common configuration and seed fork from a
-cached :class:`~repro.kernel.snapshot.SimulatorSnapshot` of their shared
-fault-free prefix instead of re-simulating it (:mod:`repro.campaign.prefix`).
-Forked runs are bit-identical to cold runs, so the determinism invariant
-extends across the cache setting: same digests with it on or off.
+to disable): the divergence trie (:mod:`repro.campaign.prefix`) plans, for
+every scenario, the cached
+:class:`~repro.kernel.snapshot.SimulatorSnapshot` checkpoints of the
+prefix it shares with others — the fault-free root and any interior level
+after shared faults — and the scenario forks from the deepest one instead
+of re-simulating it.  With the cache off every plan is empty, so both
+settings run through the same serial loop and the same locality-group
+pool dispatcher.  Forked runs are bit-identical to cold runs, so the
+determinism invariant extends across the cache setting: same digests with
+it on or off.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ from ..kernel.snapshot import SimulatorSnapshot
 from ..kernel.trace import MemoryFault, ScheduleSwitched
 from ..kernel.cycle_cache import CYCLE_CACHE_STAT_KEYS
 from ..obs.derived import compact_metrics
+# Used as ``prefix.<name>`` so every call looks the function up on the
+# module; instrumentation that patches it there sees every call.
+from . import prefix
 from .artifacts import ScenarioArtifacts, write_scenario_artifacts
 from .results import (
     STATUS_CRASHED,
@@ -45,6 +53,7 @@ from .results import (
     ScenarioResult,
 )
 from .scenarios import Scenario
+from .shm import SnapshotTransport, shm_available
 
 __all__ = [
     "run_scenario",
@@ -301,8 +310,8 @@ def run_scenario(scenario: Scenario, *,
     return result
 
 
-#: Per-worker-process prefix cache, created lazily on the first prefix-
-#: enabled scenario and reused across every pool task the worker handles.
+#: Per-worker-process prefix cache, created lazily on the first group
+#: task and reused across every pool task the worker handles.
 #: Module-level so it survives between tasks in the same worker.
 _WORKER_PREFIX_CACHE = None
 
@@ -342,9 +351,7 @@ def _worker_publisher():
 def _worker_cache():
     global _WORKER_PREFIX_CACHE
     if _WORKER_PREFIX_CACHE is None:
-        from .prefix import SnapshotCache
-
-        _WORKER_PREFIX_CACHE = SnapshotCache()
+        _WORKER_PREFIX_CACHE = prefix.SnapshotCache()
     return _WORKER_PREFIX_CACHE
 
 
@@ -353,45 +360,8 @@ def _worker_transport(run_id: Optional[str]):
     if run_id is None:
         return None
     if _WORKER_TRANSPORT is None or _WORKER_TRANSPORT.run_id != run_id:
-        from .shm import SnapshotTransport
-
         _WORKER_TRANSPORT = SnapshotTransport(run_id, probe=False)
     return _WORKER_TRANSPORT
-
-
-def _run_one(scenario: Scenario, *, timeout_s: Optional[float],
-             check_interval: int, prefix_cache: bool,
-             cycle_cache: Optional[bool] = None,
-             artifacts: Optional[ScenarioArtifacts] = None
-             ) -> ScenarioResult:
-    """One unit of campaign work, with or without prefix sharing."""
-    publisher = _worker_publisher()
-    if not prefix_cache:
-        return run_scenario(scenario, timeout_s=timeout_s,
-                            check_interval=check_interval,
-                            cycle_cache=cycle_cache,
-                            publisher=publisher,
-                            artifacts=artifacts)
-    from .prefix import run_with_prefix_cache
-
-    return run_with_prefix_cache(scenario, _worker_cache(),
-                                 timeout_s=timeout_s,
-                                 check_interval=check_interval,
-                                 cycle_cache=cycle_cache,
-                                 publisher=publisher,
-                                 artifacts=artifacts)
-
-
-def _pool_worker(payload: Tuple[Scenario, Optional[float], int, bool,
-                                Optional[bool], Optional[ScenarioArtifacts]]
-                 ) -> ScenarioResult:
-    (scenario, timeout_s, check_interval, prefix_cache, cycle_cache,
-     artifacts) = payload
-    return _run_one(scenario, timeout_s=timeout_s,
-                    check_interval=check_interval,
-                    prefix_cache=prefix_cache,
-                    cycle_cache=cycle_cache,
-                    artifacts=artifacts)
 
 
 def _group_worker(payload):
@@ -406,18 +376,14 @@ def _group_worker(payload):
     """
     (indices, group, plans, timeout_s, check_interval, cycle_cache,
      run_id, artifacts) = payload
-    from .prefix import run_with_prefix_cache
-
     cache = _worker_cache()
     transport = _worker_transport(run_id)
     publisher = _worker_publisher()
     results = [
-        run_with_prefix_cache(scenario, cache, timeout_s=timeout_s,
-                              check_interval=check_interval,
-                              cycle_cache=cycle_cache,
-                              plan=plan,
-                              transport=transport, publisher=publisher,
-                              artifacts=artifacts)
+        prefix.run_with_prefix_cache(
+            scenario, cache, plan=plan, timeout_s=timeout_s,
+            check_interval=check_interval, cycle_cache=cycle_cache,
+            transport=transport, publisher=publisher, artifacts=artifacts)
         for scenario, plan in zip(group, plans)]
     sidecar = {"pid": os.getpid(),
                "prefix_cache": cache.stats(),
@@ -435,19 +401,15 @@ def _group_worker(payload):
     return indices, results, sidecar
 
 
-def _plan_campaign(scenarios: Sequence[Scenario], prefix_cache: bool,
-                   prefix_depth: Optional[int]):
-    """The campaign's divergence trie, or None for root-only sharing.
-
-    ``prefix_depth=0`` (or a disabled cache) turns the trie off entirely:
-    execution takes the exact PR 5 root-only path, which is what the
-    tree-on == tree-off digest gates compare against.
-    """
-    if not prefix_cache or prefix_depth == 0:
-        return None
-    from .prefix import build_divergence_trie
-
-    return build_divergence_trie(scenarios, max_depth=prefix_depth)
+def _plan_campaign(scenarios: Sequence[Scenario], prefix_cache: bool):
+    """Scenario id -> PrefixPlan: the divergence trie, or empty plans
+    (every scenario a cold run in its own group) with the cache off."""
+    if prefix_cache:
+        return prefix.build_divergence_trie(scenarios)
+    return {scenario.scenario_id: prefix.PrefixPlan(
+                scenario_id=scenario.scenario_id,
+                group_key=scenario.scenario_id, capture_levels=())
+            for scenario in scenarios}
 
 
 def _close_bus(bus, results: Sequence[ScenarioResult],
@@ -466,7 +428,6 @@ def run_serial(scenarios: Sequence[Scenario], *,
                check_interval: int = TIMEOUT_CHECK_INTERVAL,
                prefix_cache: bool = True,
                cycle_cache: Optional[bool] = None,
-               prefix_depth: Optional[int] = None,
                telemetry: Optional[Dict] = None,
                bus=None,
                artifacts: Optional[ScenarioArtifacts] = None
@@ -476,10 +437,9 @@ def run_serial(scenarios: Sequence[Scenario], *,
     With *prefix_cache* (the default) scenarios sharing a configuration
     and seed fork from cached snapshots of their common prefixes — the
     fault-free root and, via the divergence trie, interior checkpoints
-    after shared faults (*prefix_depth* caps the trie depth; ``0`` =
-    root-only, ``None`` = unlimited); results are bit-identical either
-    way.  *telemetry*, when a dict, receives nondeterministic cache
-    counters for the reporting sidecar.
+    after shared faults; results are bit-identical either way.
+    *telemetry*, when a dict, receives nondeterministic cache counters
+    for the reporting sidecar.
 
     *bus* (a :class:`~repro.obs.telemetry.TelemetryAggregator`) turns on
     live streaming: the serial loop publishes straight into the
@@ -494,33 +454,17 @@ def run_serial(scenarios: Sequence[Scenario], *,
         publisher = TelemetryPublisher(bus.start(None), bus.campaign_id,
                                        worker="serial")
     cycle_before = dict(_CYCLE_CACHE_TOTALS or {})
-    if not prefix_cache:
-        results = [run_scenario(scenario, timeout_s=timeout_s,
-                                check_interval=check_interval,
-                                cycle_cache=cycle_cache,
-                                publisher=publisher,
-                                artifacts=artifacts)
-                   for scenario in scenarios]
-        if telemetry is not None:
-            _serial_cycle_telemetry(telemetry, cycle_before, cycle_cache)
-        if publisher is not None and cycle_cache_armed(cycle_cache):
-            publisher.cycle_cache_stats(
-                _cycle_totals_since(cycle_before))
-        _close_bus(bus, results, telemetry)
-        return results
-    from .prefix import SnapshotCache, run_with_prefix_cache
-
-    plans = _plan_campaign(scenarios, prefix_cache, prefix_depth)
-    cache = SnapshotCache()
+    plans = _plan_campaign(scenarios, prefix_cache)
+    cache = prefix.SnapshotCache()
     results = [
-        run_with_prefix_cache(
-            scenario, cache, timeout_s=timeout_s,
-            check_interval=check_interval, cycle_cache=cycle_cache,
-            plan=None if plans is None else plans[scenario.scenario_id],
-            publisher=publisher, artifacts=artifacts)
+        prefix.run_with_prefix_cache(
+            scenario, cache, plan=plans[scenario.scenario_id],
+            timeout_s=timeout_s, check_interval=check_interval,
+            cycle_cache=cycle_cache, publisher=publisher,
+            artifacts=artifacts)
         for scenario in scenarios]
     if telemetry is not None:
-        telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_depth)
+        telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_cache)
         telemetry["workers"] = {
             "serial": {"prefix_cache": cache.stats(), "shm": None}}
         _serial_cycle_telemetry(telemetry, cycle_before, cycle_cache)
@@ -551,15 +495,12 @@ def _serial_cycle_telemetry(telemetry: Dict, before: Dict[str, int],
     workers.setdefault("serial", {})["cycle_cache"] = delta
 
 
-def _tree_telemetry(plans, prefix_depth: Optional[int]) -> Dict:
-    if plans is None:
-        return {"enabled": False, "depth_limit": prefix_depth}
+def _tree_telemetry(plans, prefix_cache: bool) -> Dict:
     groups = {plan.group_key for plan in plans.values()}
     levels = {level for plan in plans.values()
               for level in plan.capture_levels}
     return {
-        "enabled": True,
-        "depth_limit": prefix_depth,
+        "enabled": prefix_cache,
         "groups": len(groups),
         "planned_scenarios": sum(
             1 for plan in plans.values() if plan.capture_levels),
@@ -576,44 +517,39 @@ def run_pool(scenarios: Sequence[Scenario], *,
              check_interval: int = TIMEOUT_CHECK_INTERVAL,
              prefix_cache: bool = True,
              cycle_cache: Optional[bool] = None,
-             prefix_depth: Optional[int] = None,
-             locality: bool = True,
-             shm: Optional[bool] = None,
              telemetry: Optional[Dict] = None,
              bus=None,
              artifacts: Optional[ScenarioArtifacts] = None
              ) -> List[ScenarioResult]:
     """Fan scenarios out over a ``multiprocessing`` pool.
 
-    With the divergence trie on (*prefix_cache* and ``prefix_depth !=
-    0``) and *locality* (the default), scenarios are grouped by their
-    deepest shared prefix key and whole groups are handed to the same
-    worker via ``imap_unordered`` — the worker that builds a prefix
-    checkpoint is the worker that reuses it.  Results are reassembled
-    into campaign order by original index, so the result list matches
-    the scenario list index-for-index exactly as ``pool.map`` would, and
-    the deterministic report is provably independent of dispatch: every
-    scenario is self-contained, results are re-sorted by scenario id in
-    the aggregate, and nothing nondeterministic enters the deterministic
-    record.  *chunksize* caps scenarios per group task (default: each
-    group split across the worker count).
+    Scenarios are grouped by their plan's deepest shared prefix key and
+    whole groups are handed to the same worker via ``imap_unordered`` —
+    the worker that builds a prefix checkpoint is the worker that reuses
+    it.  With *prefix_cache* off every plan is empty and every scenario
+    is its own group.  Results are reassembled into campaign order by
+    original index, so the result list matches the scenario list
+    index-for-index, and the deterministic report is provably independent
+    of dispatch: every scenario is self-contained, results are re-sorted
+    by scenario id in the aggregate, and nothing nondeterministic enters
+    the deterministic record.  *chunksize* caps scenarios per group task
+    (default: each group split across the worker count).  At one worker
+    (or one scenario) this is :func:`run_serial`.
 
-    *shm* (default: auto) additionally carries checkpoints across the
-    pool through ``multiprocessing.shared_memory``: the parent
-    pre-builds and publishes the chain of every group split across
-    multiple workers (so its workers start with a zero-copy attach
-    instead of racing to cold-build the same chain), and workers
-    publish whatever they build so later chunks attach instead of
-    rebuilding.  It degrades transparently wherever shared memory or
-    the fork start method is unavailable.
+    Where the platform has the fork start method
+    (:func:`~repro.campaign.shm.shm_available`) and some plan has
+    checkpoints, they also travel across the pool through
+    ``multiprocessing.shared_memory``: the parent pre-builds and
+    publishes the chain of every group split across multiple workers (so
+    its workers start with a zero-copy attach instead of racing to
+    cold-build the same chain), and workers publish whatever they build
+    so later chunks attach instead of rebuilding.  Every transport
+    failure degrades to a per-worker build.
 
     Worker crashes are absorbed inside :func:`run_scenario`; only an
     interpreter-level death (signal, OOM kill) can still fail the pool.
     Each worker process keeps its own prefix cache (snapshots are cheap
     to hold, and sharing one across processes would serialize on it).
-
-    With the trie off this is the PR 5 path: order-preserving
-    ``pool.map`` over per-scenario payloads, root-only prefix sharing.
     """
     if workers is None:
         workers = autodetect_workers()
@@ -622,7 +558,6 @@ def run_pool(scenarios: Sequence[Scenario], *,
                           check_interval=check_interval,
                           prefix_cache=prefix_cache,
                           cycle_cache=cycle_cache,
-                          prefix_depth=prefix_depth,
                           telemetry=telemetry, bus=bus,
                           artifacts=artifacts)
     methods = multiprocessing.get_all_start_methods()
@@ -630,32 +565,14 @@ def run_pool(scenarios: Sequence[Scenario], *,
         "fork" if "fork" in methods else "spawn")
     # Telemetry: the aggregator owns a queue in this (parent) process and
     # drains it on a daemon thread, so events stream live even while the
-    # blocking map/imap call below is in flight; workers receive the
-    # queue sink through the pool initializer.
+    # blocking imap call below is in flight; workers receive the queue
+    # sink through the pool initializer.
     initializer = None
     initargs: Tuple = ()
     if bus is not None:
         initializer = _init_worker_telemetry
         initargs = (bus.start(context), bus.campaign_id)
-    plans = _plan_campaign(scenarios, prefix_cache, prefix_depth)
-    if plans is None or not locality:
-        if chunksize is None:
-            # Small chunks keep the pool load-balanced without paying
-            # per-item IPC for every scenario; determinism never depends
-            # on this.
-            chunksize = max(1, len(scenarios) // (workers * 4))
-        payloads = [(scenario, timeout_s, check_interval, prefix_cache,
-                     cycle_cache, artifacts)
-                    for scenario in scenarios]
-        with context.Pool(processes=workers, initializer=initializer,
-                          initargs=initargs) as pool:
-            results = pool.map(_pool_worker, payloads, chunksize=chunksize)
-        if telemetry is not None:
-            telemetry["prefix_tree"] = _tree_telemetry(None, prefix_depth)
-            telemetry["cycle_cache"] = {
-                "enabled": cycle_cache_armed(cycle_cache)}
-        _close_bus(bus, results, telemetry)
-        return results
+    plans = _plan_campaign(scenarios, prefix_cache)
 
     # Locality-aware dispatch: group scenarios by their deepest shared
     # prefix key (first-appearance order), split each group into at most
@@ -667,13 +584,8 @@ def run_pool(scenarios: Sequence[Scenario], *,
 
     transport = None
     run_id = None
-    if shm is None:
-        from .shm import shm_available
-
-        shm = context.get_start_method() == "fork" and shm_available()
-    if shm:
-        from .shm import SnapshotTransport
-
+    if shm_available() and any(plan.capture_levels
+                               for plan in plans.values()):
         transport = SnapshotTransport()  # parent: names + tracker probe
         run_id = transport.run_id
 
@@ -702,17 +614,14 @@ def run_pool(scenarios: Sequence[Scenario], *,
         # has published it).  Single-chunk groups skip this: their one
         # worker builds the chain exactly once anyway, and serializing
         # that build into the parent would only delay dispatch.
-        from .prefix import SnapshotCache, _build_plan_levels
-
-        prebuild_cache = SnapshotCache()
+        prebuild_cache = prefix.SnapshotCache()
         for key in split_groups:
             scenario = scenarios[groups[key][0]]
-            plan = plans[scenario.scenario_id]
-            if plan.capture_levels:
-                _build_plan_levels(scenario, prebuild_cache, plan,
-                                   None, -1, cycle_cache=cycle_cache,
-                                   check_interval=check_interval,
-                                   transport=transport)
+            prefix._fork_snapshot(scenario, prebuild_cache,
+                                  plans[scenario.scenario_id],
+                                  cycle_cache=cycle_cache,
+                                  check_interval=check_interval,
+                                  transport=transport)
 
     results: List[Optional[ScenarioResult]] = [None] * len(scenarios)
     worker_stats: Dict[str, Dict] = {}
@@ -729,7 +638,7 @@ def run_pool(scenarios: Sequence[Scenario], *,
             {(key, tick) for plan in plans.values()
              for _, key, tick in plan.capture_levels})
     if telemetry is not None:
-        telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_depth)
+        telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_cache)
         telemetry["workers"] = {
             pid: {"prefix_cache": sidecar["prefix_cache"],
                   "shm": sidecar["shm"],
@@ -764,14 +673,11 @@ def run_campaign(scenarios: Sequence[Scenario], *,
                  check_interval: int = TIMEOUT_CHECK_INTERVAL,
                  prefix_cache: bool = True,
                  cycle_cache: Optional[bool] = None,
-                 prefix_depth: Optional[int] = None,
-                 locality: bool = True,
-                 shm: Optional[bool] = None,
                  telemetry: Optional[Dict] = None,
                  bus=None,
                  artifacts: Optional[ScenarioArtifacts] = None
                  ) -> List[ScenarioResult]:
-    """Serial (`workers <= 1`) or pooled campaign execution.
+    """Serial (`workers <= 1`, the default) or pooled campaign execution.
 
     *bus* streams live telemetry (see :func:`run_serial` /
     :func:`run_pool`); *artifacts* dumps per-scenario files.  Both leave
@@ -779,18 +685,7 @@ def run_campaign(scenarios: Sequence[Scenario], *,
     verdicts — byte-identical to a run without them, as does
     *cycle_cache* (steady-state MTF memoization, armed unless ``False``).
     """
-    if workers <= 1:
-        return run_serial(scenarios, timeout_s=timeout_s,
-                          check_interval=check_interval,
-                          prefix_cache=prefix_cache,
-                          cycle_cache=cycle_cache,
-                          prefix_depth=prefix_depth,
-                          telemetry=telemetry, bus=bus,
-                          artifacts=artifacts)
     return run_pool(scenarios, workers=workers, chunksize=chunksize,
                     timeout_s=timeout_s, check_interval=check_interval,
-                    prefix_cache=prefix_cache,
-                    cycle_cache=cycle_cache,
-                    prefix_depth=prefix_depth,
-                    locality=locality, shm=shm, telemetry=telemetry,
-                    bus=bus, artifacts=artifacts)
+                    prefix_cache=prefix_cache, cycle_cache=cycle_cache,
+                    telemetry=telemetry, bus=bus, artifacts=artifacts)

@@ -13,8 +13,8 @@ turns N-workers × cold-build into 1 × build + (N-1) × attach.
 The transport is strictly an optimization with *transparent degradation*:
 every failure path — segment missing (publisher hasn't finished), torn
 write (``ready`` flag unset), create race, platform without shared memory
-— returns ``None``/``False`` and the caller falls back to the per-worker
-build that PR 5 always did.  Correctness never depends on a fetch
+— returns ``None``/``False`` and the caller falls back to building the
+checkpoint in its own worker.  Correctness never depends on a fetch
 succeeding, so no path ever blocks or waits on a peer.
 
 Lifecycle (fork start method only, see :func:`shm_available`):
@@ -66,11 +66,12 @@ _HEADER = struct.Struct("<IIQI")
 
 
 def shm_available() -> bool:
-    """True when the shared-memory transport can run on this host.
+    """True when this platform offers the ``fork`` start method.
 
-    Requires the ``fork`` start method (one inherited resource tracker —
-    see the module docstring for why spawn's per-process trackers would
-    unlink live segments) and a working ``multiprocessing.shared_memory``.
+    The transport requires it (one inherited resource tracker — see the
+    module docstring for why spawn's per-process trackers would unlink
+    live segments).  Whether a segment can actually be created is not
+    probed here: every publish/fetch failure degrades on its own.
     """
     return "fork" in multiprocessing.get_all_start_methods()
 

@@ -45,7 +45,6 @@ scheduling (:mod:`repro.campaign.prefix`) possible.
 from __future__ import annotations
 
 import pickle
-import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -199,17 +198,12 @@ class SimulatorSnapshot:
         state["trace"] = Trace.unpack_state(state["trace"])
         self.__dict__.update(state)
 
-    def to_bytes(self, *, compress: Optional[int] = None) -> bytes:
+    def to_bytes(self) -> bytes:
         """Serialize for caching or shipping to a worker process.
 
-        Pickle protocol 5.  With *compress* (a zlib level, 0-9) the
-        payload is deflated; :meth:`from_bytes` transparently accepts
-        either form by sniffing the leading magic byte.
+        Pickle at the highest protocol; inverse: :meth:`from_bytes`.
         """
-        payload = pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        if compress is not None:
-            return zlib.compress(payload, compress)
-        return payload
+        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
     def to_buffers(self) -> Tuple[bytes, List[bytes]]:
         """Protocol-5 out-of-band form: ``(main stream, buffer list)``.
@@ -238,13 +232,7 @@ class SimulatorSnapshot:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "SimulatorSnapshot":
-        """Inverse of :meth:`to_bytes`, plain or zlib-compressed.
-
-        Sniffed by magic byte: a protocol-2+ pickle stream starts with
-        ``\\x80``; a zlib stream starts with ``\\x78``.
-        """
-        if payload[:1] == b"\x78":
-            payload = zlib.decompress(payload)
+        """Inverse of :meth:`to_bytes`."""
         snapshot = pickle.loads(payload)
         if not isinstance(snapshot, cls):
             raise SimulationError(

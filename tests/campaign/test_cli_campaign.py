@@ -89,24 +89,8 @@ class TestCampaignExitCodes:
         assert "6 ok" in out
         assert "verified: pooled (2 workers) == serial" in out
         document = json.loads(report.read_text())
-        assert document["meta"]["prefix_depth"] is None
-        assert document["meta"]["locality"] is True
         execution = document["timing"]["execution"]
         assert execution["prefix_tree"]["enabled"]
         assert execution["prefix_tree"]["planned_scenarios"] == 6
         assert execution["workers"]  # per-worker cache counters present
 
-    def test_prefix_depth_zero_keeps_digests_and_disables_tree(
-            self, tmp_path, capsys):
-        tree_on = tmp_path / "on.json"
-        tree_off = tmp_path / "off.json"
-        base = ["campaign", "--suite", "chaos", "--scenarios", "4",
-                "--mtfs", "8", "--shared-seed", "--shared-faults", "2"]
-        assert main(base + ["--json", str(tree_on)]) == 0
-        assert main(base + ["--prefix-depth", "0", "--no-locality",
-                            "--json", str(tree_off)]) == 0
-        capsys.readouterr()
-        on_doc = json.loads(tree_on.read_text())
-        off_doc = json.loads(tree_off.read_text())
-        assert on_doc["aggregate"] == off_doc["aggregate"]
-        assert not off_doc["timing"]["execution"]["prefix_tree"]["enabled"]

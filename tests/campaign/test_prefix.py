@@ -10,7 +10,6 @@ from repro.campaign.prefix import (
     PREFIX_QUANTUM,
     SnapshotCache,
     build_divergence_trie,
-    divergence_tick,
     prefix_key,
     prefix_levels,
     run_with_prefix_cache,
@@ -49,22 +48,6 @@ class TestScenarioFingerprint:
             scenario_fingerprint(scenario())
 
 
-class TestDivergenceTick:
-    def test_fault_free_scenario_diverges_at_the_horizon(self):
-        assert divergence_tick(scenario(ticks=5 * MTF)) == 5 * MTF
-
-    def test_earliest_fault_or_command_wins(self):
-        both = scenario(
-            faults=((3 * MTF, MemoryViolationFault("P2")),),
-            commands=((2 * MTF + 7, "chi2"),))
-        assert divergence_tick(both) == 2 * MTF + 7
-
-    def test_clamped_to_the_horizon(self):
-        late = scenario(ticks=MTF,
-                        faults=((9 * MTF, MemoryViolationFault("P2")),))
-        assert divergence_tick(late) == MTF
-
-
 class TestSnapshotCache:
     def test_get_put_round_trip_and_counters(self):
         cache = SnapshotCache(capacity=4)
@@ -73,7 +56,7 @@ class TestSnapshotCache:
         assert cache.get("fp", 1024) == b"payload"
         assert cache.get("fp", 2048) is None
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 2,
-                                 "stores": 1, "refreshes": 0, "rejects": 0,
+                                 "stores": 1, "refreshes": 0,
                                  "evictions": 0, "fallbacks": 0,
                                  "total_bytes": 7, "stored_bytes": 7,
                                  "hit_bytes": 7, "evicted_bytes": 0}
@@ -122,92 +105,12 @@ class TestSnapshotCache:
         memoized = cache.get_snapshot("fp", 512)
         assert memoized is not late and memoized.tick == late.tick
 
-    def test_oversize_payload_rejected_not_thrashed(self):
-        """An entry bigger than max_bytes must never evict the world.
-
-        Historically an oversize put evicted every entry *including
-        itself*, so each later lookup missed, rebuilt and re-evicted —
-        permanent thrash.  Now it is rejected outright and counted.
-        """
-        cache = SnapshotCache(capacity=16, max_bytes=8)
-        cache.put("a", 0, b"aaaa")
-        cache.put("b", 0, b"bbbb")
-        assert cache.put("big", 0, b"x" * 9) is False
-        assert cache.rejects == 1
-        assert cache.evictions == 0          # nobody was collateral damage
-        assert cache.get("big", 0) is None
-        assert cache.get("a", 0) == b"aaaa"  # survivors intact
-        assert cache.get("b", 0) == b"bbbb"
-        assert cache.total_bytes == 8
-        # ...and an in-budget put still evicts normally (True = stored).
-        assert cache.put("c", 0, b"cccc") is True
-        assert cache.evictions == 1
-
-    def test_oversize_rejection_meters_the_compressed_size(self):
-        cache = SnapshotCache(max_bytes=64, compress_level=9)
-        # 1 KiB of zeros deflates far below the 64-byte budget.
-        assert cache.put("fp", 0, b"\x00" * 1024) is True
-        assert cache.rejects == 0
-
-    def test_best_prefix_picks_the_longest_at_or_before(self):
-        cache = SnapshotCache()
-        cache.put("fp", 1024, b"short")
-        cache.put("fp", 3072, b"long")
-        cache.put("other", 4096, b"foreign")
-        assert cache.best_prefix("fp", 5000) == (3072, b"long")
-        assert cache.best_prefix("fp", 2000) == (1024, b"short")
-        assert cache.best_prefix("fp", 100) is None
-        assert cache.best_prefix("missing", 5000) is None
-        # advisory: no hit/miss accounting
-        assert cache.hits == 0 and cache.misses == 0
-
-    def test_best_prefix_ignores_recency_when_ranking(self):
-        """The longest prefix wins even if a shorter one is hotter."""
-        cache = SnapshotCache()
-        cache.put("fp", 3072, b"long")
-        cache.put("fp", 1024, b"short")
-        cache.get("fp", 1024)  # make the short prefix most-recent
-        assert cache.best_prefix("fp", 5000) == (3072, b"long")
-
-    def test_best_prefix_touches_the_winners_lru_recency(self):
-        """An entry still seeding builds must not be the next eviction."""
-        cache = SnapshotCache(capacity=2)
-        cache.put("fp", 1024, b"seed")
-        cache.put("other", 0, b"noise")
-        assert cache.best_prefix("fp", 5000) == (1024, b"seed")
-        cache.put("third", 0, b"third")  # evicts "other", not the seed
-        assert cache.get("fp", 1024) == b"seed"
-        assert cache.get("other", 0) is None
-
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
             SnapshotCache(capacity=0)
 
-    def test_byte_bound_evicts_in_lru_order(self):
-        cache = SnapshotCache(capacity=16, max_bytes=8)
-        cache.put("a", 0, b"aaaa")
-        cache.put("b", 0, b"bbbb")
-        assert cache.total_bytes == 8
-        assert cache.get("a", 0) == b"aaaa"  # refresh a's recency
-        cache.put("c", 0, b"cc")             # over budget: evicts b, not a
-        assert cache.get("b", 0) is None
-        assert cache.get("a", 0) == b"aaaa"
-        assert cache.get("c", 0) == b"cc"
-        assert cache.evictions == 1
-        assert cache.evicted_bytes == 4
-        assert cache.total_bytes == 6
-
-    def test_byte_bound_evicts_until_within_budget(self):
-        cache = SnapshotCache(capacity=16, max_bytes=10)
-        cache.put("a", 0, b"aaaa")
-        cache.put("b", 0, b"bbbb")
-        cache.put("c", 0, b"cccccccc")  # 8 bytes: both older entries go
-        assert cache.evictions == 2
-        assert cache.total_bytes == 8
-        assert cache.get("c", 0) == b"cccccccc"
-
     def test_byte_counters_in_stats_sidecar(self):
-        cache = SnapshotCache(capacity=2, max_bytes=None)
+        cache = SnapshotCache(capacity=2)
         cache.put("a", 0, b"12345")
         cache.get("a", 0)
         cache.get("a", 0)
@@ -216,25 +119,22 @@ class TestSnapshotCache:
         assert stats["hit_bytes"] == 10
         assert stats["total_bytes"] == 5
 
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError, match="max_bytes"):
-            SnapshotCache(max_bytes=0)
-        with pytest.raises(ValueError, match="compress_level"):
-            SnapshotCache(compress_level=11)
-
 
 class TestRunWithPrefixCache:
     def make(self, scenario_id, fault_tick, *, ticks=6 * MTF):
         return scenario(scenario_id, ticks=ticks,
                         faults=((fault_tick, MemoryViolationFault("P2")),))
 
-    def test_result_matches_cold_run_and_reports_the_fork(self):
-        from repro.campaign.runner import run_scenario
+    def plan(self, spec, sibling):
+        """*spec*'s slice of the trie planned over *spec* and *sibling*."""
+        return build_divergence_trie([spec, sibling])[spec.scenario_id]
 
+    def test_result_matches_cold_run_and_reports_the_fork(self):
         spec = self.make("warm", 4 * MTF + 50)
+        plan = self.plan(spec, self.make("sibling", 5 * MTF))
         cache = SnapshotCache()
-        seeded = run_with_prefix_cache(spec, cache)   # seeds the cache
-        warm = run_with_prefix_cache(spec, cache)     # forks from it
+        seeded = run_with_prefix_cache(spec, cache, plan=plan)  # seeds
+        warm = run_with_prefix_cache(spec, cache, plan=plan)    # forks
         cold = run_scenario(spec)
         assert cold.forked_at_tick == -1
         assert warm.forked_at_tick == \
@@ -245,20 +145,13 @@ class TestRunWithPrefixCache:
         assert cache.stats()["hits"] == 1
         assert cache.stats()["stores"] == 1
 
-    def test_quantum_sharing_one_entry_many_forks(self):
-        cache = SnapshotCache()
-        specs = [self.make(f"q{i}", 4 * MTF + i * 7) for i in range(4)]
-        for spec in specs:
-            run_with_prefix_cache(spec, cache)
-        # All four divergence ticks quantize into the same snapshot tick:
-        # one store, three hits.
-        assert cache.stats()["stores"] == 1
-        assert cache.stats()["hits"] == 3
-
     def test_short_prefix_degrades_to_a_cold_run(self):
         spec = self.make("early", MIN_PREFIX_TICKS // 2)
+        plan = self.plan(spec, self.make("sibling", MIN_PREFIX_TICKS // 2
+                                         + 1))
+        assert plan.capture_levels == ()
         cache = SnapshotCache()
-        result = run_with_prefix_cache(spec, cache)
+        result = run_with_prefix_cache(spec, cache, plan=plan)
         assert result.ok
         assert result.forked_at_tick == -1
         assert len(cache) == 0
@@ -266,49 +159,18 @@ class TestRunWithPrefixCache:
     def test_prefix_failure_degrades_to_a_cold_run(self, monkeypatch):
         from repro.kernel.snapshot import SimulatorSnapshot
 
-        def broken_capture(cls, sim):
+        def broken_capture(cls, sim, extras=None):
             raise RuntimeError("capture exploded")
 
         monkeypatch.setattr(SimulatorSnapshot, "capture",
                             classmethod(broken_capture))
         spec = self.make("degraded", 4 * MTF)
+        plan = self.plan(spec, self.make("sibling", 5 * MTF))
         cache = SnapshotCache()
-        result = run_with_prefix_cache(spec, cache)
+        result = run_with_prefix_cache(spec, cache, plan=plan)
         assert result.ok
         assert result.forked_at_tick == -1
         assert cache.stats()["fallbacks"] == 1
-
-    def test_rejects_nonpositive_quantum(self):
-        with pytest.raises(ValueError, match="quantum"):
-            run_with_prefix_cache(self.make("s", 4 * MTF),
-                                  SnapshotCache(), quantum=0)
-
-    def test_extending_a_shorter_prefix_matches_a_cold_build(self):
-        """best_prefix extension: digests identical to building from cold.
-
-        Seed the cache with a short prefix (early divergence), then run a
-        scenario whose divergence is later: its prefix is built by
-        extending the short entry, and both the extended run and a
-        subsequent fork of the new entry must match the cold run
-        byte-for-byte.
-        """
-        cache = SnapshotCache()
-        early = self.make("early", 2 * MTF + 10)
-        run_with_prefix_cache(early, cache)
-        short_tick = (2 * MTF + 10) // PREFIX_QUANTUM * PREFIX_QUANTUM
-        assert cache.stats()["stores"] == 1
-        late = self.make("late", 5 * MTF + 10)
-        extended = run_with_prefix_cache(late, cache)
-        long_tick = (5 * MTF + 10) // PREFIX_QUANTUM * PREFIX_QUANTUM
-        assert cache.stats()["stores"] == 2  # the extension was cached...
-        forked = run_with_prefix_cache(late, cache)  # ...and is forkable
-        cold = run_scenario(late)
-        assert extended.to_dict() == cold.to_dict()
-        assert forked.to_dict() == cold.to_dict()
-        assert forked.forked_at_tick == long_tick
-        # both prefixes remain individually addressable
-        assert cache.best_prefix(scenario_fingerprint(late),
-                                 short_tick)[0] == short_tick
 
 
 class TestPrefixKey:

@@ -221,10 +221,10 @@ def deterministic(results):
 
 class TestPrefixTreeDigestEquality:
     """The divergence-trie acceptance gate: over a deep shared-fault
-    chaos campaign, the deterministic report is byte-identical across
-    {tree on, tree off} x {serial, pooled at 1/2/4 workers} x dispatch
-    variants — the trie, locality grouping and shared-memory transport
-    are pure optimizations."""
+    chaos campaign, the deterministic report is byte-identical to the
+    cold reference (cache off) serially and pooled at 2/4 workers — the
+    trie, locality grouping and shared-memory transport are pure
+    optimizations."""
 
     @pytest.fixture(scope="class")
     def shared_chaos(self):
@@ -236,8 +236,7 @@ class TestPrefixTreeDigestEquality:
 
     @pytest.fixture(scope="class")
     def tree_off_report(self, shared_chaos):
-        # prefix_depth=0 is the exact PR 5 root-only path.
-        return deterministic(run_serial(shared_chaos, prefix_depth=0))
+        return deterministic(run_serial(shared_chaos, prefix_cache=False))
 
     def test_serial_tree_on_matches_tree_off(self, shared_chaos,
                                              tree_off_report):
@@ -251,20 +250,20 @@ class TestPrefixTreeDigestEquality:
         assert max(r.forked_at_tick for r in results) > 2 * MTF
 
     @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("prefix_depth", [None, 0])
     def test_pooled_digests_match_at_any_worker_count(
-            self, shared_chaos, tree_off_report, workers, prefix_depth):
-        pooled = run_campaign(shared_chaos, workers=workers,
-                              prefix_depth=prefix_depth)
+            self, shared_chaos, tree_off_report, workers):
+        pooled = run_campaign(shared_chaos, workers=workers)
         assert deterministic(pooled) == tree_off_report
 
-    def test_locality_off_matches_too(self, shared_chaos, tree_off_report):
-        pooled = run_pool(shared_chaos, workers=2, locality=False)
-        assert deterministic(pooled) == tree_off_report
+    def test_shm_off_matches_too(self, shared_chaos, tree_off_report,
+                                 monkeypatch):
+        from repro.campaign import runner
 
-    def test_shm_off_matches_too(self, shared_chaos, tree_off_report):
-        pooled = run_pool(shared_chaos, workers=2, shm=False)
+        monkeypatch.setattr(runner, "shm_available", lambda: False)
+        telemetry = {}
+        pooled = run_pool(shared_chaos, workers=2, telemetry=telemetry)
         assert deterministic(pooled) == tree_off_report
+        assert not telemetry["shm"]["enabled"]
 
     def test_chunksize_never_changes_the_report(self, shared_chaos,
                                                 tree_off_report):

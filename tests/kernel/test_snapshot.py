@@ -275,7 +275,7 @@ class TestSnapshotGuards:
 
 
 class TestSerializationTiers:
-    """to_bytes/from_bytes variants: zlib tier and protocol-5 buffers."""
+    """to_bytes/from_bytes and the protocol-5 out-of-band buffers."""
 
     def capture(self):
         sim, config = build_sim()
@@ -286,17 +286,6 @@ class TestSerializationTiers:
         sim = snapshot.restore(config)
         sim.run_fast(2 * MTF - sim.now)
         return sim.trace.digest()
-
-    def test_zlib_tier_round_trips_bit_identically(self):
-        snapshot, config = self.capture()
-        plain = snapshot.to_bytes()
-        packed = snapshot.to_bytes(compress=6)
-        assert packed[:1] == b"\x78"  # zlib magic; sniffed by from_bytes
-        assert len(packed) < len(plain)
-        expected = self.continuation_digest(
-            SimulatorSnapshot.from_bytes(plain), config)
-        assert self.continuation_digest(
-            SimulatorSnapshot.from_bytes(packed), config) == expected
 
     def test_out_of_band_buffers_round_trip(self):
         snapshot, config = self.capture()
@@ -314,8 +303,6 @@ class TestSerializationTiers:
         snapshot = SimulatorSnapshot.capture(sim, extras=extras)
         assert SimulatorSnapshot.from_bytes(
             snapshot.to_bytes()).extras == extras
-        assert SimulatorSnapshot.from_bytes(
-            snapshot.to_bytes(compress=6)).extras == extras
         main, buffers = snapshot.to_buffers()
         assert SimulatorSnapshot.from_buffers(main, buffers).extras \
             == extras
@@ -332,22 +319,6 @@ class TestSerializationTiers:
             extras={"arbitrary": "payload"})
         assert self.continuation_digest(tagged, config) == \
             self.continuation_digest(snapshot, config)
-
-    def test_cache_compression_tier_is_transparent(self):
-        from repro.campaign.prefix import SnapshotCache
-
-        snapshot, config = self.capture()
-        payload = snapshot.to_bytes()
-        cache = SnapshotCache(capacity=2, compress_level=6)
-        cache.put("fp", snapshot.tick, payload)
-        stored = cache.get("fp", snapshot.tick)
-        assert stored is not None and stored[:1] == b"\x78"
-        assert len(stored) < len(payload)
-        assert cache.total_bytes == len(stored)
-        live = cache.get_snapshot("fp", snapshot.tick)
-        assert self.continuation_digest(live, config) == \
-            self.continuation_digest(
-                SimulatorSnapshot.from_bytes(payload), config)
 
 
 def _restore_in_child(payload_and_ticks):
