@@ -16,8 +16,8 @@ Three suites over the campaign engine (``repro.campaign``):
   {serial, pooled x {1, 2, 4}} x {cache on, cache off}, against the
   serial cold reference.  Speedup floor: >= 2x ticks/sec over the
   root-only baseline, serial.  Per-worker prefix-cache hit rates and
-  shared-memory attach counts ride in the artifact's nondeterministic
-  ``meta`` sidecar.
+  store counts (the parent's pre-build is its own ``prebuild`` entry)
+  ride in the artifact's nondeterministic ``meta`` sidecar.
 
 * **telemetry** (E21) — the E15 fault-matrix workload pooled with the
   campaign telemetry bus fully enabled (live streaming to a discarding
@@ -180,7 +180,7 @@ def assert_digest_matrix(campaign, *, worker_counts=(1, 2, 4)) -> int:
 
 
 def _worker_sidecar(telemetry: Dict) -> Dict:
-    """Per-worker hit rates + shm attach counts (nondeterministic)."""
+    """Per-worker prefix-cache hit rates and stores (nondeterministic)."""
     workers = {}
     for pid, stats in (telemetry.get("workers") or {}).items():
         cache = stats.get("prefix_cache") or {}
@@ -190,12 +190,10 @@ def _worker_sidecar(telemetry: Dict) -> Dict:
             "prefix_misses": cache.get("misses", 0),
             "prefix_hit_rate": round(cache.get("hits", 0) / lookups, 3)
             if lookups else None,
-            "shm_attaches": (stats.get("shm") or {}).get("attaches", 0),
-            "shm_publishes": (stats.get("shm") or {}).get("publishes", 0),
+            "prefix_stores": cache.get("stores", 0),
         }
     return {"workers": workers,
-            "prefix_tree": telemetry.get("prefix_tree"),
-            "shm": telemetry.get("shm")}
+            "prefix_tree": telemetry.get("prefix_tree")}
 
 
 def run_prefix_benchmark(*, scenarios: int = PREFIX_SCENARIOS,

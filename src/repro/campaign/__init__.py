@@ -23,7 +23,6 @@ from .results import (
     render_summary,
     report_json,
 )
-from .shm import SnapshotTransport, shm_available
 from .runner import (
     autodetect_workers,
     run_campaign,
@@ -48,7 +47,6 @@ __all__ = [
     "ScenarioArtifacts", "write_scenario_artifacts",
     "PrefixPlan", "SnapshotCache", "build_divergence_trie", "prefix_key",
     "run_with_prefix_cache", "scenario_fingerprint",
-    "SnapshotTransport", "shm_available",
     "ScenarioResult", "aggregate", "canonical_execution_telemetry",
     "deterministic_report", "render_summary", "report_json",
     "autodetect_workers", "run_campaign", "run_pool", "run_scenario",

@@ -29,10 +29,11 @@ This module removes that redundancy at every level of the divergence tree:
   :class:`~repro.kernel.snapshot.SimulatorSnapshot` payloads, keyed by
   ``(prefix key, tick)``;
 * :func:`run_with_prefix_cache` — the scenario executor: fork from the
-  deepest cached checkpoint on the scenario's plan (local cache first,
-  then an optional shared-memory transport), build and publish any
+  deepest cached checkpoint on the scenario's plan, build and cache any
   missing checkpoints on the way down, and run the scenario's divergent
-  suffix from the fork.  An empty plan is a plain cold run.
+  suffix from the fork.  An empty plan is a plain cold run.  Pool
+  workers start from the parent's cache, pre-built with every split
+  group's chain (:func:`~repro.campaign.runner.run_pool`).
 
 Correctness rests on the snapshot layer's bit-identity contract (tested by
 the fork-equivalence matrix): a forked run's trace digest, metrics and
@@ -156,21 +157,19 @@ class PrefixPlan:
         return tuple(reversed(self.capture_levels))
 
 
-def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM,
-                  max_depth: Optional[int] = None
+def prefix_levels(scenario: Scenario, *, max_depth: Optional[int] = None
                   ) -> List[Tuple[int, str, Ticks]]:
     """Enumerate the scenario's usable fork levels.
 
     Level *d* means "the first *d* timeline events applied"; its boundary
     is the ``d``-th event's tick (the horizon past the last event) and its
-    candidate capture tick is that boundary quantized down to *quantum*.
+    candidate capture tick is that boundary quantized down to
+    :data:`PREFIX_QUANTUM`.
     A level is usable when the capture tick clears
     :data:`MIN_PREFIX_TICKS` and does not quantize below the last applied
     event (the checkpoint must sit *after* everything it claims to have
     applied).  *max_depth* truncates the enumeration (``0`` = root only).
     """
-    if quantum < 1:
-        raise ValueError(f"quantum must be >= 1, got {quantum}")
     if getattr(scenario, "is_constellation", False):
         # A constellation has no single-simulator prefix to checkpoint:
         # N snapshots plus fabric/protocol state is not a
@@ -186,7 +185,7 @@ def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM,
     for depth in range(limit + 1):
         boundary = events[depth][0] if depth < len(events) else horizon
         boundary = min(boundary, horizon)
-        snap = (boundary // quantum) * quantum
+        snap = (boundary // PREFIX_QUANTUM) * PREFIX_QUANTUM
         if snap < MIN_PREFIX_TICKS:
             continue
         if depth and snap < events[depth - 1][0]:
@@ -196,7 +195,6 @@ def prefix_levels(scenario: Scenario, *, quantum: Ticks = PREFIX_QUANTUM,
 
 
 def build_divergence_trie(scenarios: Sequence[Scenario], *,
-                          quantum: Ticks = PREFIX_QUANTUM,
                           max_depth: Optional[int] = None
                           ) -> Dict[str, PrefixPlan]:
     """Plan the campaign's shared checkpoints: scenario id -> PrefixPlan.
@@ -214,8 +212,7 @@ def build_divergence_trie(scenarios: Sequence[Scenario], *,
     per_scenario: Dict[str, List[Tuple[int, str, Ticks]]] = {}
     boundaries: Dict[str, List[Ticks]] = {}
     for scenario in scenarios:
-        levels = prefix_levels(scenario, quantum=quantum,
-                               max_depth=max_depth)
+        levels = prefix_levels(scenario, max_depth=max_depth)
         per_scenario[scenario.scenario_id] = levels
         for _, key, snap in levels:
             boundaries.setdefault(key, []).append(snap)
@@ -266,7 +263,9 @@ class SnapshotCache:
 
     All counters (including the byte totals) describe cache behaviour
     only — they belong to the nondeterministic reporting sidecar, never
-    to campaign digests.
+    to campaign digests.  :meth:`reset_counters` zeroes the flow
+    counters while keeping the entries, so a cache handed to a pool
+    worker reports only that worker's work.
     """
 
     #: The fixed key set :meth:`stats` emits.  The governed telemetry
@@ -281,16 +280,15 @@ class SnapshotCache:
         self.capacity = capacity
         # key -> [payload bytes, memoized SimulatorSnapshot or None]
         self._entries: "OrderedDict[Tuple[str, Ticks], list]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.refreshes = 0
-        self.evictions = 0
-        self.fallbacks = 0
         self.total_bytes = 0
-        self.stored_bytes = 0
-        self.hit_bytes = 0
-        self.evicted_bytes = 0
+        self.reset_counters()
+
+    def reset_counters(self) -> None:
+        """Zero every counter except the two describing the current
+        contents (``entries`` and ``total_bytes``)."""
+        self.hits = self.misses = self.stores = self.refreshes = 0
+        self.evictions = self.fallbacks = 0
+        self.stored_bytes = self.hit_bytes = self.evicted_bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -320,17 +318,6 @@ class SnapshotCache:
             self.evictions += 1
             self.total_bytes -= len(evicted[0])
             self.evicted_bytes += len(evicted[0])
-
-    def get(self, fingerprint: str, tick: Ticks) -> Optional[bytes]:
-        """Exact payload lookup; counts a hit or miss, refreshes recency."""
-        entry = self._entries.get((fingerprint, tick))
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self.hit_bytes += len(entry[0])
-        self._entries.move_to_end((fingerprint, tick))
-        return entry[0]
 
     def get_snapshot(self, fingerprint: str,
                      tick: Ticks) -> Optional[SimulatorSnapshot]:
@@ -391,19 +378,14 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                        base_snapshot: Optional[SimulatorSnapshot],
                        base_depth: int, *,
                        cycle_cache: Optional[bool] = None,
-                       check_interval: int,
-                       transport=None) -> Optional[SimulatorSnapshot]:
-    """Build, cache and publish the plan's missing checkpoints.
+                       check_interval: int) -> Optional[SimulatorSnapshot]:
+    """Build and cache the plan's missing checkpoints.
 
     Starts from *base_snapshot* (the checkpoint at *base_depth*), else
     cold; schedules timeline events incrementally so a checkpoint at
     level *d* has exactly the first *d* events applied and nothing deeper
-    pending.  Each level boundary re-checks the shared-memory *transport*
-    before simulating toward it, so workers racing through the same chain
-    converge onto the first publisher's checkpoints instead of all
-    building the full chain.  Returns the deepest checkpoint reached (or
-    *base_snapshot* if nothing new was needed); returns None to degrade
-    on any failure.
+    pending.  Returns the deepest checkpoint reached (or *base_snapshot*
+    if nothing new was needed); returns None to degrade on any failure.
     """
     try:
         config = scenario.build_config()
@@ -415,18 +397,6 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
         for depth, key, tick in plan.capture_levels:
             if depth <= base_depth:
                 continue  # at or behind the starting checkpoint
-            if transport is not None:
-                # Re-check shared memory at every level boundary: a
-                # sibling worker racing through the same chain may have
-                # published this checkpoint while we were simulating the
-                # shallower span — attach and jump instead of rebuilding.
-                fetched = transport.fetch(key, tick)
-                if fetched is not None:
-                    simulator, injector = _resume(
-                        fetched, config, cycle_cache=cycle_cache)
-                    cursor = depth
-                    deepest = fetched
-                    continue
             for event_tick, fault in events[cursor:depth]:
                 injector.schedule(event_tick, fault)
             cursor = depth
@@ -435,8 +405,6 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
             snapshot = SimulatorSnapshot.capture(
                 simulator, extras={"injector": injector.state_dict()})
             cache.put(key, tick, snapshot.to_bytes(), snapshot)
-            if transport is not None:
-                transport.publish(key, tick, snapshot)
             deepest = snapshot
         return deepest
     except Exception:  # noqa: BLE001 — degrade to whatever we had
@@ -446,31 +414,25 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
 
 def _fork_snapshot(scenario: Scenario, cache: SnapshotCache,
                    plan: PrefixPlan, *, cycle_cache: Optional[bool],
-                   check_interval: int,
-                   transport=None) -> Optional[SimulatorSnapshot]:
+                   check_interval: int) -> Optional[SimulatorSnapshot]:
     """The checkpoint *scenario* forks from under *plan*, or None (cold).
 
-    Walks the plan's fork levels deepest-first — local *cache*, then the
-    optional shared-memory *transport* (an object with ``fetch(key,
-    tick) -> snapshot|None`` and ``publish(key, tick, snapshot)``) — and,
-    unless the deepest level was found, builds, caches and publishes
-    every missing checkpoint below the deepest one found (from cold when
-    none was).  An empty plan needs no checkpoint.
+    Walks the plan's fork levels deepest-first through *cache* and,
+    unless the deepest level was found, builds and caches every missing
+    checkpoint below the deepest one found (from cold when none was).
+    An empty plan needs no checkpoint.
     """
     snapshot = None
     found_depth = -1
     for depth, key, tick in plan.fork_levels:
         snapshot = cache.get_snapshot(key, tick)
-        if snapshot is None and transport is not None:
-            snapshot = transport.fetch(key, tick)
         if snapshot is not None:
             found_depth = depth
             break
     if plan.capture_levels and found_depth < plan.capture_levels[-1][0]:
         built = _build_plan_levels(
             scenario, cache, plan, snapshot, found_depth,
-            cycle_cache=cycle_cache, check_interval=check_interval,
-            transport=transport)
+            cycle_cache=cycle_cache, check_interval=check_interval)
         if built is not None:
             snapshot = built
     return snapshot
@@ -481,16 +443,14 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
                           timeout_s: Optional[float] = None,
                           check_interval: int = 20_000,
                           cycle_cache: Optional[bool] = None,
-                          transport=None,
                           publisher=None,
                           artifacts=None):
     """Run *scenario* from the checkpoint its *plan* names in *cache*.
 
     *plan* is the scenario's slice of :func:`build_divergence_trie`;
     :func:`_fork_snapshot` finds or builds the deepest checkpoint on it
-    (through the optional shared-memory *transport* too) and the
-    scenario's divergent suffix runs from there.  An empty plan is a
-    cold run.
+    and the scenario's divergent suffix runs from there.  An empty plan
+    is a cold run.
 
     Prefix construction failures degrade to an uncached cold run: the
     cache is an optimization, never a correctness dependency.
@@ -504,8 +464,7 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
 
     snapshot = _fork_snapshot(scenario, cache, plan,
                               cycle_cache=cycle_cache,
-                              check_interval=check_interval,
-                              transport=transport)
+                              check_interval=check_interval)
     return run_scenario(scenario, timeout_s=timeout_s,
                         check_interval=check_interval,
                         from_snapshot=snapshot,

@@ -31,7 +31,7 @@ __all__ = [
 #: The fixed top-level key set of the canonicalized ``timing.execution``
 #: sidecar — every key always present (None when the runner produced no
 #: such section), so sidecar diffs across runs compare like for like.
-EXECUTION_TELEMETRY_KEYS = ("prefix_tree", "shm", "telemetry_stream",
+EXECUTION_TELEMETRY_KEYS = ("prefix_tree", "telemetry_stream",
                             "cycle_cache", "workers")
 
 #: Scenario completion states.
@@ -239,9 +239,9 @@ def report_json(results: Sequence[ScenarioResult], *,
     Without *include_timing* (and *meta*) the bytes depend only on the
     scenario results — the form the determinism tests compare.
     *telemetry* (the runner's execution-telemetry dict: divergence-trie
-    shape, per-worker cache counters, shared-memory transport stats,
-    telemetry-stream counters) is nondeterministic sidecar material and
-    only emitted with timing, in the stable key order of
+    shape, per-worker cache counters, telemetry-stream counters) is
+    nondeterministic sidecar material and only emitted with timing, in
+    the stable key order of
     :func:`canonical_execution_telemetry`.
     """
     document: Dict[str, Any] = deterministic_report(results)

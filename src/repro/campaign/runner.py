@@ -22,7 +22,10 @@ prefix it shares with others — the fault-free root and any interior level
 after shared faults — and the scenario forks from the deepest one instead
 of re-simulating it.  With the cache off every plan is empty, so both
 settings run through the same serial loop and the same locality-group
-pool dispatcher.  Forked runs are bit-identical to cold runs, so the
+pool dispatcher.  Checkpoints reach pool workers one way: the parent
+builds those of every group split across workers, and the pool
+initializer hands that cache to each worker.  Forked runs are
+bit-identical to cold runs, so the
 determinism invariant extends across the cache setting: same digests with
 it on or off.
 """
@@ -33,7 +36,7 @@ import multiprocessing
 import os
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..fault.injector import FaultInjector
 from ..fdir.oracle import check_trace
@@ -53,7 +56,6 @@ from .results import (
     ScenarioResult,
 )
 from .scenarios import Scenario
-from .shm import SnapshotTransport, shm_available
 
 __all__ = [
     "run_scenario",
@@ -310,27 +312,30 @@ def run_scenario(scenario: Scenario, *,
     return result
 
 
-#: Per-worker-process prefix cache, created lazily on the first group
-#: task and reused across every pool task the worker handles.
-#: Module-level so it survives between tasks in the same worker.
+#: Per-worker-process prefix cache, installed by the pool initializer
+#: (:func:`_init_worker`) and reused across every pool task the worker
+#: handles.  Module-level so it survives between tasks in the same worker.
 _WORKER_PREFIX_CACHE = None
 
-#: Per-worker-process shared-memory transport, keyed by the campaign run
-#: id so consecutive campaigns in one long-lived pool never cross-attach.
-_WORKER_TRANSPORT = None
-
-#: Per-worker-process telemetry wiring, installed by the pool initializer
-#: (:func:`_init_worker_telemetry`): ``(sink, campaign id)`` or None.
+#: Per-worker-process telemetry wiring, installed by the pool initializer:
+#: ``(sink, campaign id)`` or None.
 _WORKER_TELEMETRY = None
 
 #: Lazily built per-process :class:`TelemetryPublisher` over the wiring.
 _WORKER_PUBLISHER = None
 
 
-def _init_worker_telemetry(sink, campaign_id: str) -> None:
-    """Pool initializer: hand each worker the parent's telemetry sink."""
-    global _WORKER_TELEMETRY, _WORKER_PUBLISHER
-    _WORKER_TELEMETRY = (sink, campaign_id)
+def _init_worker(cache, telemetry) -> None:
+    """Pool initializer: install the parent's pre-built prefix *cache*
+    and its *telemetry* wiring (``(sink, campaign id)`` or None).
+
+    Under the fork start method initargs are inherited, not pickled, so
+    every worker starts from the parent's live snapshots copy-on-write;
+    under spawn the cache is pickled once per worker.
+    """
+    global _WORKER_PREFIX_CACHE, _WORKER_TELEMETRY, _WORKER_PUBLISHER
+    _WORKER_PREFIX_CACHE = cache
+    _WORKER_TELEMETRY = telemetry
     _WORKER_PUBLISHER = None
 
 
@@ -348,54 +353,34 @@ def _worker_publisher():
     return _WORKER_PUBLISHER
 
 
-def _worker_cache():
-    global _WORKER_PREFIX_CACHE
-    if _WORKER_PREFIX_CACHE is None:
-        _WORKER_PREFIX_CACHE = prefix.SnapshotCache()
-    return _WORKER_PREFIX_CACHE
-
-
-def _worker_transport(run_id: Optional[str]):
-    global _WORKER_TRANSPORT
-    if run_id is None:
-        return None
-    if _WORKER_TRANSPORT is None or _WORKER_TRANSPORT.run_id != run_id:
-        _WORKER_TRANSPORT = SnapshotTransport(run_id, probe=False)
-    return _WORKER_TRANSPORT
-
-
 def _group_worker(payload):
     """Run one locality group (scenarios sharing a prefix) in one worker.
 
     Returns ``(original indices, results, sidecar)`` — the parent
     reassembles results into campaign order by index, so dispatch order
     (``imap_unordered``) never reaches the deterministic report.  The
-    sidecar carries this worker's cumulative cache/transport counters
-    (keyed by pid on the parent side; later tasks from the same worker
-    simply overwrite with larger counts).
+    sidecar carries this worker's cumulative cache counters (keyed by
+    pid on the parent side; later tasks from the same worker simply
+    overwrite with larger counts).
     """
     (indices, group, plans, timeout_s, check_interval, cycle_cache,
-     run_id, artifacts) = payload
-    cache = _worker_cache()
-    transport = _worker_transport(run_id)
+     artifacts) = payload
+    cache = _WORKER_PREFIX_CACHE
     publisher = _worker_publisher()
     results = [
         prefix.run_with_prefix_cache(
             scenario, cache, plan=plan, timeout_s=timeout_s,
             check_interval=check_interval, cycle_cache=cycle_cache,
-            transport=transport, publisher=publisher, artifacts=artifacts)
+            publisher=publisher, artifacts=artifacts)
         for scenario, plan in zip(group, plans)]
     sidecar = {"pid": os.getpid(),
                "prefix_cache": cache.stats(),
-               "shm": transport.stats() if transport is not None else None,
                "cycle_cache": dict(_CYCLE_CACHE_TOTALS)
                if _CYCLE_CACHE_TOTALS is not None else None}
     if publisher is not None:
         # Cumulative counters per task; the log consumer reads the last
         # event per (worker, stat) topic as the worker's final value.
         publisher.cache_stats(cache.stats())
-        if transport is not None:
-            publisher.shm_stats(transport.stats())
         if _CYCLE_CACHE_TOTALS is not None:
             publisher.cycle_cache_stats(_CYCLE_CACHE_TOTALS)
     return indices, results, sidecar
@@ -466,7 +451,7 @@ def run_serial(scenarios: Sequence[Scenario], *,
     if telemetry is not None:
         telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_cache)
         telemetry["workers"] = {
-            "serial": {"prefix_cache": cache.stats(), "shm": None}}
+            "serial": {"prefix_cache": cache.stats()}}
         _serial_cycle_telemetry(telemetry, cycle_before, cycle_cache)
     if publisher is not None:
         publisher.cache_stats(cache.stats())
@@ -536,20 +521,22 @@ def run_pool(scenarios: Sequence[Scenario], *,
     (default: each group split across the worker count).  At one worker
     (or one scenario) this is :func:`run_serial`.
 
-    Where the platform has the fork start method
-    (:func:`~repro.campaign.shm.shm_available`) and some plan has
-    checkpoints, they also travel across the pool through
-    ``multiprocessing.shared_memory``: the parent pre-builds and
-    publishes the chain of every group split across multiple workers (so
-    its workers start with a zero-copy attach instead of racing to
-    cold-build the same chain), and workers publish whatever they build
-    so later chunks attach instead of rebuilding.  Every transport
-    failure degrades to a per-worker build.
+    Checkpoints reach the workers one way: the parent pre-builds the
+    chain of every group split across several workers into one
+    :class:`~repro.campaign.prefix.SnapshotCache`, and the pool
+    initializer installs that cache as each worker's own, so the
+    workers sharing a group fork from it instead of racing each other
+    to cold-build the same chain.  Under the fork start method the
+    workers inherit the live snapshots copy-on-write; under spawn the
+    cache is pickled once per worker.  Single-chunk groups are not
+    pre-built: their one worker builds the chain exactly once anyway.
+    Worker cache counters start from zero; the pre-build's own counters
+    are the ``prebuild`` entry of *telemetry*'s ``workers`` section.
 
     Worker crashes are absorbed inside :func:`run_scenario`; only an
     interpreter-level death (signal, OOM kill) can still fail the pool.
-    Each worker process keeps its own prefix cache (snapshots are cheap
-    to hold, and sharing one across processes would serialize on it).
+    From the hand-off on, each worker process keeps its own copy of the
+    cache (sharing one across processes would serialize on it).
     """
     if workers is None:
         workers = autodetect_workers()
@@ -563,15 +550,6 @@ def run_pool(scenarios: Sequence[Scenario], *,
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn")
-    # Telemetry: the aggregator owns a queue in this (parent) process and
-    # drains it on a daemon thread, so events stream live even while the
-    # blocking imap call below is in flight; workers receive the queue
-    # sink through the pool initializer.
-    initializer = None
-    initargs: Tuple = ()
-    if bus is not None:
-        initializer = _init_worker_telemetry
-        initargs = (bus.start(context), bus.campaign_id)
     plans = _plan_campaign(scenarios, prefix_cache)
 
     # Locality-aware dispatch: group scenarios by their deepest shared
@@ -582,86 +560,57 @@ def run_pool(scenarios: Sequence[Scenario], *,
         key = plans[scenario.scenario_id].group_key
         groups.setdefault(key, []).append(index)
 
-    transport = None
-    run_id = None
-    if shm_available() and any(plan.capture_levels
-                               for plan in plans.values()):
-        transport = SnapshotTransport()  # parent: names + tracker probe
-        run_id = transport.run_id
-
     payloads = []
-    split_groups: List[str] = []
+    split_chains: List[Scenario] = []
     for key, indices in groups.items():
         cap = chunksize if chunksize else max(
             1, -(-len(indices) // workers))
         if len(indices) > cap:
-            split_groups.append(key)
+            split_chains.append(scenarios[indices[0]])
         for start in range(0, len(indices), cap):
             chunk = indices[start:start + cap]
             payloads.append((
                 tuple(chunk),
                 tuple(scenarios[i] for i in chunk),
                 tuple(plans[scenarios[i].scenario_id] for i in chunk),
-                timeout_s, check_interval, cycle_cache, run_id,
-                artifacts))
+                timeout_s, check_interval, cycle_cache, artifacts))
 
-    if transport is not None and split_groups:
-        # Pre-build each split group's checkpoint chain once in the
-        # parent and publish it, so the workers sharing that group all
-        # start with a guaranteed zero-copy attach instead of racing
-        # each other to cold-build the same chain (workers launched
-        # together would otherwise each miss every level before anyone
-        # has published it).  Single-chunk groups skip this: their one
-        # worker builds the chain exactly once anyway, and serializing
-        # that build into the parent would only delay dispatch.
-        prebuild_cache = prefix.SnapshotCache()
-        for key in split_groups:
-            scenario = scenarios[groups[key][0]]
-            prefix._fork_snapshot(scenario, prebuild_cache,
-                                  plans[scenario.scenario_id],
-                                  cycle_cache=cycle_cache,
-                                  check_interval=check_interval,
-                                  transport=transport)
+    cache = prefix.SnapshotCache()
+    for scenario in split_chains:
+        prefix._fork_snapshot(scenario, cache, plans[scenario.scenario_id],
+                              cycle_cache=cycle_cache,
+                              check_interval=check_interval)
+    prebuild_stats = cache.stats()
+    cache.reset_counters()
 
+    # Telemetry: the aggregator owns a queue in this (parent) process and
+    # drains it on a daemon thread, so events stream live even while the
+    # blocking imap call below is in flight; workers receive the queue
+    # sink through the pool initializer.
+    wiring = (bus.start(context), bus.campaign_id) if bus is not None \
+        else None
     results: List[Optional[ScenarioResult]] = [None] * len(scenarios)
     worker_stats: Dict[str, Dict] = {}
-    with context.Pool(processes=workers, initializer=initializer,
-                      initargs=initargs) as pool:
+    with context.Pool(processes=workers, initializer=_init_worker,
+                      initargs=(cache, wiring)) as pool:
         for indices, group_results, sidecar in pool.imap_unordered(
                 _group_worker, payloads, chunksize=1):
             for index, result in zip(indices, group_results):
                 results[index] = result
             worker_stats[str(sidecar["pid"])] = sidecar
-    unlinked = 0
-    if transport is not None:
-        unlinked = transport.unlink_all(
-            {(key, tick) for plan in plans.values()
-             for _, key, tick in plan.capture_levels})
     if telemetry is not None:
         telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_cache)
         telemetry["workers"] = {
             pid: {"prefix_cache": sidecar["prefix_cache"],
-                  "shm": sidecar["shm"],
                   "cycle_cache": sidecar.get("cycle_cache")}
             for pid, sidecar in sorted(worker_stats.items())}
+        telemetry["workers"]["prebuild"] = {"prefix_cache": prebuild_stats}
         cycle_totals: Dict[str, int] = {}
         for sidecar in worker_stats.values():
             for name, value in (sidecar.get("cycle_cache") or {}).items():
                 cycle_totals[name] = cycle_totals.get(name, 0) + value
         telemetry["cycle_cache"] = {
             "enabled": cycle_cache_armed(cycle_cache), **cycle_totals}
-        shm_totals: Dict[str, int] = {}
-        for sidecar in worker_stats.values():
-            for name, value in (sidecar["shm"] or {}).items():
-                shm_totals[name] = shm_totals.get(name, 0) + value
-        if transport is not None:
-            # Parent pre-build publishes count toward the totals too —
-            # without them "every existing segment was published exactly
-            # once" would look violated in the sidecar.
-            for name, value in transport.stats().items():
-                shm_totals[name] = shm_totals.get(name, 0) + value
-        telemetry["shm"] = {"enabled": transport is not None,
-                            "unlinked_segments": unlinked, **shm_totals}
     _close_bus(bus, results, telemetry)  # type: ignore[arg-type]
     return results  # type: ignore[return-value]
 

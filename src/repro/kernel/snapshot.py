@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..config.schema import SystemConfig
 from ..exceptions import SimulationError
@@ -177,13 +177,8 @@ class SimulatorSnapshot:
         sim.trace.restore(self.trace)
         return sim
 
-    def fork(self, config: SystemConfig, *,
-             cycle_cache: Optional[bool] = None) -> Simulator:
-        """Alias of :meth:`restore` — every call is an independent fork."""
-        return self.restore(config, cycle_cache=cycle_cache)
-
     # ------------------------------------------------------------ #
-    # process-boundary transport
+    # serialization
     # ------------------------------------------------------------ #
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -204,31 +199,6 @@ class SimulatorSnapshot:
         Pickle at the highest protocol; inverse: :meth:`from_bytes`.
         """
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def to_buffers(self) -> Tuple[bytes, List[bytes]]:
-        """Protocol-5 out-of-band form: ``(main stream, buffer list)``.
-
-        Any :class:`pickle.PickleBuffer`-able payloads inside the
-        snapshot state are carried as separate buffers instead of being
-        copied into the pickle stream — the zero-copy transport for
-        same-machine channels (shared memory, pipes with vectored I/O)
-        that can ship the buffers without re-serializing them.  Inverse:
-        :meth:`from_buffers`.
-        """
-        buffers: List[pickle.PickleBuffer] = []
-        main = pickle.dumps(self, protocol=5,
-                            buffer_callback=buffers.append)
-        return main, [buffer.raw().tobytes() for buffer in buffers]
-
-    @classmethod
-    def from_buffers(cls, main: bytes,
-                     buffers: List[bytes]) -> "SimulatorSnapshot":
-        """Inverse of :meth:`to_buffers`."""
-        snapshot = pickle.loads(main, buffers=buffers)
-        if not isinstance(snapshot, cls):
-            raise SimulationError(
-                f"payload does not contain a {cls.__name__}")
-        return snapshot
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "SimulatorSnapshot":

@@ -24,12 +24,8 @@ traces.  Distributions use nearest-rank percentiles (no interpolation).
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
-
-try:  # numpy-gated vectorization; every consumer has a pure-Python path
-    import numpy as _np
-except ImportError:  # pragma: no cover — the toolchain ships numpy
-    _np = None
 
 from ..kernel.trace import (
     DeadlineMissed,
@@ -70,49 +66,34 @@ COMPACT_METRIC_NAMES: Tuple[str, ...] = (
 )
 
 
-def percentile(values: Sequence[int], fraction: float) -> int:
-    """Nearest-rank percentile of *values* (must be non-empty)."""
-    ordered = sorted(values)
+def _rank(ordered: Sequence[int], fraction: float) -> int:
+    """Nearest-rank percentile of the sorted, non-empty *ordered*."""
     rank = max(1, -(-len(ordered) * fraction // 1))  # ceil without math
     return ordered[min(int(rank), len(ordered)) - 1]
+
+
+def percentile(values: Sequence[int], fraction: float) -> int:
+    """Nearest-rank percentile of *values* (must be non-empty)."""
+    return _rank(sorted(values), fraction)
 
 
 def distribution(values: Sequence[int]) -> Dict[str, int]:
     """Deterministic summary of an integer sample: count/sum/min/max/p50/p90/p99.
 
-    With numpy available the sample is sorted once as an ``int64`` array
-    and all seven quantities read off it; the pure-Python path computes
-    the same nearest-rank statistics (the vectorization equality test
-    pins byte-identical JSON between the two).
+    The sample is sorted once and all seven quantities read off it.
     """
     if not values:
         return {"count": 0, "sum": 0, "min": None, "max": None,
                 "p50": None, "p90": None, "p99": None}
-    if _np is not None:
-        ordered = _np.sort(_np.asarray(values, dtype=_np.int64))
-        count = len(ordered)
-
-        def rank(fraction: float) -> int:
-            position = max(1, -(-count * fraction // 1))
-            return int(ordered[min(int(position), count) - 1])
-
-        return {
-            "count": count,
-            "sum": int(ordered.sum(dtype=_np.int64)),
-            "min": int(ordered[0]),
-            "max": int(ordered[-1]),
-            "p50": rank(0.50),
-            "p90": rank(0.90),
-            "p99": rank(0.99),
-        }
+    ordered = sorted(values)
     return {
-        "count": len(values),
-        "sum": sum(values),
-        "min": min(values),
-        "max": max(values),
-        "p50": percentile(values, 0.50),
-        "p90": percentile(values, 0.90),
-        "p99": percentile(values, 0.99),
+        "count": len(ordered),
+        "sum": sum(ordered),
+        "min": ordered[0],
+        "max": ordered[-1],
+        "p50": _rank(ordered, 0.50),
+        "p90": _rank(ordered, 0.90),
+        "p99": _rank(ordered, 0.99),
     }
 
 
@@ -159,42 +140,26 @@ def _make_frame_occupancy(spans, partitions):
     """Per-frame occupancy function over *spans*: ``f(start, end) ->
     {partition: ticks}``.
 
-    This is the quadratic kernel of the utilization series (frames x
-    spans).  With numpy the spans are packed once into ``int64`` arrays
-    and each frame's overlaps are clipped and summed per owner with
-    exact integer arithmetic (``np.add.at``); the pure-Python closure is
-    the reference semantics, byte-identical by the vectorization
-    equality test.
+    *spans* come from :func:`_dispatch_spans`: contiguous, with strictly
+    increasing starts.  A frame therefore overlaps only the run of spans
+    from the one holding its start (found by bisection) up to the first
+    one starting at or past its end, so each frame costs the few spans
+    it covers instead of a scan of the whole trace.
     """
-    if _np is not None and spans:
-        owner_index = {partition: i for i, partition in
-                       enumerate(partitions)}
-        owned = [(start, end, owner_index[owner])
-                 for start, end, owner in spans if owner in owner_index]
-        if owned:
-            starts = _np.array([s for s, _, _ in owned], dtype=_np.int64)
-            ends = _np.array([e for _, e, _ in owned], dtype=_np.int64)
-            owners = _np.array([o for _, _, o in owned], dtype=_np.intp)
+    starts = [start for start, _, _ in spans]
 
-            def vectorized(frame_start: int, frame_end: int):
-                overlap = (_np.minimum(ends, frame_end)
-                           - _np.maximum(starts, frame_start))
-                _np.clip(overlap, 0, None, out=overlap)
-                sums = _np.zeros(len(partitions), dtype=_np.int64)
-                _np.add.at(sums, owners, overlap)
-                return {partition: int(sums[i])
-                        for i, partition in enumerate(partitions)}
+    def occupancy(frame_start: int, frame_end: int) -> Dict[str, int]:
+        occupied = dict.fromkeys(partitions, 0)
+        index = max(bisect_right(starts, frame_start) - 1, 0)
+        while index < len(spans) and starts[index] < frame_end:
+            start, end, owner = spans[index]
+            if owner in occupied:
+                occupied[owner] += _overlap(start, end, frame_start,
+                                            frame_end)
+            index += 1
+        return occupied
 
-            return vectorized
-
-    def reference(frame_start: int, frame_end: int):
-        return {
-            partition: sum(
-                _overlap(start, end, frame_start, frame_end)
-                for start, end, owner in spans if owner == partition)
-            for partition in partitions}
-
-    return reference
+    return occupancy
 
 
 def derived_metrics(trace: Trace, config=None,

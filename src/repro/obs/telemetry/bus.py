@@ -6,10 +6,10 @@ Transport shape (DESIGN decision 11):
   :class:`TelemetryPublisher` around a best-effort sink — the parent's
   multiprocessing queue in pools, the aggregator's ``ingest`` directly in
   serial runs — and publish lifecycle events (started / forked /
-  progress / finished / crashed) plus end-of-worker cache and transport
-  counters.  Every publish is ``put_nowait`` + drop-on-full: telemetry
-  may lose events under pressure, it may never block, fail, or reorder
-  the simulation.
+  progress / finished / crashed) plus end-of-worker cache counters.
+  Every publish is ``put_nowait`` + drop-on-full: telemetry may lose
+  events under pressure, it may never block, fail, or reorder the
+  simulation.
 * **Deterministic channel, derived.**  Nothing deterministic crosses the
   queue.  The aggregator writes the deterministic JSONL lines in
   :meth:`TelemetryAggregator.finish`, purely from the sorted
@@ -153,11 +153,6 @@ class TelemetryPublisher:
     def cache_stats(self, stats: Dict[str, int]) -> None:
         for name, value in sorted(stats.items()):
             self._publish_worker(f"worker/{self.worker}/cache/{name}",
-                                 {"value": value})
-
-    def shm_stats(self, stats: Dict[str, int]) -> None:
-        for name, value in sorted(stats.items()):
-            self._publish_worker(f"worker/{self.worker}/shm/{name}",
                                  {"value": value})
 
     def cycle_cache_stats(self, stats: Dict[str, int]) -> None:

@@ -49,12 +49,16 @@ class TestScenarioFingerprint:
 
 
 class TestSnapshotCache:
+    """LRU and counter behaviour.  Entries carry sentinel objects as
+    their live snapshots: the cache never looks inside one."""
+
     def test_get_put_round_trip_and_counters(self):
         cache = SnapshotCache(capacity=4)
-        assert cache.get("fp", 1024) is None
-        cache.put("fp", 1024, b"payload")
-        assert cache.get("fp", 1024) == b"payload"
-        assert cache.get("fp", 2048) is None
+        live = object()
+        assert cache.get_snapshot("fp", 1024) is None
+        cache.put("fp", 1024, b"payload", live)
+        assert cache.get_snapshot("fp", 1024) is live
+        assert cache.get_snapshot("fp", 2048) is None
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 2,
                                  "stores": 1, "refreshes": 0,
                                  "evictions": 0, "fallbacks": 0,
@@ -63,26 +67,42 @@ class TestSnapshotCache:
 
     def test_lru_eviction_order(self):
         cache = SnapshotCache(capacity=2)
-        cache.put("a", 0, b"a")
-        cache.put("b", 0, b"b")
-        assert cache.get("a", 0) == b"a"  # refresh a's recency
-        cache.put("c", 0, b"c")           # evicts b, the LRU entry
-        assert cache.get("b", 0) is None
-        assert cache.get("a", 0) == b"a"
-        assert cache.get("c", 0) == b"c"
+        a, c = object(), object()
+        cache.put("a", 0, b"a", a)
+        cache.put("b", 0, b"b", object())
+        assert cache.get_snapshot("a", 0) is a  # refresh a's recency
+        cache.put("c", 0, b"c", c)              # evicts b, the LRU entry
+        assert cache.get_snapshot("b", 0) is None
+        assert cache.get_snapshot("a", 0) is a
+        assert cache.get_snapshot("c", 0) is c
+        assert len(cache) == 2
         assert cache.evictions == 1
 
     def test_duplicate_put_replaces_payload_and_touches_recency(self):
         cache = SnapshotCache(capacity=2)
-        cache.put("a", 0, b"a")
-        cache.put("b", 0, b"b")
-        cache.put("a", 0, b"fresh")
+        fresh = object()
+        cache.put("a", 0, b"a", object())
+        cache.put("b", 0, b"b", object())
+        cache.put("a", 0, b"fresh", fresh)
         assert cache.stores == 2        # still two distinct entries...
         assert cache.refreshes == 1     # ...one of them refreshed in place
         assert cache.total_bytes == len(b"fresh") + len(b"b")
-        cache.put("c", 0, b"c")  # b is now the LRU entry
-        assert cache.get("a", 0) == b"fresh"  # not the stale first payload
-        assert cache.get("b", 0) is None
+        cache.put("c", 0, b"c", object())  # b is now the LRU entry
+        assert cache.get_snapshot("a", 0) is fresh  # not the stale entry
+        assert cache.get_snapshot("b", 0) is None
+
+    def test_reset_counters_keeps_the_contents(self):
+        cache = SnapshotCache(capacity=1)
+        cache.put("a", 0, b"a", object())
+        cache.put("b", 0, b"bb", object())  # evicts a
+        cache.get_snapshot("a", 0)
+        cache.reset_counters()
+        assert cache.stats() == {"entries": 1, "hits": 0, "misses": 0,
+                                 "stores": 0, "refreshes": 0,
+                                 "evictions": 0, "fallbacks": 0,
+                                 "total_bytes": 2, "stored_bytes": 0,
+                                 "hit_bytes": 0, "evicted_bytes": 0}
+        assert cache.get_snapshot("b", 0) is not None
 
     def test_duplicate_put_resets_the_memoized_snapshot(self):
         """A refreshed entry must not serve the stale live snapshot."""
@@ -111,9 +131,9 @@ class TestSnapshotCache:
 
     def test_byte_counters_in_stats_sidecar(self):
         cache = SnapshotCache(capacity=2)
-        cache.put("a", 0, b"12345")
-        cache.get("a", 0)
-        cache.get("a", 0)
+        cache.put("a", 0, b"12345", object())
+        cache.get_snapshot("a", 0)
+        cache.get_snapshot("a", 0)
         stats = cache.stats()
         assert stats["stored_bytes"] == 5
         assert stats["hit_bytes"] == 10

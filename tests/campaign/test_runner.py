@@ -222,9 +222,9 @@ def deterministic(results):
 class TestPrefixTreeDigestEquality:
     """The divergence-trie acceptance gate: over a deep shared-fault
     chaos campaign, the deterministic report is byte-identical to the
-    cold reference (cache off) serially and pooled at 2/4 workers — the
-    trie, locality grouping and shared-memory transport are pure
-    optimizations."""
+    cold reference (cache off) serially and pooled at 2/4 workers, under
+    the fork and the spawn start method — the trie, locality grouping
+    and the checkpoint hand-off to the pool are pure optimizations."""
 
     @pytest.fixture(scope="class")
     def shared_chaos(self):
@@ -255,33 +255,46 @@ class TestPrefixTreeDigestEquality:
         pooled = run_campaign(shared_chaos, workers=workers)
         assert deterministic(pooled) == tree_off_report
 
-    def test_shm_off_matches_too(self, shared_chaos, tree_off_report,
-                                 monkeypatch):
+    def test_forced_spawn_matches_too(self, shared_chaos, tree_off_report,
+                                      monkeypatch):
+        # Under spawn the pre-built cache reaches each worker pickled
+        # through the pool initializer instead of inherited.
         from repro.campaign import runner
 
-        monkeypatch.setattr(runner, "shm_available", lambda: False)
+        monkeypatch.setattr(runner.multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
         telemetry = {}
         pooled = run_pool(shared_chaos, workers=2, telemetry=telemetry)
         assert deterministic(pooled) == tree_off_report
-        assert not telemetry["shm"]["enabled"]
+        workers = [stats for label, stats in telemetry["workers"].items()
+                   if label != "prebuild"]
+        assert workers
+        assert all(stats["prefix_cache"]["stores"] == 0
+                   and stats["prefix_cache"]["hits"] > 0
+                   for stats in workers)
 
     def test_chunksize_never_changes_the_report(self, shared_chaos,
                                                 tree_off_report):
         pooled = run_pool(shared_chaos, workers=2, chunksize=1)
         assert deterministic(pooled) == tree_off_report
 
-    def test_pool_telemetry_reports_tree_workers_and_shm(self,
-                                                         shared_chaos):
+    def test_pool_telemetry_reports_tree_and_workers(self, shared_chaos):
         telemetry = {}
         run_pool(shared_chaos, workers=2, telemetry=telemetry)
         tree = telemetry["prefix_tree"]
         assert tree["enabled"]
         assert tree["groups"] >= 1
         assert tree["capture_levels"] >= 1
-        for stats in telemetry["workers"].values():
-            assert stats["prefix_cache"]["stores"] >= 0
-        assert "enabled" in telemetry["shm"]
-        if telemetry["shm"]["enabled"]:
-            # Every published segment was reclaimed by the parent.
-            assert telemetry["shm"]["unlinked_segments"] == \
-                telemetry["shm"]["publishes"]
+        assert set(telemetry) == {"prefix_tree", "workers", "cycle_cache"}
+        # Every group is split across both workers, so the parent
+        # pre-builds every level once and the workers only fork from it:
+        # worker counters start from zero and show no build of their own.
+        workers = dict(telemetry["workers"])
+        prebuild = workers.pop("prebuild")["prefix_cache"]
+        assert workers
+        for stats in workers.values():
+            assert stats["prefix_cache"]["stores"] == 0
+            assert stats["prefix_cache"]["misses"] == 0
+        assert prebuild["stores"] + sum(
+            stats["prefix_cache"]["stores"]
+            for stats in workers.values()) == tree["capture_levels"]

@@ -275,7 +275,7 @@ class TestSnapshotGuards:
 
 
 class TestSerializationTiers:
-    """to_bytes/from_bytes and the protocol-5 out-of-band buffers."""
+    """to_bytes/from_bytes and the snapshot extras side-channel."""
 
     def capture(self):
         sim, config = build_sim()
@@ -287,15 +287,6 @@ class TestSerializationTiers:
         sim.run_fast(2 * MTF - sim.now)
         return sim.trace.digest()
 
-    def test_out_of_band_buffers_round_trip(self):
-        snapshot, config = self.capture()
-        main, buffers = snapshot.to_buffers()
-        rebuilt = SimulatorSnapshot.from_buffers(main, buffers)
-        assert rebuilt.tick == snapshot.tick
-        assert self.continuation_digest(rebuilt, config) == \
-            self.continuation_digest(
-                SimulatorSnapshot.from_bytes(snapshot.to_bytes()), config)
-
     def test_extras_ride_every_serialization_tier(self):
         sim, _ = build_sim()
         sim.run_fast(MTF)
@@ -303,9 +294,6 @@ class TestSerializationTiers:
         snapshot = SimulatorSnapshot.capture(sim, extras=extras)
         assert SimulatorSnapshot.from_bytes(
             snapshot.to_bytes()).extras == extras
-        main, buffers = snapshot.to_buffers()
-        assert SimulatorSnapshot.from_buffers(main, buffers).extras \
-            == extras
         # Default capture carries no extras; restore ignores them either
         # way (they are caller-owned pure data, not simulator state).
         assert SimulatorSnapshot.capture(sim).extras is None

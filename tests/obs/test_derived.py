@@ -16,7 +16,12 @@ from repro.kernel.trace import (
     Trace,
 )
 from repro.obs import compact_metrics, derived_metrics, derived_to_json
-from repro.obs.derived import distribution, percentile
+from repro.obs.derived import (
+    _dispatch_spans,
+    _make_frame_occupancy,
+    distribution,
+    percentile,
+)
 
 
 def prototype_run(mtfs=3, switch=True):
@@ -84,6 +89,25 @@ class TestOccupancyAgainstEntitlement:
         for partition in ("P1", "P2", "P3", "P4"):
             total = sum(frame["occupied"][partition] for frame in series)
             assert total == report["occupancy"][partition]["ticks"]
+
+    def test_frame_occupancy_matches_the_overlap_scan(self):
+        """The bisecting per-frame kernel against the scan of every span,
+        on frames that start and end mid-span, before the first span and
+        past the horizon."""
+        simulator = prototype_run(mtfs=4)
+        partitions = ("P1", "P2", "P3", "P4")
+        horizon = simulator.now
+        spans = _dispatch_spans(simulator.trace, horizon)
+        occupancy = _make_frame_occupancy(spans, partitions)
+        frames = [(start, start + length)
+                  for start in range(0, horizon + MTF, 97)
+                  for length in (1, 50, MTF, 3 * MTF)]
+        for frame_start, frame_end in frames:
+            assert occupancy(frame_start, frame_end) == {
+                partition: sum(
+                    max(0, min(end, frame_end) - max(start, frame_start))
+                    for start, end, owner in spans if owner == partition)
+                for partition in partitions}
 
 
 class TestTraceIntrinsic:
@@ -203,33 +227,14 @@ class TestCompactMetrics:
         assert tuple(name for name, _ in pairs) == COMPACT_METRIC_NAMES
 
 
-class TestVectorizationEquality:
-    """The numpy fast path and the pure-Python fallback must emit
-    byte-identical canonical JSON — the vectorization is gated, never
-    semantic."""
-
-    def test_numpy_and_fallback_reports_are_byte_identical(self, monkeypatch):
-        import repro.obs.derived as derived_module
-
-        if derived_module._np is None:
-            import pytest
-            pytest.skip("numpy unavailable; only the fallback path exists")
-        simulator = prototype_run(mtfs=4)
-        vectorized = derived_to_json(derived_metrics(
-            simulator.trace, simulator.config, horizon=simulator.now))
-        monkeypatch.setattr(derived_module, "_np", None)
-        fallback = derived_to_json(derived_metrics(
-            simulator.trace, simulator.config, horizon=simulator.now))
-        assert vectorized == fallback
-
-    def test_distribution_paths_agree_on_edge_samples(self, monkeypatch):
-        import repro.obs.derived as derived_module
-
-        if derived_module._np is None:
-            import pytest
-            pytest.skip("numpy unavailable; only the fallback path exists")
+class TestDistribution:
+    def test_one_sort_matches_percentile_on_edge_samples(self):
         samples = ([7], [3, 1, 2], list(range(100, 0, -1)),
                    [5] * 9, [0, 0, 1, 10**9])
-        with_numpy = [distribution(s) for s in samples]
-        monkeypatch.setattr(derived_module, "_np", None)
-        assert [distribution(s) for s in samples] == with_numpy
+        for sample in samples:
+            assert distribution(sample) == {
+                "count": len(sample), "sum": sum(sample),
+                "min": min(sample), "max": max(sample),
+                "p50": percentile(sample, 0.50),
+                "p90": percentile(sample, 0.90),
+                "p99": percentile(sample, 0.99)}

@@ -103,10 +103,8 @@ class TestTelemetryPublisher:
         records = []
         publisher = TelemetryPublisher(records.append, "cid", worker="9")
         publisher.cache_stats({"misses": 2, "hits": 1})
-        publisher.shm_stats({"attaches": 4})
         assert [record["topic"] for record in records] == [
-            "worker/9/cache/hits", "worker/9/cache/misses",
-            "worker/9/shm/attaches"]
+            "worker/9/cache/hits", "worker/9/cache/misses"]
         assert records[0]["payload"] == {"value": 1}
 
 

@@ -152,14 +152,13 @@ class TestDefaultRegistry:
 
     def test_cache_and_shm_stat_topics(self):
         from repro.campaign.prefix import SnapshotCache
-        from repro.campaign.shm import SnapshotTransport
 
         registry = default_registry()
         for stat in SnapshotCache.STAT_KEYS:
             assert registry.validate(f"worker/1234/cache/{stat}") == []
-        for stat in SnapshotTransport.STAT_KEYS:
-            assert registry.validate(f"worker/1234/shm/{stat}") == []
         assert registry.validate("worker/1234/cache/not_a_stat")
+        # Only the worker counter sections that exist are governed.
+        assert registry.validate("worker/1234/shm/attaches")
 
     def test_bench_topics(self):
         registry = default_registry()

@@ -43,11 +43,11 @@ class TestCampaignPanel:
                           worker="7"))
         panel.feed(record("worker/7/cache/hits", {"value": 5},
                           worker="7"))
-        panel.feed(record("worker/7/shm/attaches", {"value": 2},
+        panel.feed(record("worker/7/cycle_cache/hits", {"value": 2},
                           worker="7"))
         frame = panel.render()
         assert "7 cache: hits=5" in frame
-        assert "7 shm: attaches=2" in frame
+        assert "cycle_cache" not in frame
 
     def test_deterministic_channel_window(self):
         panel = CampaignPanel()
