@@ -293,6 +293,16 @@ class SnapshotCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle each entry's payload only: the memoized live snapshot
+        is the payload unpickled, so shipping both (a cache handed to a
+        spawned pool worker) would pickle every checkpoint twice."""
+        state = dict(self.__dict__)
+        state["_entries"] = OrderedDict(
+            (key, [payload, None])
+            for key, (payload, _snapshot) in self._entries.items())
+        return state
+
     def put(self, fingerprint: str, tick: Ticks, payload: bytes,
             snapshot: Optional[SimulatorSnapshot] = None) -> None:
         """Insert or refresh the snapshot at ``(fingerprint, tick)``.

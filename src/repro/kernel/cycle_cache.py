@@ -77,7 +77,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..exceptions import SimulationError
 from ..types import Ticks
-from .trace import rebase_event, rebase_plan
+from .trace import frame_format, rebase_event, rebase_plan
 
 __all__ = ["CycleCache", "CYCLE_CACHE_STAT_KEYS", "state_fingerprint"]
 
@@ -512,7 +512,7 @@ class _Template:
     """
 
     __slots__ = ("fp", "mtf", "recorded_start", "sends", "events",
-                 "compiled", "deltas", "slices")
+                 "compiled", "frame", "deltas", "slices")
 
     def __init__(self, fp: bytes, mtf: Ticks, recorded_start: Ticks,
                  sends: List[Tuple[Any, Any, Any, Tuple[Any, ...], Ticks]],
@@ -527,6 +527,11 @@ class _Template:
         #: reconstructs rebased events by direct construction instead of
         #: per-event field introspection.
         self.compiled = tuple(rebase_plan(event) for event in events)
+        #: The frame's canonical JSON as one format string, which the
+        #: trace renders per replayed frame instead of re-encoding its
+        #: events (``None``: some event cannot be templated, so replayed
+        #: frames encode per event).
+        self.frame = frame_format(events)
         self.deltas = deltas
         self.slices = slices
 
@@ -890,6 +895,7 @@ class CycleCache:
         skip = self._time.skip
         compiled = template.compiled
         base_offset = now - template.recorded_start
+        start = len(trace._events)
         committed = 0
         diverged = False
         # Nothing but this loop runs during the batch, so the generator
@@ -938,6 +944,12 @@ class CycleCache:
                 committed += 1
         if committed == 0 and not diverged:
             return 0
+        if committed and template.frame is not None:
+            # The committed frames' events are the template's, shifted
+            # by these offsets: the trace renders them from the frame
+            # format when it next encodes (nothing is formatted here).
+            trace.defer_frames(start, template.frame, range(
+                base_offset, base_offset + committed * mtf, mtf))
         # Resynchronize every live component from the advanced boundary
         # state.  On divergence the partially-resumed generators are
         # discarded and rebuilt from the committed resume logs (the same

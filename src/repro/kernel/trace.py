@@ -33,6 +33,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Tuple,
     Type,
@@ -67,6 +68,8 @@ __all__ = [
     "PartitionModeChanged",
     "ApplicationMessage",
     "Trace",
+    "FrameFormat",
+    "frame_format",
     "EXTRA_TICK_FIELDS",
     "rebase_event",
     "rebase_plan",
@@ -366,6 +369,19 @@ class Trace:
         # when digesting the full trace.
         self._encoded: List[str] = []
         self._encoded_count = 0
+        # Replayed frames beyond the watermark, still to be encoded: one
+        # ``(first event index, frame, tick offsets)`` per replay batch
+        # (see :meth:`defer_frames`).  Encoding renders each from its
+        # frame format instead of encoding its events one by one.
+        self._deferred: List[Tuple[int, FrameFormat, range]] = []
+        # Running sha256 of the canonical document up to and including
+        # chunk ``_hashed - 1`` (unbounded traces that drop nothing).
+        # Created and advanced by digest() alone, so a trace that is
+        # never digested hashes nothing; dropped with the chunks it
+        # covers by clear()/restore().  Not part of snapshot state:
+        # hash objects do not pickle.
+        self._hash: Optional["hashlib._Hash"] = None
+        self._hashed = 0
 
     def _current_memo_key(self) -> tuple:
         events = self._events
@@ -472,9 +488,17 @@ class Trace:
     def clear(self) -> None:
         """Drop all retained events (the drop counter is kept)."""
         self._events.clear()
-        self._encoded = []
-        self._encoded_count = 0
+        self._reset_encoding([])
         self._memo_generation += 1
+
+    def _reset_encoding(self, encoded: List[str]) -> None:
+        """Restart the encoded chunks at *encoded* (covering every
+        retained event), dropping deferred frames and the running hash."""
+        self._encoded = encoded
+        self._encoded_count = len(self._events) if encoded else 0
+        self._deferred = []
+        self._hash = None
+        self._hashed = 0
 
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
@@ -511,15 +535,11 @@ class Trace:
         self._events = deque(state["events"], maxlen=self._capacity)
         self._dropped = state["dropped"]
         prior = state.get("encoded")
-        if (self._capacity is None and not self._dropped
-                and isinstance(prior, str)):
-            # The capture encoded exactly the events it shipped, so the
-            # adopted chunk's watermark is everything just restored.
-            self._encoded = [prior] if prior else []
-            self._encoded_count = len(self._events)
-        else:
-            self._encoded = []
-            self._encoded_count = 0
+        # The capture encoded exactly the events it shipped, so the
+        # adopted chunk's watermark is everything just restored.
+        self._reset_encoding(
+            [prior] if (self._capacity is None and not self._dropped
+                        and isinstance(prior, str) and prior) else [])
         self._memo_generation += 1
 
     @staticmethod
@@ -574,23 +594,53 @@ class Trace:
                 stream.write(json.dumps(record, sort_keys=True) + "\n")
         return len(events)
 
+    def defer_frames(self, start: int, frame: FrameFormat,
+                     offsets: range) -> None:
+        """Declare the log's newest events, from index *start* on, to be
+        *frame* rendered once per tick offset in *offsets*.
+
+        Cycle-cache replay (DESIGN decision 13) calls this for the frames
+        it committed: encoding then renders those events from the frame's
+        one format string (:meth:`FrameFormat.render`) instead of
+        encoding them one by one — the same bytes, since the replayed
+        events are the frame's events with every absolute-tick field
+        shifted.  A declaration that does not cover exactly the
+        not-yet-encoded tail of an unbounded, non-dropping log is
+        ignored, and those events encode per event.
+        """
+        if (self._capacity is None and not self._dropped
+                and self._encoded_count <= start
+                and start + len(offsets) * frame.events
+                == len(self._events)):
+            self._deferred.append((start, frame, offsets))
+
     def _encode_pending(self) -> List[str]:
         """Canonical JSON chunks covering every retained event.
 
         Only the events beyond the already-encoded watermark are encoded
-        (through the per-class encoders, see :func:`_encode_events`);
-        earlier chunks (including a prefix adopted from :meth:`restore`)
-        are reused verbatim.  Joining the chunks with ``","`` is
-        byte-identical to the events array of the one-shot
-        ``json.dumps`` document.  Callers must hold the unbounded-trace
-        invariant (``capacity is None``) — eviction would silently
-        desynchronize the watermark.
+        (deferred replayed frames rendered from their frame format, every
+        other event through the per-class encoders, see
+        :func:`_encode_events`); earlier chunks (including a prefix
+        adopted from :meth:`restore`) are reused verbatim.  Joining the
+        chunks with ``","`` is byte-identical to the events array of the
+        one-shot ``json.dumps`` document.  Callers must hold the
+        unbounded-trace invariant (``capacity is None``) — eviction would
+        silently desynchronize the watermark.
         """
         events = self._events
         count = self._encoded_count
         if count < len(events):
-            self._encoded.append(
-                ",".join(_encode_events(islice(events, count, None))))
+            chunks = self._encoded
+            for start, frame, offsets in self._deferred:
+                if count < start:
+                    chunks.append(",".join(
+                        _encode_events(islice(events, count, start))))
+                chunks.extend(map(frame.render, offsets))
+                count = start + len(offsets) * frame.events
+            self._deferred = []
+            if count < len(events):
+                chunks.append(",".join(
+                    _encode_events(islice(events, count, None))))
             self._encoded_count = len(events)
         return self._encoded
 
@@ -614,12 +664,18 @@ class Trace:
         else:
             events = ",".join(_encode_events(self._events))
         text = '{"dropped":%d,"events":[%s]}' % (self._dropped, events)
-        if self._memo_key != key:
-            self._memo_key = key
-            self._memo_digest = None
-            self._memo_summary = None
+        self._sync_memo(key)
         self._memo_json = text
         return text
+
+    def _sync_memo(self, key: tuple) -> None:
+        """Point the memo at *key*, forgetting values memoized for an
+        older log."""
+        if self._memo_key != key:
+            self._memo_key = key
+            self._memo_json = None
+            self._memo_digest = None
+            self._memo_summary = None
 
     @classmethod
     def from_json(cls, text: str,
@@ -658,15 +714,31 @@ class Trace:
 
         Memoized: repeated calls on an unchanged trace return the cached
         value without rescanning the event log (campaigns digest the same
-        finished trace from several reporting paths).
+        finished trace from several reporting paths).  An unbounded trace
+        that drops nothing keeps a running hash over its encoded chunks,
+        so each call hashes only the chunks added since the last one and
+        never assembles the :meth:`to_json` document.
         """
         key = self._current_memo_key()
         if self._memo_digest is not None and self._memo_key == key:
             return self._memo_digest
-        digest = hashlib.sha256(
-            self.to_json().encode("utf-8")).hexdigest()[:16]
-        # to_json() has synchronized _memo_key to `key`.
-        self._memo_digest = digest
+        if self._capacity is None and not self._dropped:
+            chunks = self._encode_pending()
+            running = self._hash
+            if running is None:
+                running = self._hash = hashlib.sha256(
+                    b'{"dropped":0,"events":[')
+            for index in range(self._hashed, len(chunks)):
+                if index:
+                    running.update(b",")
+                running.update(chunks[index].encode("utf-8"))
+            self._hashed = len(chunks)
+            final = running.copy()
+            final.update(b"]}")
+        else:
+            final = hashlib.sha256(self.to_json().encode("utf-8"))
+        self._sync_memo(key)
+        self._memo_digest = digest = final.hexdigest()[:16]
         return digest
 
     def summary(self) -> Dict[str, object]:
@@ -870,14 +942,25 @@ class _EventEncoder:
         self._kind = event_type.__name__
         self._layout = tuple((name, name in shifted) for name in keys)
 
-    def miss(self, event: TraceEvent, key: tuple, values: tuple) -> str:
-        """Encode *event*, storing its template while under the cap."""
+    def template(self, values: tuple) -> Optional[str]:
+        """The template rendering an event with field *values* (as
+        :attr:`read` returns them), stored on first use; ``None`` when a
+        value is unhashable or not exactly ``int``/``str``/``None`` (a
+        tick not exactly ``int``), or the memo is full and holds no
+        template for *values*."""
         ticks = self.ticks
+        key = (values[ticks:], *map(type, values))
+        try:
+            template = self.templates.get(key)
+        except TypeError:  # an unhashable field value
+            return None
+        if template is not None:
+            return template
         if (len(self.templates) >= TEMPLATE_MEMO_CAP
                 or any(type(value) is not int for value in values[:ticks])
                 or any(type(value) not in _TEMPLATE_TYPES
                        for value in values[ticks:])):
-            return _dumps_event(event)
+            return None
         others = iter(values[ticks:])
         parts = []
         for name, is_tick in self._layout:
@@ -888,13 +971,20 @@ class _EventEncoder:
                                    else next(others)).replace("%", "%%")
             parts.append(f"{json.dumps(name)}:{value}")
         template = self.templates[key] = "{" + ",".join(parts) + "}"
-        return template % values[:ticks]
+        return template
 
 
 #: event class -> its encoder, built on first use and shared by every
 #: trace in the process: renderings repeat across scenarios, and the
 #: templates are a pure cache (no output depends on what is stored).
 _ENCODERS: Dict[Type[TraceEvent], _EventEncoder] = {}
+
+
+def _encoder(event_type: Type[TraceEvent]) -> _EventEncoder:
+    encoder = _ENCODERS.get(event_type)
+    if encoder is None:
+        encoder = _ENCODERS[event_type] = _EventEncoder(event_type)
+    return encoder
 
 
 def _encode_events(events: Iterable[TraceEvent]) -> List[str]:
@@ -910,17 +1000,58 @@ def _encode_events(events: Iterable[TraceEvent]) -> List[str]:
     for event in events:
         encoder = encoders.get(type(event))
         if encoder is None:
-            encoder = encoders[type(event)] = _EventEncoder(type(event))
+            encoder = _encoder(type(event))
         values = encoder.read(event)
         ticks = encoder.ticks
-        key = (values[ticks:], *map(type, values))
         try:
-            template = encoder.templates.get(key)
+            template = encoder.templates.get(
+                (values[ticks:], *map(type, values)))
         except TypeError:  # an unhashable field value
-            append(_dumps_event(event))
-            continue
+            template = None
         if template is None:
-            append(encoder.miss(event, key, values))
-        else:
-            append(template % values[:ticks])
+            template = encoder.template(values)
+            if template is None:
+                append(_dumps_event(event))
+                continue
+        append(template % values[:ticks])
     return out
+
+
+class FrameFormat(NamedTuple):
+    """A run of events encoded once as a single format string.
+
+    *fmt* is the events' per-class templates (:class:`_EventEncoder`)
+    joined with ``","`` — one ``%d`` slot per absolute-tick field, in
+    order — and *ticks* the values filling those slots.  The same events
+    with every absolute-tick field shifted by ``offset`` encode to
+    :meth:`render` of that offset.
+    """
+
+    fmt: str
+    ticks: Tuple[int, ...]
+    #: Number of events the format covers.
+    events: int
+
+    def render(self, offset: Ticks) -> str:
+        """The canonical JSON of the events shifted by *offset* ticks."""
+        return self.fmt % tuple([tick + offset for tick in self.ticks])
+
+
+def frame_format(events: Iterable[TraceEvent]) -> Optional[FrameFormat]:
+    """*events* as one :class:`FrameFormat`, through the same per-class
+    encoders :func:`_encode_events` uses; ``None`` when there are no
+    events or any of them cannot be templated (see
+    :meth:`_EventEncoder.template`)."""
+    parts: List[str] = []
+    ticks: List[int] = []
+    for event in events:
+        encoder = _encoder(type(event))
+        values = encoder.read(event)
+        template = encoder.template(values)
+        if template is None:
+            return None
+        parts.append(template)
+        ticks.extend(values[:encoder.ticks])
+    if not parts:
+        return None
+    return FrameFormat(",".join(parts), tuple(ticks), len(parts))

@@ -1,6 +1,7 @@
 """Tests for prefix-sharing campaign scheduling (repro.campaign.prefix)."""
 
 import json
+import pickle
 
 import pytest
 
@@ -368,6 +369,32 @@ class TestPlanExecution:
         # Interior forks really did skip past applied faults.
         assert deepest_tick > 3 * MTF + 100
         assert first.faults_applied == 3
+
+    def test_pickled_cache_ships_each_payload_once(self):
+        # A cache handed to a spawned pool worker is pickled once per
+        # worker: each entry's payload travels, its memoized live
+        # snapshot (the same checkpoint again) does not.
+        a, b = self.pair()
+        plans = build_divergence_trie([a, b])
+        cache = SnapshotCache()
+        run_with_prefix_cache(a, cache, plan=plans["a"])
+        for fingerprint, tick in list(cache._entries):
+            assert cache.get_snapshot(fingerprint, tick) is not None
+        assert all(live is not None for _payload, live
+                   in cache._entries.values())
+        shipped = pickle.dumps(cache)
+        assert len(shipped) <= cache.stats()["total_bytes"] + 1024
+        # The unpickled cache re-memoizes from the payloads and forks a
+        # run bit-identical to a cold one.
+        unpickled = pickle.loads(shipped)
+        unpickled.reset_counters()
+        result = run_with_prefix_cache(b, unpickled, plan=plans["b"])
+        assert unpickled.stats()["hits"] == 1
+        assert result.forked_at_tick == plans["b"].capture_levels[-1][2]
+        assert result.to_dict() == run_scenario(b).to_dict()
+        # Pickling left the original's memoized snapshots in place.
+        assert all(live is not None for _payload, live
+                   in cache._entries.values())
 
     def test_shallower_hit_extends_to_the_deeper_levels(self):
         a, b = self.pair()

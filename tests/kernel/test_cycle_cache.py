@@ -16,11 +16,15 @@ values, so it cannot see a wrong counter advance.
 """
 
 import gc
+import hashlib
+import json
 import subprocess
 import sys
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import Call, Compute, SystemBuilder
 from repro.apps.prototype import (
@@ -30,8 +34,10 @@ from repro.apps.prototype import (
     make_simulator,
     make_steady_simulator,
 )
+from repro.kernel import trace as trace_module
 from repro.kernel.cycle_cache import CYCLE_CACHE_STAT_KEYS, state_fingerprint
 from repro.kernel.simulator import Simulator
+from repro.kernel.snapshot import SimulatorSnapshot
 from repro.types import PartitionMode
 
 from ..conftest import remote_config
@@ -335,3 +341,153 @@ class TestCycleCache:
         assert state["router"]["channels"]["ch"]["link"]["in_flight"]
         assert full_signature(cached) == full_signature(plain)
         assert_same_state(cached, plain)
+
+
+def one_shot_json(trace):
+    """The canonical document built the slow, obvious way."""
+    return json.dumps({"dropped": trace.dropped, "events": trace.to_dicts()},
+                      sort_keys=True, separators=(",", ":"))
+
+
+def assert_canonical(trace):
+    document = one_shot_json(trace)
+    assert trace.to_json() == document
+    assert trace.digest() == \
+        hashlib.sha256(document.encode("utf-8")).hexdigest()[:16]
+
+
+def deferred_frames(trace):
+    """Replayed frames the trace will render from a frame format."""
+    return sum(len(offsets) for _start, _frame, offsets in trace._deferred)
+
+
+#: Body log lines per cycle for the property test's logging configs.
+_LINES = {
+    "same": lambda cycles: ["frame done"],
+    "changes": lambda cycles: ["warming" if cycles < 8 else "cruising"],
+    "repeats": lambda cycles: ["frame done"] * (1 if cycles < 8 else 2),
+}
+
+#: Where the property test may encode, digest or fork between chunks.
+_SEAMS = ("none", "digest", "to_json", "digest+to_json", "to_json+digest",
+          "fork", "trace-round-trip")
+
+
+class TestReplayRenderedFrames:
+    """Replay hands the trace frames to render from the template's one
+    frame format; every document and digest stays byte-identical to the
+    one-shot ``json.dumps`` of the events."""
+
+    def test_replayed_frames_render_from_the_frame_format(self):
+        simulator = make_steady_simulator()
+        simulator.run_fast(STEADY_MTF * 12)
+        hits = simulator.cycle_cache_stats["hits"]
+        assert hits > 0
+        # Nothing was formatted during run_fast: every replayed frame is
+        # still deferred, one per committed frame.
+        assert deferred_frames(simulator.trace) == hits
+        plain = make_steady_simulator(cycle_cache=False)
+        plain.run_fast(STEADY_MTF * 12)
+        assert_canonical(simulator.trace)
+        assert simulator.trace.digest() == plain.trace.digest()
+        assert simulator.trace._deferred == []
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_documents_match_one_shot_json_at_every_seam(self, data):
+        kind = data.draw(st.sampled_from(("steady", "logging")), "config")
+        if kind == "steady":
+            config = make_steady_simulator().config
+            mtf = STEADY_MTF
+        else:
+            config = logging_config(
+                diverge_after=data.draw(
+                    st.one_of(st.none(), st.integers(3, 12)), "diverge"),
+                lines=_LINES[data.draw(st.sampled_from(sorted(_LINES)),
+                                       "lines")])
+            mtf = 500
+        observed = data.draw(st.booleans(), "observer")
+        seen = []
+
+        def watch(simulator):
+            if observed:
+                seen.clear()
+                seen.extend(simulator.trace.events)
+                simulator.trace.subscribe(seen.append)
+            return simulator
+
+        simulator = watch(Simulator(config))
+        for _step in range(data.draw(st.integers(1, 6), "steps")):
+            simulator.run_fast(data.draw(st.integers(1, 8 * mtf), "chunk"))
+            seam = data.draw(st.sampled_from(_SEAMS), "seam")
+            trace = simulator.trace
+            if seam == "fork":
+                # A checkpoint renders the deferred frames into the
+                # shipped encoding; the fork adopts it.
+                snapshot = SimulatorSnapshot.capture(simulator)
+                assert "encoded" in snapshot.trace
+                simulator = watch(snapshot.restore(config))
+            elif seam == "trace-round-trip":
+                trace.restore(trace.snapshot())
+            for call in seam.split("+"):
+                if call == "digest":
+                    assert trace.digest() == hashlib.sha256(
+                        one_shot_json(trace).encode("utf-8")
+                    ).hexdigest()[:16]
+                elif call == "to_json":
+                    assert trace.to_json() == one_shot_json(trace)
+            if observed:
+                assert seen == list(simulator.trace.events)
+        assert_canonical(simulator.trace)
+        plain = Simulator(config, cycle_cache=False)
+        plain.run_fast(simulator.now)
+        assert simulator.trace.digest() == plain.trace.digest()
+
+    def _assert_matches_cache_off(self, config):
+        cached = Simulator(config)
+        cached.run_fast(500 * 12)
+        plain = Simulator(config, cycle_cache=False)
+        plain.run_fast(500 * 12)
+        assert cached.cycle_cache_stats["hits"] > 0
+        assert cached.trace._deferred == []  # no frame format to render
+        assert_canonical(cached.trace)
+        assert cached.trace.to_json() == plain.trace.to_json()
+        assert cached.trace.digest() == plain.trace.digest()
+
+    def test_frames_without_templates_encode_per_event(self, monkeypatch):
+        # An empty, full template memo: no event can be templated, so the
+        # cycle cache builds no frame format and replayed frames take
+        # the per-event json.dumps path.
+        monkeypatch.setattr(trace_module, "TEMPLATE_MEMO_CAP", 0)
+        monkeypatch.setattr(trace_module, "_ENCODERS", {})
+        self._assert_matches_cache_off(logging_config())
+        assert all(not encoder.templates
+                   for encoder in trace_module._ENCODERS.values())
+
+    @pytest.mark.parametrize("text", [1.5, ["frame", "done"]],
+                             ids=["float", "unhashable"])
+    def test_untemplatable_log_line_encodes_per_event(self, text):
+        self._assert_matches_cache_off(
+            logging_config(lines=lambda cycles: [text]))
+
+    def test_rendered_frames_stop_at_the_last_committed_frame(self):
+        # The body's ninth cycle grows its Compute, so the replay batch
+        # that starts at tick 3000 commits two frames and diverges in
+        # the frame at 4000, which then runs live.
+        simulator = Simulator(logging_config(diverge_after=8))
+        simulator.run_fast(500 * 14)
+        stats = simulator.cycle_cache_stats
+        assert stats["invalidations"] == 1
+        trace = simulator.trace
+        events = trace.events
+        assert deferred_frames(trace) == stats["hits"]
+        start, frame, offsets = trace._deferred[0]
+        end = start + len(offsets) * frame.events
+        assert events[start].tick == 3000 and len(offsets) == 2
+        assert events[end - 1].tick < 4000 <= events[end].tick
+        assert [frame.render(offset) for offset in offsets] == [
+            ",".join(trace_module._encode_events(
+                events[index:index + frame.events]))
+            for index in range(start, end, frame.events)]
+        assert_canonical(trace)
