@@ -42,6 +42,7 @@ from ..exceptions import (
 )
 from ..hm.monitor import ApplicationHandler, HealthMonitor
 from ..kernel.rng import SeededRng
+from ..kernel.snapshot_schema import RAW, Each
 from ..kernel.trace import ApplicationMessage, Trace
 from ..pos.base import PartitionOs
 from ..pos.pal import PosAdaptationLayer
@@ -787,6 +788,16 @@ class ApexInterface:
                 raise SimulationError(
                     f"process {self.partition}/{tcb.name}: body completed "
                     f"during snapshot replay — nondeterministic body?")
+
+    SNAPSHOT_SCHEMA = {
+        "rng": RAW,
+        "buffers": Each(Buffer.SNAPSHOT_SCHEMA),
+        "blackboards": Each(Blackboard.SNAPSHOT_SCHEMA),
+        "events": Each(Event.SNAPSHOT_SCHEMA),
+        "semaphores": Each(Semaphore.SNAPSHOT_SCHEMA),
+        "sampling_ports": Each(SamplingPort.SNAPSHOT_SCHEMA),
+        "queuing_ports": Each(QueuingPort.SNAPSHOT_SCHEMA),
+    }
 
     def snapshot(self) -> Dict[str, Any]:
         """Capture resource/port contents and the rng stream as pure data."""

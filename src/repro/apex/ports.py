@@ -20,6 +20,7 @@ from typing import Callable, Deque, Optional, Tuple
 from ..comm.messages import Envelope, PortSpec, TransferMode
 from ..comm.router import CommRouter
 from ..exceptions import ConfigurationError
+from ..kernel.snapshot_schema import COUNTER, Each
 from ..pos.base import PartitionOs
 from ..pos.tcb import Tcb, WaitCondition, WaitReason
 from ..types import PortDirection, QueuingDiscipline, Ticks, is_infinite
@@ -116,6 +117,8 @@ class SamplingPort(_Port):
 
     # snapshot / restore ------------------------------------------- #
 
+    SNAPSHOT_SCHEMA = {"latest": Envelope.SNAPSHOT_SCHEMA}
+
     def snapshot(self) -> dict:
         """Capture the port's most recent envelope (pure data)."""
         return {"latest": self._latest}
@@ -201,6 +204,10 @@ class QueuingPort(_Port):
         self._waiters.remove(tcb)
 
     # snapshot / restore ------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {"queue": Each(Envelope.SNAPSHOT_SCHEMA),
+                       "waiters": WaitQueue.SNAPSHOT_SCHEMA,
+                       "overflow_count": COUNTER}
 
     def snapshot(self) -> dict:
         """Capture queued envelopes, blocked receivers and overflow count."""

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
+from ..kernel.snapshot_schema import COUNTER, RAW, Rows
 from ..pos.base import PartitionOs
 from ..pos.tcb import Tcb, WaitCondition, WaitReason
 from ..types import INFINITE_TIME, QueuingDiscipline, Ticks, is_infinite
@@ -69,6 +70,9 @@ class WaitQueue:
         return len(self._entries)
 
     # snapshot / restore ------------------------------------------- #
+
+    #: ``entries`` holds ``(arrival, process name)`` rows.
+    SNAPSHOT_SCHEMA = {"entries": Rows(COUNTER, RAW), "arrival": COUNTER}
 
     def snapshot(self) -> dict:
         """Capture waiters symbolically (by process name) as pure data."""
@@ -129,6 +133,8 @@ class _Resource:
         self.queue.remove(tcb)
 
     # snapshot / restore ------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {"queue": WaitQueue.SNAPSHOT_SCHEMA}
 
     def snapshot(self) -> dict:
         """Capture resource state (wait queue; subclasses add content)."""
@@ -205,6 +211,9 @@ class Buffer(_Resource):
         self._pending_sends.pop(tcb.name, None)
         super().cancel_wait(tcb)
 
+    SNAPSHOT_SCHEMA = {**_Resource.SNAPSHOT_SCHEMA, "messages": RAW,
+                       "pending_sends": RAW}
+
     def snapshot(self) -> dict:
         state = super().snapshot()
         state["messages"] = list(self._messages)
@@ -275,6 +284,8 @@ class Blackboard(_Resource):
         return self._block_caller(timeout, self._clock(),
                                   f"blackboard {self.name}: empty")
 
+    SNAPSHOT_SCHEMA = {**_Resource.SNAPSHOT_SCHEMA, "message": RAW}
+
     def snapshot(self) -> dict:
         state = super().snapshot()
         state["message"] = self._message
@@ -327,6 +338,8 @@ class Event(_Resource):
         return self._block_caller(timeout, self._clock(),
                                   f"event {self.name}: down")
 
+    SNAPSHOT_SCHEMA = {**_Resource.SNAPSHOT_SCHEMA, "is_set": RAW}
+
     def snapshot(self) -> dict:
         state = super().snapshot()
         state["is_set"] = self._is_set
@@ -378,6 +391,8 @@ class Semaphore(_Resource):
             return error(ReturnCode.NO_ACTION)
         self._value += 1
         return ok()
+
+    SNAPSHOT_SCHEMA = {**_Resource.SNAPSHOT_SCHEMA, "value": RAW}
 
     def snapshot(self) -> dict:
         state = super().snapshot()

@@ -598,6 +598,12 @@ def run_pool(scenarios: Sequence[Scenario], *,
             for index, result in zip(indices, group_results):
                 results[index] = result
             worker_stats[str(sidecar["pid"])] = sidecar
+        # Let the workers exit on their own before the context manager's
+        # terminate(): a worker killed while its telemetry-queue feeder
+        # thread holds the queue's shared lock would leave the parent's
+        # closing sentinel blocked, and its final events unflushed.
+        pool.close()
+        pool.join()
     if telemetry is not None:
         telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_cache)
         telemetry["workers"] = {

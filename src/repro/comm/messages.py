@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..exceptions import ConfigurationError
+from ..kernel.snapshot_schema import COUNTER, RAW, TICK
 from ..types import Ticks
 
 __all__ = ["TransferMode", "PortSpec", "ChannelConfig", "Envelope"]
@@ -120,6 +121,10 @@ class ChannelConfig:
 @dataclass(frozen=True)
 class Envelope:
     """A message in flight: payload plus transport metadata."""
+
+    #: Envelopes sit in port, router and link captures as they are.
+    SNAPSHOT_SCHEMA = {"payload": RAW, "sent_at": TICK, "channel": RAW,
+                       "sequence": COUNTER}
 
     payload: bytes
     sent_at: Ticks

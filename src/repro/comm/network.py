@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..kernel.rng import SeededRng
+from ..kernel.snapshot_schema import COUNTER, COUNTERS, RAW, TICK, Rows
 from ..types import Ticks
 from .messages import Envelope
 
@@ -137,6 +138,14 @@ class NetworkLink:
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
 
+    #: ``in_flight`` holds ``(arrival, sequence, envelope, tag)`` rows.
+    SNAPSHOT_SCHEMA = {
+        "in_flight": Rows(TICK, COUNTER, Envelope.SNAPSHOT_SCHEMA, RAW),
+        "sequence": COUNTER,
+        "rng": RAW,
+        "stats": COUNTERS,
+    }
+
     def snapshot(self) -> dict:
         """Capture in-flight messages (closures encoded as their tags),
         the loss rng stream and the counters as pure data."""
@@ -224,6 +233,9 @@ class ReliableLink:
     def next_delivery_tick(self) -> Optional[Ticks]:
         """Arrival tick of the earliest in-flight message, or None."""
         return self.link.next_delivery_tick
+
+    SNAPSHOT_SCHEMA = {"link": NetworkLink.SNAPSHOT_SCHEMA,
+                       "backoff_rng": RAW}
 
     def snapshot(self) -> dict:
         """Capture the wrapped link plus the backoff rng stream."""

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..exceptions import ConfigurationError
+from ..kernel.snapshot_schema import COUNTER, Each, OneOf
 from ..kernel.trace import PortMessageReceived, PortMessageSent, Trace
 from ..types import Ticks
 from .messages import ChannelConfig, Envelope, PortSpec, TransferMode
@@ -213,6 +214,13 @@ class CommRouter:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {
+        "channels": Each({"sequence": COUNTER,
+                          "link": OneOf(NetworkLink.SNAPSHOT_SCHEMA,
+                                        ReliableLink.SNAPSHOT_SCHEMA)}),
+        "undelivered": Each(Each(Envelope.SNAPSHOT_SCHEMA)),
+    }
 
     def snapshot(self) -> dict:
         """Capture channel sequences, link state and held messages.

@@ -23,7 +23,6 @@ Builders:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Tuple
 
@@ -261,11 +260,3 @@ def constellation_campaign(*, count: int = 50, nodes: int = 3,
             node_faults=tuple(node_faults),
         ))
     return scenarios
-
-
-def campaign_digest_inputs(
-        scenarios: List[ConstellationScenario]) -> str:
-    """Canonical JSON of the scenario specs (spec-digest input)."""
-    return json.dumps(
-        [constellation_scenario_to_dict(scenario)
-         for scenario in scenarios], sort_keys=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..kernel.context import ContextBank
+from ..kernel.snapshot_schema import COUNTERS, RAW
 from ..kernel.trace import PartitionDispatched, Trace
 from ..spatial.mmu import Mmu
 from ..types import ScheduleChangeAction, Ticks
@@ -156,6 +157,8 @@ class PartitionDispatcher:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {"active_partition": RAW, "stats": COUNTERS}
 
     def snapshot(self) -> dict:
         """Capture the dispatcher's mutable state as pure data."""

@@ -37,6 +37,7 @@ from ..fdir.watchdog import WatchdogService
 from ..hm.monitor import ActionExecutor, HealthMonitor
 from ..kernel.context import ContextBank
 from ..kernel.rng import SeededRng
+from ..kernel.snapshot_schema import COUNTER, COUNTERS, RAW, Each, OneOf
 from ..kernel.time import TimeSource
 from ..kernel.trace import ClockTamperTrapped, MemoryFault, Trace
 from ..pos.base import PartitionOs
@@ -255,6 +256,32 @@ class Pmk(ModuleControl, ActionExecutor):
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    #: ``module_restarts`` is a counter kept raw: a module restart is
+    #: never steady.  A partition's POS capture is the base POS's or the
+    #: generic POS's, told apart by its keys.
+    SNAPSHOT_SCHEMA = {
+        "stopped": RAW,
+        "module_restarts": RAW,
+        "rng": RAW,
+        "ticks_executed": COUNTER,
+        "idle_ticks": COUNTER,
+        "partition_ticks": COUNTERS,
+        "scheduler": PartitionScheduler.SNAPSHOT_SCHEMA,
+        "contexts": ContextBank.SNAPSHOT_SCHEMA,
+        "dispatcher": PartitionDispatcher.SNAPSHOT_SCHEMA,
+        "mmu": Mmu.SNAPSHOT_SCHEMA,
+        "router": CommRouter.SNAPSHOT_SCHEMA,
+        "health_monitor": HealthMonitor.SNAPSHOT_SCHEMA,
+        "fdir": FdirSupervisor.SNAPSHOT_SCHEMA,
+        "partitions": Each({
+            "runtime": PartitionRuntime.SNAPSHOT_SCHEMA,
+            "pal": PosAdaptationLayer.SNAPSHOT_SCHEMA,
+            "pos": OneOf(PartitionOs.SNAPSHOT_SCHEMA,
+                         GenericPos.SNAPSHOT_SCHEMA),
+            "apex": ApexInterface.SNAPSHOT_SCHEMA,
+        }),
+    }
 
     def snapshot(self) -> dict:
         """Capture the full deterministic PMK state as pure data.

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 from ..apex.interface import ApexInterface, PartitionControl
 from ..config.schema import PartitionRuntimeConfig
 from ..exceptions import SimulationError
+from ..kernel.snapshot_schema import RAW
 from ..kernel.trace import PartitionModeChanged, Trace
 from ..pos.base import PartitionOs
 from ..pos.pal import PosAdaptationLayer
@@ -196,6 +197,12 @@ class PartitionRuntime(PartitionControl):
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    #: ``init_count`` and ``restart_count`` are counters kept raw: a
+    #: (re)initialization is never steady.
+    SNAPSHOT_SCHEMA = {"mode": RAW, "start_condition": RAW,
+                       "initialized": RAW, "pending_restart": RAW,
+                       "init_count": RAW, "restart_count": RAW}
 
     def snapshot(self) -> dict:
         """Capture mode/lifecycle state as pure data.

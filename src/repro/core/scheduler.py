@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..exceptions import SchedulingError, UnknownScheduleError
+from ..kernel.snapshot_schema import COUNTERS, PHASE, RAW
 from ..kernel.trace import ScheduleSwitched, ScheduleSwitchRequested, Trace
 from ..types import ScheduleChangeAction, Ticks
 from .model import DispatchEntry, ScheduleTable, SystemModel
@@ -259,6 +260,16 @@ class PartitionScheduler:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {
+        "current_schedule": RAW,
+        "next_schedule": RAW,
+        "last_schedule_switch": PHASE,
+        "table_iterator": RAW,
+        "heir_partition": RAW,
+        "pending_change_actions": RAW,
+        "stats": COUNTERS,
+    }
 
     def snapshot(self) -> dict:
         """Capture Algorithm 1's mutable state as pure data.

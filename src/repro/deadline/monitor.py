@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from ..kernel.snapshot_schema import COUNTER, RAW
 from ..types import Ticks
 from .structures import DeadlineRecord, DeadlineStore, make_store
 
@@ -156,6 +157,10 @@ class DeadlineMonitor:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {"store": DeadlineStore.SNAPSHOT_SCHEMA,
+                       "violations": RAW, "checks": COUNTER,
+                       "comparisons": COUNTER}
 
     def snapshot(self) -> dict:
         """Capture the deadline store and detection history as pure data."""

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..exceptions import SimulationError
+from ..kernel.snapshot_schema import COUNTER, RAW, TICK, Rows
 from ..types import Ticks
 
 __all__ = ["DeadlineRecord", "DeadlineStore", "DeadlineList", "DeadlineTree",
@@ -82,6 +83,10 @@ class DeadlineStore:
     def as_list(self) -> List[DeadlineRecord]:
         """All entries, ascending — convenience for tests."""
         return list(self)
+
+    #: ``entries`` holds ``(process, deadline_time, sequence)`` rows.
+    SNAPSHOT_SCHEMA = {"entries": Rows(RAW, TICK, COUNTER),
+                       "sequence": COUNTER}
 
     def snapshot(self) -> dict:
         """Capture entries (with their tie-breaking sequence numbers) and

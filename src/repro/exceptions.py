@@ -79,6 +79,12 @@ class SimulationError(AirError):
     """The simulator reached an inconsistent state (library bug or misuse)."""
 
 
+class SnapshotSchemaError(SimulationError):
+    """A ``snapshot()`` capture disagrees with its declared schema: a key
+    without a declaration, or a value whose shape the declaration rules
+    out (see :mod:`repro.kernel.snapshot_schema`)."""
+
+
 class ProcessFaultError(AirError):
     """An application process body raised an unhandled exception."""
 

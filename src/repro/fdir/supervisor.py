@@ -44,6 +44,7 @@ from ..kernel.trace import (
     PartitionParked,
     Trace,
 )
+from ..kernel.snapshot_schema import RAW, TICK, Each
 from ..types import ErrorCode, RecoveryAction, Ticks
 from .policy import EscalationRule, FdirConfig
 from .watchdog import WatchdogService
@@ -183,6 +184,17 @@ class FdirSupervisor:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {
+        "states": Each({"occurrences": RAW, "rung": RAW}),
+        "storm": RAW,
+        "restarts": RAW,
+        "parked": RAW,
+        "nominal_schedule": RAW,
+        "degraded_schedule": RAW,
+        "probation_deadline": TICK,
+        "watchdog": WatchdogService.SNAPSHOT_SCHEMA,
+    }
 
     def snapshot(self) -> dict:
         """Capture escalation/storm/parking/probation state as pure data.

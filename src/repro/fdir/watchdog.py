@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
+from ..kernel.snapshot_schema import COUNTER, TICK, Rows
 from ..kernel.trace import Trace, WatchdogExpired
 from ..types import Ticks
 
@@ -106,6 +107,10 @@ class WatchdogService:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    #: ``armed`` maps a partition to its ``(last_kick, deadline)`` ticks.
+    SNAPSHOT_SCHEMA = {"armed": Rows(TICK, TICK), "kicks": COUNTER,
+                       "expiries": COUNTER}
 
     def snapshot(self) -> dict:
         """Capture armed deadlines and counters as pure data."""

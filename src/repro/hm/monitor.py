@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..kernel.snapshot_schema import RAW
 from ..kernel.trace import HealthMonitorEvent, Trace
 from ..types import ErrorCode, ErrorLevel, RecoveryAction, Ticks
 from .tables import HmTables
@@ -178,6 +179,8 @@ class HealthMonitor:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {"log": RAW, "occurrences": RAW}
 
     def snapshot(self) -> dict:
         """Capture the disposition log and occurrence counters as pure data.

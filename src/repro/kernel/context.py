@@ -17,6 +17,7 @@ from typing import Dict, Optional
 
 from ..exceptions import SimulationError
 from ..types import Ticks
+from .snapshot_schema import COUNTER, RAW, TICK, Each
 
 __all__ = ["PartitionContext", "ContextBank"]
 
@@ -127,6 +128,13 @@ class ContextBank:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {
+        "live": RAW,
+        "contexts": Each({"last_tick": TICK, "running_process": RAW,
+                          "scratch": RAW, "save_count": COUNTER,
+                          "restore_count": COUNTER}),
+    }
 
     def snapshot(self) -> dict:
         """Capture every partition context and the live marker as pure data.

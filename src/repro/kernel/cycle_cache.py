@@ -17,19 +17,28 @@ How it works
 
 At each MTF boundary the cache computes a **time-rebased fingerprint**
 of the full deterministic simulator state: sha256 over a canonical byte
-encoding of the existing per-component ``snapshot()`` captures, where
+encoding of the existing per-component ``snapshot()`` captures.  Each
+leaf's kind comes from the ``SNAPSHOT_SCHEMA`` its component declares
+next to ``snapshot()`` (:mod:`repro.kernel.snapshot_schema`), never from
+its name, and a capture that disagrees with its declaration raises
+:class:`~repro.exceptions.SnapshotSchemaError`:
 
-* **absolute-tick leaves** (process wake-ups, armed deadlines, watchdog
-  arming, envelope send times, context save stamps …) are encoded as
-  their offset from the boundary tick, so values that march forward by
-  exactly one MTF per frame compare equal;
-* **monotonic-counter leaves** (tick/occupancy/sequence/arrival
-  counters) are excluded from the digest and collected separately —
-  their per-frame *deltas* must be uniform, their absolute values are
-  free to grow;
-* **everything else** (modes, rungs, queued payloads, rng streams,
-  histories, resume logs) is encoded verbatim — any change blocks the
-  cache by construction.
+* **absolute-tick leaves** (``TICK``: process wake-ups, armed deadlines,
+  watchdog arming, envelope send times, context save stamps …) are
+  encoded as their offset from the boundary tick, so values that march
+  forward by exactly one MTF per frame compare equal; the scheduler's
+  last switch (``PHASE``) is encoded by its phase within the MTF;
+* **monotonic-counter leaves** (``COUNTER``/``COUNTERS``: tick,
+  occupancy, sequence and arrival counters) are excluded from the digest
+  and collected separately — their per-frame *deltas* must be uniform,
+  their absolute values are free to grow;
+* **everything else** (``RAW``: modes, rungs, queued payloads, rng
+  streams, histories) is encoded verbatim — any change blocks the cache
+  by construction; resume logs (``LOG``) compare their growth.  Five
+  counters are declared ``RAW`` on purpose, since the events they count
+  are never steady: ``mmu.fault_count``, the partition runtime's
+  ``init_count`` and ``restart_count``, a TCB's ``overload_rejections``
+  and the PMK's ``module_restarts``.
 
 Three verification layers keep replay honest:
 
@@ -49,7 +58,7 @@ A replayed frame is then: verified generator sends, the recorded trace
 delta re-recorded with rebased ticks (observers — the deterministic
 metrics registry — fire exactly as live), and one ``time.skip(MTF)``.
 
-The fingerprint walk is the only pass that classifies snapshot leaves.
+The fingerprint walk is the only pass that reads the declarations.
 While it encodes, it records where each rebased tick, counter and
 resume log lives (a tuple of real keys and indices from the PMK-state
 root).  When replay hands control back to the event loop, live
@@ -75,8 +84,9 @@ from operator import getitem
 from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..exceptions import SimulationError
+from ..exceptions import SimulationError, SnapshotSchemaError
 from ..types import Ticks
+from .snapshot_schema import COUNTER, LOG, PHASE, RAW, TICK, Each, OneOf
 from .trace import frame_format, rebase_event, rebase_plan
 
 __all__ = ["CycleCache", "CYCLE_CACHE_STAT_KEYS", "state_fingerprint"]
@@ -86,50 +96,9 @@ __all__ = ["CycleCache", "CYCLE_CACHE_STAT_KEYS", "state_fingerprint"]
 CYCLE_CACHE_STAT_KEYS = ("hits", "misses", "invalidations",
                          "fingerprint_ns", "bytes")
 
-# --------------------------------------------------------------------- #
-# leaf classification
-# --------------------------------------------------------------------- #
-
-_RAW, _TIME, _TIME_MOD, _COUNTER = range(4)
-
 #: Where a leaf lives: the real dict keys, list/tuple indices and
 #: dataclass field names leading to it from the PMK-state root.
 _Path = Tuple[Any, ...]
-
-#: Snapshot keys whose integer values are absolute simulation ticks that
-#: advance with time in steady state (encoded relative to the boundary).
-_TIME_KEYS = frozenset({
-    "wake_at", "deadline_time", "next_release", "sent_at", "last_tick",
-    "ticks", "probation_deadline",
-})
-
-#: Snapshot keys whose integer values are monotonic counters: excluded
-#: from the digest, delta-verified at template build.
-_COUNTER_KEYS = frozenset({
-    "ticks_executed", "idle_ticks", "announced_ticks", "checks",
-    "comparisons", "save_count", "restore_count", "access_count",
-    "release_count", "activation_count", "kicks", "expiries",
-    "overflow_count", "ready_sequence", "sequence", "ready_since",
-    "arrival",
-})
-
-#: Parent keys whose *every* integer child is a counter (stats blocks,
-#: per-partition occupancy ticks).
-_COUNTER_PARENTS = frozenset({"stats", "partition_ticks"})
-
-#: Subtrees carried and compared verbatim: histories and opaque values
-#: whose inner fields must never be rebased even when their names collide
-#: with the live-state key sets above (e.g. ``deadline_time`` inside a
-#: recorded violation, ``tick`` inside a tamper-attempt record).
-_RAW_SUBTREES = frozenset({
-    "model", "rng", "backoff_rng", "pending_result", "tamper_attempts",
-    "violations", "log", "occurrences", "storm", "parked", "restarts",
-    "scratch",
-})
-
-#: Parents under which an ``"entries"`` list is a wait queue
-#: (``(arrival-ordinal, process-name)`` pairs).
-_WAIT_QUEUE_PARENTS = frozenset({"queue", "waiters"})
 
 #: Consecutive fingerprint misses tolerated before probing backs off.
 _BACKOFF_AFTER = 8
@@ -137,17 +106,8 @@ _BACKOFF_AFTER = 8
 #: Maximum boundaries skipped between probe groups once backed off.
 _MAX_STRIDE = 32
 
-
-def _classify(key: Any, parent: Any) -> int:
-    if parent in _COUNTER_PARENTS:
-        return _COUNTER
-    if key in _TIME_KEYS:
-        return _TIME
-    if key == "last_schedule_switch":
-        return _TIME_MOD
-    if key in _COUNTER_KEYS:
-        return _COUNTER
-    return _RAW
+#: PMK snapshot keys fingerprinted together as the ``core`` component.
+_CORE_KEYS = ("stopped", "module_restarts", "ticks_executed", "idle_ticks")
 
 
 class _Unsupported(Exception):
@@ -161,6 +121,9 @@ class _Unsupported(Exception):
 class _Fingerprinter:
     """One fingerprint walk: canonical bytes -> sha256, per component.
 
+    The walk follows each component's declared snapshot schema
+    (:mod:`repro.kernel.snapshot_schema`) and raises
+    :class:`SnapshotSchemaError` where the capture disagrees with it.
     The byte grammar is deliberately explicit and versioned by the test
     suite's pinned digests: every value is tagged (``N`` none, ``T``/``F``
     bool, ``i`` int, ``t`` boundary-relative tick, ``m`` MTF-phase tick,
@@ -193,16 +156,14 @@ class _Fingerprinter:
         self.slices_empty = True
         self._buffer = bytearray()
         self._stack: List[Any] = []
-        self._partition = ""
-        self._process = ""
 
     # -- component entry point ------------------------------------- #
 
-    def encode_component(self, name: str, root: _Path, value: Any,
+    def encode_component(self, root: _Path, value: Any, schema: Any,
                          prev_lens: Optional[Dict[Tuple[str, str], int]]
                          = None) -> Tuple[bytes, int]:
-        """Encode one component found at *root*; returns ``(digest,
-        byte_count)``."""
+        """Encode one component found at *root* under its *schema*;
+        returns ``(digest, byte_count)``."""
         self._buffer.clear()
         self.prev_lens = prev_lens if prev_lens is not None else {}
         self.new_lens = {}
@@ -211,17 +172,160 @@ class _Fingerprinter:
         self.logs = []
         self.slices_empty = True
         self._stack = list(root)
-        if name.startswith("partition:"):
-            self._partition = name[len("partition:"):]
-        else:
-            self._partition = ""
-        self._walk(value, name, None, False)
+        self._encode(value, schema)
         data = bytes(self._buffer)
         return hashlib.sha256(data).digest(), len(data)
 
-    # -- recursion -------------------------------------------------- #
+    # -- declared values -------------------------------------------- #
 
-    def _walk(self, value: Any, key: Any, parent: Any, raw: bool) -> None:
+    def _encode(self, value: Any, schema: Any) -> None:
+        out = self._buffer
+        if schema is RAW:
+            self._raw(value)
+        elif value is None:
+            out += b"N"
+        elif type(schema) is dict:
+            self._struct(value, schema)
+        elif schema is TICK:
+            self.ticks.append(tuple(self._stack))
+            out += b"t%d" % (self._int(value) - self.origin)
+        elif schema is COUNTER:
+            self.counters[tuple(self._stack)] = self._int(value)
+            out += b"c"
+        elif schema is PHASE:
+            out += b"m%d" % ((self._int(value) - self.origin) % self.mtf)
+        elif schema is LOG:
+            self._resume_log(value)
+        elif type(schema) is Each:
+            self._each(value, schema.schema)
+        elif type(schema) is tuple:
+            self._row(value, schema)
+        elif type(schema) is OneOf:
+            if type(value) is not dict:
+                raise self._shape("a dict", value)
+            self._struct(value, schema.select(value))
+        else:
+            raise SnapshotSchemaError(
+                f"{self._where()}: {schema!r} is not a snapshot schema")
+
+    def _where(self) -> str:
+        return "/".join(map(str, self._stack))
+
+    def _shape(self, expected: str, value: Any) -> SnapshotSchemaError:
+        return SnapshotSchemaError(
+            f"{self._where()}: declared {expected}, captured "
+            f"{type(value).__name__}")
+
+    def _int(self, value: Any) -> int:
+        if type(value) is not int:
+            raise self._shape("an int", value)
+        return value
+
+    def _key(self, key: Any) -> None:
+        encoded = repr(key).encode("utf-8")
+        self._buffer += b"k%d:" % len(encoded)
+        self._buffer += encoded
+
+    def _struct(self, value: Any, schema: Dict[Any, Any]) -> None:
+        """A dict with exactly the declared keys, or a dataclass with
+        exactly the declared fields."""
+        out = self._buffer
+        stack = self._stack
+        if type(value) is dict:
+            self._check_keys(value.keys(), schema)
+            out += b"d%d:" % len(value)
+            for key, item in value.items():
+                self._key(key)
+                stack.append(key)
+                self._encode(item, schema[key])
+                stack.pop()
+        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+            fields = dataclasses.fields(value)
+            self._check_keys({field.name for field in fields}, schema)
+            out += b"D%s;" % type(value).__qualname__.encode("utf-8")
+            for field in fields:
+                stack.append(field.name)
+                self._encode(getattr(value, field.name), schema[field.name])
+                stack.pop()
+        else:
+            raise self._shape("a dict or dataclass", value)
+
+    def _check_keys(self, keys: Any, schema: Dict[Any, Any]) -> None:
+        if keys != schema.keys():
+            raise SnapshotSchemaError(
+                f"{self._where()}: undeclared keys "
+                f"{sorted(map(str, keys - schema.keys()))}, declared keys "
+                f"not captured {sorted(map(str, schema.keys() - keys))}")
+
+    def _each(self, value: Any, schema: Any) -> None:
+        out = self._buffer
+        stack = self._stack
+        if type(value) is dict:
+            out += b"d%d:" % len(value)
+            for key, item in value.items():
+                self._key(key)
+                stack.append(key)
+                self._encode(item, schema)
+                stack.pop()
+        elif type(value) is list:
+            out += b"l%d:" % len(value)
+            for index, item in enumerate(value):
+                stack.append(index)
+                self._encode(item, schema)
+                stack.pop()
+        else:
+            raise self._shape("a dict or list", value)
+
+    def _row(self, value: Any, columns: Tuple[Any, ...]) -> None:
+        if type(value) is not tuple or len(value) != len(columns):
+            raise self._shape(f"a {len(columns)}-tuple", value)
+        self._buffer += b"u%d:" % len(columns)
+        stack = self._stack
+        for index, column in enumerate(columns):
+            stack.append(index)
+            self._encode(value[index], column)
+            stack.pop()
+
+    def _resume_log(self, log: Any) -> None:
+        """Growing-log encoding: only the growth since the previous probe
+        is content-compared; two boundaries match when their *new* resume
+        entries match (the prefix is the generator's already-verified
+        history).  An unknown or shrunken previous length is a reset
+        marker, which can never match a slice encoding — the boundary
+        after a pipeline (re)start is deliberately incomparable.
+
+        The log's ``(partition, process)`` key comes from its path,
+        ``partitions/<partition>/pos/tcbs/<process>/resume_log``."""
+        stack = self._stack
+        if type(log) is not list:
+            raise self._shape("a resume log list", log)
+        if stack[0] != "partitions":
+            raise SnapshotSchemaError(
+                f"{self._where()}: a resume log outside a partition's TCBs")
+        out = self._buffer
+        lkey = (stack[1], stack[-2])
+        length = len(log)
+        self.new_lens[lkey] = length
+        self.logs.append((tuple(stack), lkey))
+        if self.full_logs:
+            out += b"R%d:" % length
+            start = 0
+        else:
+            prev = self.prev_lens.get(lkey)
+            if prev is None or prev > length:
+                out += b"R%d" % length
+                return
+            start = prev
+            out += b"L%d:" % (length - start)
+        if length > start:
+            self.slices_empty = False
+        for index in range(start, length):
+            self._raw(log[index])
+
+    # -- raw subtrees ----------------------------------------------- #
+
+    def _raw(self, value: Any) -> None:
+        """Verbatim encoding: every int is ``i``, nothing is recorded."""
         out = self._buffer
         if value is None:
             out += b"N"
@@ -234,17 +338,7 @@ class _Fingerprinter:
             return
         kind = type(value)
         if kind is int:
-            cls = _RAW if raw else _classify(key, parent)
-            if cls is _TIME:
-                self.ticks.append(tuple(self._stack))
-                out += b"t%d" % (value - self.origin)
-            elif cls is _TIME_MOD:
-                out += b"m%d" % ((value - self.origin) % self.mtf)
-            elif cls is _COUNTER:
-                self.counters[tuple(self._stack)] = value
-                out += b"c"
-            else:
-                out += b"i%d" % value
+            out += b"i%d" % value
             return
         if kind is str:
             encoded = value.encode("utf-8")
@@ -259,23 +353,15 @@ class _Fingerprinter:
             out += b"f%s" % repr(value).encode("ascii")
             return
         if kind is dict:
-            self._walk_dict(value, key, raw)
+            out += b"d%d:" % len(value)
+            for key, item in value.items():
+                self._key(key)
+                self._raw(item)
             return
-        if kind is list:
-            out += b"l%d:" % len(value)
-            stack = self._stack
-            for index, item in enumerate(value):
-                stack.append(index)
-                self._walk(item, None, key, raw)
-                stack.pop()
-            return
-        if kind is tuple:
-            out += b"u%d:" % len(value)
-            stack = self._stack
-            for index, item in enumerate(value):
-                stack.append(index)
-                self._walk(item, None, key, raw)
-                stack.pop()
+        if kind is list or kind is tuple:
+            out += (b"l%d:" if kind is list else b"u%d:") % len(value)
+            for item in value:
+                self._raw(item)
             return
         if isinstance(value, Enum):
             out += b"E%s.%s;" % (type(value).__qualname__.encode("utf-8"),
@@ -283,11 +369,8 @@ class _Fingerprinter:
             return
         if dataclasses.is_dataclass(value):
             out += b"D%s;" % type(value).__qualname__.encode("utf-8")
-            stack = self._stack
             for field in dataclasses.fields(value):
-                stack.append(field.name)
-                self._walk(getattr(value, field.name), field.name, None, raw)
-                stack.pop()
+                self._raw(getattr(value, field.name))
             return
         if callable(value):
             out += b"C%s.%s;" % (
@@ -296,165 +379,44 @@ class _Fingerprinter:
                         type(value).__qualname__).encode("utf-8"))
             return
         raise _Unsupported(f"cycle cache cannot encode {type(value)!r} "
-                           f"at {'/'.join(map(str, self._stack))}")
-
-    def _walk_dict(self, value: Dict[Any, Any], key: Any,
-                   raw: bool) -> None:
-        out = self._buffer
-        out += b"d%d:" % len(value)
-        stack = self._stack
-        in_tcbs = key == "tcbs" and not raw
-        for k, v in value.items():
-            encoded_key = repr(k).encode("utf-8")
-            out += b"k%d:" % len(encoded_key)
-            out += encoded_key
-            stack.append(k)
-            if in_tcbs:
-                self._process = str(k)
-            if raw:
-                self._walk(v, k, key, True)
-            elif k in _RAW_SUBTREES:
-                self._walk(v, k, key, True)
-            elif k == "resume_log" and type(v) is list:
-                self._encode_resume_log(v)
-            elif k == "armed" and type(v) is dict:
-                self._encode_armed(v)
-            elif (k == "entries" and key in _WAIT_QUEUE_PARENTS
-                    and type(v) is list):
-                self._encode_wait_entries(v)
-            elif k == "entries" and key == "store" and type(v) is list:
-                self._encode_store_entries(v)
-            elif k == "in_flight" and type(v) is list:
-                self._encode_in_flight(v)
-            else:
-                self._walk(v, k, key, False)
-            stack.pop()
-        if in_tcbs:
-            self._process = ""
-
-    # -- special shapes --------------------------------------------- #
-
-    def _encode_resume_log(self, log: List[Any]) -> None:
-        """Growing-log encoding: only the growth since the previous probe
-        is content-compared; two boundaries match when their *new* resume
-        entries match (the prefix is the generator's already-verified
-        history).  An unknown or shrunken previous length is a reset
-        marker, which can never match a slice encoding — the boundary
-        after a pipeline (re)start is deliberately incomparable."""
-        out = self._buffer
-        lkey = (self._partition, self._process)
-        length = len(log)
-        self.new_lens[lkey] = length
-        self.logs.append((tuple(self._stack), lkey))
-        if self.full_logs:
-            out += b"R%d:" % length
-            start = 0
-        else:
-            prev = self.prev_lens.get(lkey)
-            if prev is None or prev > length:
-                out += b"R%d" % length
-                return
-            start = prev
-            out += b"L%d:" % (length - start)
-        if length > start:
-            self.slices_empty = False
-        stack = self._stack
-        for index in range(start, length):
-            stack.append(index)
-            self._walk(log[index], None, "resume_log", True)
-            stack.pop()
-
-    def _encode_armed(self, armed: Dict[Any, Any]) -> None:
-        """Watchdog arming: ``{name: (last_kick, deadline)}`` — both
-        absolute ticks, rebased like any other live timer."""
-        out = self._buffer
-        out += b"d%d:" % len(armed)
-        origin = self.origin
-        path = tuple(self._stack)
-        for k, v in armed.items():
-            encoded_key = repr(k).encode("utf-8")
-            out += b"k%d:" % len(encoded_key)
-            out += encoded_key
-            last_kick, deadline = v
-            self.ticks += [path + (k, 0), path + (k, 1)]
-            out += b"u2:t%d t%d" % (last_kick - origin, deadline - origin)
-
-    def _encode_wait_entries(self, entries: List[Any]) -> None:
-        """Wait-queue entries: ``(arrival-ordinal, process-name)``."""
-        out = self._buffer
-        out += b"l%d:" % len(entries)
-        path = tuple(self._stack)
-        for index, (arrival, name) in enumerate(entries):
-            self.counters[path + (index, 0)] = arrival
-            encoded = name.encode("utf-8")
-            out += b"u2:cs%d:" % len(encoded)
-            out += encoded
-
-    def _encode_store_entries(self, entries: List[Any]) -> None:
-        """Deadline-store entries: ``(process, deadline_time, sequence)``."""
-        out = self._buffer
-        out += b"l%d:" % len(entries)
-        origin = self.origin
-        path = tuple(self._stack)
-        for index, (process, deadline_time, sequence) in enumerate(entries):
-            encoded = process.encode("utf-8")
-            self.ticks.append(path + (index, 1))
-            self.counters[path + (index, 2)] = sequence
-            out += b"u3:s%d:" % len(encoded)
-            out += encoded
-            out += b"t%dc" % (deadline_time - origin)
-
-    def _encode_in_flight(self, entries: List[Any]) -> None:
-        """Network-link in-flight entries:
-        ``(arrival-tick, sequence, envelope, tag)``."""
-        out = self._buffer
-        origin = self.origin
-        out += b"l%d:" % len(entries)
-        stack = self._stack
-        path = tuple(stack)
-        for index, (arrival, sequence, envelope, tag) in enumerate(entries):
-            self.ticks.append(path + (index, 0))
-            self.counters[path + (index, 1)] = sequence
-            out += b"u4:t%d" % (arrival - origin)
-            out += b"c"
-            stack += (index, 2)
-            self._walk(envelope, None, "in_flight", False)
-            del stack[-2:]
-            self._walk(tag, None, "in_flight", True)
+                           f"under {self._where()}")
 
 
 # --------------------------------------------------------------------- #
 # component decomposition
 # --------------------------------------------------------------------- #
 
-def _components(state: dict,
-                time_state: dict) -> List[Tuple[str, _Path, Any]]:
-    """Split a PMK snapshot (+ time snapshot) into fingerprint components.
+def _components(state: dict, schema: dict, time_state: dict,
+                time_schema: dict) -> List[Tuple[str, _Path, Any, Any]]:
+    """Split a PMK snapshot (+ time snapshot) into fingerprint components,
+    each with its declared schema (*schema* is the PMK's).
 
     The split is the dirty-reuse granularity: partitions are one
     component each, the rng stream is isolated (so steady frames that
-    draw nothing reuse its digest), and the remaining module-level
-    captures keep their snapshot keys.  The ``rng`` capture is wrapped
-    one level so the walk treats its internals as a raw subtree.  Each
-    component comes with its root, the path to it in the PMK state (the
-    ``rng`` and ``core`` wrappers sit at the root itself); the time
-    source's capture is no part of the PMK state and is rooted at its own
-    snapshot.
+    draw nothing reuse its digest), the four scalar captures form the
+    ``core`` component, and the remaining module-level captures keep
+    their snapshot keys.  Each component comes with its root, the path
+    to it in the PMK state (the ``rng`` and ``core`` wrappers sit at the
+    root itself); the time source's capture is no part of the PMK state
+    and is rooted at its own snapshot.
     """
-    components: List[Tuple[str, _Path, Any]] = [
-        ("time", (), time_state),
-        ("rng", (), {"rng": state["rng"]}),
-        ("core", (), {"stopped": state["stopped"],
-                      "module_restarts": state["module_restarts"],
-                      "ticks_executed": state["ticks_executed"],
-                      "idle_ticks": state["idle_ticks"]}),
+    if state.keys() != schema.keys():
+        raise SnapshotSchemaError(
+            f"PMK snapshot keys {sorted(state.keys() ^ schema.keys())} "
+            f"disagree with the declared schema")
+    components: List[Tuple[str, _Path, Any, Any]] = [
+        ("time", (), time_state, time_schema),
+        ("rng", (), {"rng": state["rng"]}, {"rng": schema["rng"]}),
+        ("core", (), {key: state[key] for key in _CORE_KEYS},
+         {key: schema[key] for key in _CORE_KEYS}),
     ]
-    for name in ("partition_ticks", "scheduler", "contexts", "dispatcher",
-                 "mmu", "router", "health_monitor", "fdir"):
-        components.append((name, (name,), state[name]))
+    for name, value in state.items():
+        if name not in _CORE_KEYS and name not in ("rng", "partitions"):
+            components.append((name, (name,), value, schema[name]))
+    partition_schema = schema["partitions"].schema
     for name, partition_state in state["partitions"].items():
         components.append(("partition:" + name, ("partitions", name),
-                           partition_state))
+                           partition_state, partition_schema))
     return components
 
 
@@ -788,7 +750,9 @@ class CycleCache:
         records: Dict[str, _Record] = {}
         counters: Dict[_Path, int] = {}
         digest = hashlib.sha256()
-        for name, root, value in _components(state, time_state):
+        for name, root, value, schema in _components(
+                state, self._pmk.SNAPSHOT_SCHEMA, time_state,
+                self._time.SNAPSHOT_SCHEMA):
             prev = prev_records.get(name)
             if (prev is not None and not prev.ticks
                     and prev.slices_empty and prev.raw == value):
@@ -799,7 +763,7 @@ class CycleCache:
                 record = prev
             else:
                 comp_digest, nbytes = walker.encode_component(
-                    name, root, value,
+                    root, value, schema,
                     prev.lens if prev is not None else None)
                 self.stats["bytes"] += nbytes
                 record = _Record(value, comp_digest, walker)
@@ -1072,7 +1036,9 @@ def state_fingerprint(simulator: Any) -> str:
     walker = _Fingerprinter(origin=simulator.time.now,
                             mtf=scheduler.current.mtf, full_logs=True)
     digest = hashlib.sha256()
-    for name, root, value in _components(pmk_state, time_state):
-        comp_digest, _ = walker.encode_component(name, root, value)
+    for _name, root, value, schema in _components(
+            pmk_state, simulator.pmk.SNAPSHOT_SCHEMA, time_state,
+            simulator.time.SNAPSHOT_SCHEMA):
+        comp_digest, _ = walker.encode_component(root, value, schema)
         digest.update(comp_digest)
     return digest.hexdigest()

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional
 
 from ..exceptions import ClockTamperingError, SimulationError
 from ..types import Ticks
+from .snapshot_schema import RAW, TICK
 
 __all__ = ["TimeSource", "GuestClock", "TamperAttempt"]
 
@@ -107,6 +108,8 @@ class TimeSource:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {"ticks": TICK, "tamper_attempts": RAW}
 
     def snapshot(self) -> dict:
         """Capture the tick counter and tamper log as pure data."""

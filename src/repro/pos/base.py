@@ -26,6 +26,7 @@ from ..exceptions import (
     SimulationError,
     UnknownProcessError,
 )
+from ..kernel.snapshot_schema import COUNTER, RAW, Each
 from ..types import ProcessState, Ticks
 from .effects import Call, Compute
 from .tcb import Tcb, WaitCondition, WaitReason
@@ -539,6 +540,10 @@ class PartitionOs:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {"tcbs": Each(Tcb.SNAPSHOT_SCHEMA),
+                       "ready_sequence": COUNTER, "running": RAW,
+                       "preemption_lock": RAW, "announced_ticks": COUNTER}
 
     def snapshot(self, resource_ref: Callable[[object], Any]) -> dict:
         """Capture all POS scheduling state as pure data.

@@ -21,6 +21,7 @@ from typing import List, Optional
 
 from ..core.model import Partition
 from ..exceptions import ClockTamperingError
+from ..kernel.snapshot_schema import RAW
 from ..kernel.time import GuestClock
 from ..types import Ticks
 from .base import PartitionOs
@@ -111,6 +112,9 @@ class GenericPos(PartitionOs):
     # -------------------------------------------------------------- #
     # snapshot / restore
     # -------------------------------------------------------------- #
+
+    SNAPSHOT_SCHEMA = {**PartitionOs.SNAPSHOT_SCHEMA,
+                       "ticks_on_current": RAW, "takeover_attempts": RAW}
 
     def snapshot(self, resource_ref) -> dict:
         state = super().snapshot(resource_ref)

@@ -166,6 +166,8 @@ class PosAdaptationLayer:
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
 
+    SNAPSHOT_SCHEMA = {"monitor": DeadlineMonitor.SNAPSHOT_SCHEMA}
+
     def snapshot(self) -> dict:
         """Capture the PAL's only mutable state: the deadline monitor."""
         return {"monitor": self.monitor.snapshot()}

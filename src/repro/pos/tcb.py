@@ -18,6 +18,7 @@ from typing import Any, Callable, Generator, List, Optional
 
 from ..core.model import ProcessModel
 from ..exceptions import SimulationError
+from ..kernel.snapshot_schema import COUNTER, LOG, RAW, TICK
 from ..types import INFINITE_TIME, ProcessState, Ticks, is_infinite
 
 __all__ = ["WaitReason", "WaitCondition", "Tcb", "ProcessBody", "BodyFactory"]
@@ -221,6 +222,30 @@ class Tcb:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    #: ``overload_rejections`` is a counter kept raw: an overload is
+    #: never steady.
+    SNAPSHOT_SCHEMA = {
+        "model": RAW,
+        "state": RAW,
+        "current_priority": RAW,
+        "deadline_time": TICK,
+        "has_generator": RAW,
+        "resume_log": LOG,
+        "compute_remaining": RAW,
+        "pending_result": RAW,
+        "has_pending_result": RAW,
+        "wait": {"reason": RAW, "wake_at": TICK, "resource": RAW,
+                 "timed_out": RAW},
+        "ready_since": COUNTER,
+        "release_count": COUNTER,
+        "next_release": TICK,
+        "activation_count": COUNTER,
+        "overload_rejections": RAW,
+        "body_started": RAW,
+        "started_at": RAW,
+        "completed": RAW,
+    }
 
     def snapshot(self, resource_ref: Callable[[object], Any]) -> dict:
         """Capture runtime state as pure data (no generator, no callbacks).

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..exceptions import ConfigurationError, SpatialViolationError
+from ..kernel.snapshot_schema import COUNTER, RAW
 from ..types import AccessKind, PrivilegeLevel
 from .descriptors import MemoryDescriptor, PartitionMemoryMap
 
@@ -198,6 +199,10 @@ class Mmu:
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
+
+    #: ``fault_count`` is a counter kept raw: a fault is never steady.
+    SNAPSHOT_SCHEMA = {"active": RAW, "access_count": COUNTER,
+                       "fault_count": RAW}
 
     def snapshot(self) -> dict:
         """Capture the active context and counters as pure data.

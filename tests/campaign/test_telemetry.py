@@ -7,6 +7,7 @@ event log is itself byte-stable across worker counts.
 """
 
 import json
+from multiprocessing.pool import Pool
 
 import pytest
 
@@ -79,6 +80,42 @@ class TestDeterministicChannelByteStability:
         assert all(entry["valid"] for entry in report), [
             entry for entry in report if not entry["valid"]]
         assert telemetry["telemetry_stream"]["invalid_topics"] == 0
+
+
+class TestPoolShutdown:
+    def test_workers_exit_before_terminate_and_flush_their_counters(
+            self, tmp_path, monkeypatch):
+        # Leaving ``with Pool(...)`` is terminate(), which kills a worker
+        # whose queue feeder may still be flushing its final events (or
+        # holding the queue lock the parent's closing sentinel needs).
+        calls = []
+        join, terminate = Pool.join, Pool.terminate
+
+        def recorded_join(pool):
+            join(pool)
+            calls.append("joined")
+
+        def recorded_terminate(pool):
+            calls.append("terminate")
+            terminate(pool)
+
+        monkeypatch.setattr(Pool, "join", recorded_join)
+        monkeypatch.setattr(Pool, "terminate", recorded_terminate)
+        log = tmp_path / "telemetry.jsonl"
+        _, telemetry = run_with_bus(small_chaos(), workers=2,
+                                    log_path=str(log))
+        assert "joined" in calls
+        assert calls.index("joined") < calls.index("terminate")
+        last = {}
+        for record in map(json.loads, log.read_text().splitlines()):
+            last[record["topic"]] = record["payload"].get("value")
+        workers = {pid: sidecar for pid, sidecar
+                   in telemetry["workers"].items() if pid != "prebuild"}
+        assert workers
+        for pid, sidecar in workers.items():
+            for stat, value in sidecar["prefix_cache"].items():
+                assert last.get(f"worker/{pid}/cache/{stat}") == value, (
+                    pid, stat)
 
 
 class TestFlightRecorderThroughRunner:

@@ -50,6 +50,11 @@ STEADY_DIGEST = \
     "be5d02e9e3e23ba86efe9e95168fa9e098db7b8d6ef687d3e8da6cfa02c1f4dd"
 PROTO_DIGEST = \
     "6f885095f1ae944d66e67df86cbad1717b718eca3cc3b5c22b368d7f0443d870"
+#: The remote configuration mid-frame after 20 MTFs, with both row shapes
+#: the two digests above miss live: an armed watchdog's (last_kick,
+#: deadline) and an in-flight (arrival, sequence, envelope, tag).
+REMOTE_DIGEST = \
+    "65f04df8e0d8f3e4efdecc6bfe3aaf91a9b0d0737e663cb83c712555d9e8b84f"
 
 
 def full_signature(simulator):
@@ -78,6 +83,12 @@ class TestFingerprintStability:
         proto = make_simulator(build_prototype())
         proto.run_fast(STEADY_MTF * 2)
         assert state_fingerprint(proto) == PROTO_DIGEST
+        remote = Simulator(remote_config(latency=620, watchdog=800))
+        remote.run_fast(500 * 20 + 250)
+        state = remote.pmk.snapshot()
+        assert state["fdir"]["watchdog"]["armed"]
+        assert state["router"]["channels"]["ch"]["link"]["in_flight"]
+        assert state_fingerprint(remote) == REMOTE_DIGEST
 
     def test_fingerprint_is_reproducible_across_interpreter_processes(self):
         # str hashing is randomized per process (PYTHONHASHSEED); the
