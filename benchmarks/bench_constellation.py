@@ -39,12 +39,8 @@ from typing import Dict, List
 import pytest
 
 from repro.campaign.results import deterministic_report
-from repro.campaign.runner import run_campaign
-from repro.constellation import (
-    constellation_campaign,
-    failover_drill,
-    run_constellation_scenario,
-)
+from repro.campaign.runner import run_campaign, run_scenario
+from repro.constellation import constellation_campaign, failover_drill
 from repro.constellation.constellation import Constellation
 
 from bench_lib import emit_bench_json, workload_record
@@ -69,7 +65,7 @@ def run_drill(*, nodes: int = 3, mtfs: int = 8,
     """Run the silent-leader drill; measure the failover latency."""
     scenario = failover_drill(nodes=nodes, seed=seed, mtfs=mtfs)
     start = time.perf_counter()
-    result = run_constellation_scenario(scenario)
+    result = run_scenario(scenario)
     wall_s = time.perf_counter() - start
     assert result.status == "ok", result.error
 

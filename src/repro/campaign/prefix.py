@@ -365,7 +365,9 @@ def _resume(snapshot: Optional[SimulatorSnapshot], config, *,
             cycle_cache: Optional[bool]):
     """A simulator and injector continuing *snapshot* (cold when None).
 
-    The injector is seeded from the applied log the checkpoint carries
+    The one fork/resume helper: checkpoint-chain construction and
+    :func:`~repro.campaign.runner.run_scenario` both start here.  The
+    injector is seeded from the applied log the checkpoint carries
     in its ``extras``, so only the rest of the timeline is scheduled.
     """
     from ..fault.injector import FaultInjector
@@ -387,8 +389,8 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                        plan: PrefixPlan,
                        base_snapshot: Optional[SimulatorSnapshot],
                        base_depth: int, *,
-                       cycle_cache: Optional[bool] = None,
-                       check_interval: int) -> Optional[SimulatorSnapshot]:
+                       cycle_cache: Optional[bool]
+                       ) -> Optional[SimulatorSnapshot]:
     """Build and cache the plan's missing checkpoints.
 
     Starts from *base_snapshot* (the checkpoint at *base_depth*), else
@@ -397,6 +399,8 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
     pending.  Returns the deepest checkpoint reached (or *base_snapshot*
     if nothing new was needed); returns None to degrade on any failure.
     """
+    from .runner import TIMEOUT_CHECK_INTERVAL
+
     try:
         config = scenario.build_config()
         simulator, injector = _resume(base_snapshot, config,
@@ -411,7 +415,7 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                 injector.schedule(event_tick, fault)
             cursor = depth
             injector.run_fast(tick - simulator.now,
-                              check_interval=check_interval)
+                              check_interval=TIMEOUT_CHECK_INTERVAL)
             snapshot = SimulatorSnapshot.capture(
                 simulator, extras={"injector": injector.state_dict()})
             cache.put(key, tick, snapshot.to_bytes(), snapshot)
@@ -423,8 +427,8 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
 
 
 def _fork_snapshot(scenario: Scenario, cache: SnapshotCache,
-                   plan: PrefixPlan, *, cycle_cache: Optional[bool],
-                   check_interval: int) -> Optional[SimulatorSnapshot]:
+                   plan: PrefixPlan, *, cycle_cache: Optional[bool]
+                   ) -> Optional[SimulatorSnapshot]:
     """The checkpoint *scenario* forks from under *plan*, or None (cold).
 
     Walks the plan's fork levels deepest-first through *cache* and,
@@ -442,7 +446,7 @@ def _fork_snapshot(scenario: Scenario, cache: SnapshotCache,
     if plan.capture_levels and found_depth < plan.capture_levels[-1][0]:
         built = _build_plan_levels(
             scenario, cache, plan, snapshot, found_depth,
-            cycle_cache=cycle_cache, check_interval=check_interval)
+            cycle_cache=cycle_cache)
         if built is not None:
             snapshot = built
     return snapshot
@@ -451,7 +455,6 @@ def _fork_snapshot(scenario: Scenario, cache: SnapshotCache,
 def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
                           plan: PrefixPlan,
                           timeout_s: Optional[float] = None,
-                          check_interval: int = 20_000,
                           cycle_cache: Optional[bool] = None,
                           publisher=None,
                           artifacts=None):
@@ -473,10 +476,8 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
     from .runner import run_scenario
 
     snapshot = _fork_snapshot(scenario, cache, plan,
-                              cycle_cache=cycle_cache,
-                              check_interval=check_interval)
+                              cycle_cache=cycle_cache)
     return run_scenario(scenario, timeout_s=timeout_s,
-                        check_interval=check_interval,
                         from_snapshot=snapshot,
                         cycle_cache=cycle_cache,
                         publisher=publisher,

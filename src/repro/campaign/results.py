@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from ..obs.derived import _rank
 
 __all__ = [
     "ScenarioResult",
@@ -124,17 +125,18 @@ def percentile(values: Sequence[int], fraction: float) -> int:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"percentile fraction must be in [0, 1], "
                          f"got {fraction}")
-    ordered = sorted(values)
-    rank = math.ceil(fraction * len(ordered))
-    return ordered[min(len(ordered) - 1, max(0, rank - 1))]
+    return _rank(sorted(values), fraction)
 
 
 def _distribution(values: Sequence[int]) -> Dict[str, int]:
+    if not values:
+        return {"p50": 0, "p90": 0, "p99": 0, "max": 0}
+    ordered = sorted(values)
     return {
-        "p50": percentile(values, 0.50),
-        "p90": percentile(values, 0.90),
-        "p99": percentile(values, 0.99),
-        "max": max(values) if values else 0,
+        "p50": _rank(ordered, 0.50),
+        "p90": _rank(ordered, 0.90),
+        "p99": _rank(ordered, 0.99),
+        "max": ordered[-1],
     }
 
 

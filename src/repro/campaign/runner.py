@@ -38,9 +38,8 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
-from ..fault.injector import FaultInjector
 from ..fdir.oracle import check_trace
-from ..kernel.simulator import Simulator, cycle_cache_armed
+from ..kernel.simulator import cycle_cache_armed
 from ..kernel.snapshot import SimulatorSnapshot
 from ..kernel.trace import MemoryFault, ScheduleSwitched
 from ..kernel.cycle_cache import CYCLE_CACHE_STAT_KEYS
@@ -65,8 +64,8 @@ __all__ = [
     "autodetect_workers",
 ]
 
-#: Default simulated ticks between wall-clock timeout polls inside a
-#: scenario; override per call with ``check_interval``.
+#: Simulated ticks between wall-clock timeout polls inside a scenario
+#: (and the span cap of every campaign ``run_fast`` call).
 TIMEOUT_CHECK_INTERVAL = 20_000
 
 
@@ -78,15 +77,15 @@ def autodetect_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _record_failure(scenario, *, status: str, error: str,
-                    violations: Sequence = (), simulator=None,
-                    injector=None, from_snapshot=None,
-                    forked_at: int = -1, publisher=None,
+def _record_failure(scenario, run, *, status: str, error: str,
+                    violations: Sequence = (), publisher=None,
                     artifacts: Optional[ScenarioArtifacts] = None) -> None:
     """Failure-path observability: flight-recorder bundle + crash events.
 
-    Best effort throughout — nothing here may replace or mask the
-    scenario's original error.
+    *run* supplies its kind's bundle arguments (the simulator, injector
+    and fork point of a single node; the failing node and inter-node
+    backlog of a constellation).  Best effort throughout — nothing here
+    may replace or mask the scenario's original error.
     """
     path = None
     if artifacts is not None and artifacts.flight_recorder_dir is not None:
@@ -97,9 +96,8 @@ def _record_failure(scenario, *, status: str, error: str,
 
         bundle = flight_record(
             scenario, status=status, error=error, violations=violations,
-            simulator=simulator, injector=injector,
-            from_snapshot=from_snapshot, forked_at=forked_at,
-            last_n=artifacts.flight_record_last_n)
+            last_n=artifacts.flight_record_last_n,
+            **run.bundle_kwargs(violations))
         path = save_flight_record(bundle, artifacts.flight_recorder_dir)
     if publisher is not None:
         publisher.scenario_crashed(scenario.scenario_id, error)
@@ -113,22 +111,101 @@ def _record_failure(scenario, *, status: str, error: str,
 _CYCLE_CACHE_TOTALS: Optional[Dict[str, int]] = None
 
 
-def _note_cycle_stats(simulator) -> None:
-    """Fold *simulator*'s cycle-cache counters into this process's total."""
+def _note_cycle_stats(run) -> None:
+    """Fold the cycle-cache counters of *run*'s simulators into this
+    process's total."""
     global _CYCLE_CACHE_TOTALS
-    stats = getattr(simulator, "cycle_cache_stats", None) \
-        if simulator is not None else None
-    if not stats:
-        return
-    if _CYCLE_CACHE_TOTALS is None:
-        _CYCLE_CACHE_TOTALS = {key: 0 for key in CYCLE_CACHE_STAT_KEYS}
-    for key, value in stats.items():
-        _CYCLE_CACHE_TOTALS[key] = _CYCLE_CACHE_TOTALS.get(key, 0) + value
+    for _, simulator in run.simulators():
+        stats = simulator.cycle_cache_stats
+        if not stats:
+            continue
+        if _CYCLE_CACHE_TOTALS is None:
+            _CYCLE_CACHE_TOTALS = {key: 0 for key in CYCLE_CACHE_STAT_KEYS}
+        totals = _CYCLE_CACHE_TOTALS
+        for key, value in stats.items():
+            totals[key] = totals.get(key, 0) + value
+
+
+class _NodeRun:
+    """A single-node scenario's part in :func:`run_scenario`: one
+    simulator and its fault injector, cold or forked from a checkpoint.
+
+    ``check_trace`` and ``compact_metrics`` are looked up in this
+    module's namespace at call time, so instrumentation that patches
+    them here sees every single-node audit.
+    """
+
+    def __init__(self, scenario: Scenario,
+                 from_snapshot: Optional[SimulatorSnapshot],
+                 cycle_cache: Optional[bool]) -> None:
+        self.scenario = scenario
+        self.from_snapshot = from_snapshot
+        self.cycle_cache = cycle_cache
+        self.config = self.simulator = self.injector = None
+        self.forked_at = -1
+
+    def build(self) -> None:
+        self.config = self.scenario.build_config()
+        self.simulator, self.injector = prefix._resume(
+            self.from_snapshot, self.config, cycle_cache=self.cycle_cache)
+        if self.from_snapshot is not None:
+            self.forked_at = self.simulator.now
+
+    def schedule(self) -> None:
+        # The merged timeline reproduces the historical heap order exactly
+        # (faults first at equal ticks — see Scenario.timeline), so cold
+        # runs are bit-identical to the former faults-then-commands
+        # scheduling, and forked runs skip exactly the applied slice.
+        applied = len(self.injector.log)
+        for tick, fault in self.scenario.timeline()[applied:]:
+            self.injector.schedule(tick, fault)
+
+    @property
+    def now(self) -> int:
+        return self.simulator.now
+
+    def advance(self, should_abort) -> bool:
+        return self.injector.run_fast(
+            self.scenario.ticks - self.simulator.now,
+            should_abort=should_abort, check_interval=TIMEOUT_CHECK_INTERVAL)
+
+    def audit(self) -> Sequence:
+        return check_trace(self.simulator.trace, self.config)
+
+    def simulators(self):
+        """``(artifact label, simulator)``: the scenario id, once."""
+        if self.simulator is None:
+            return []
+        return [(self.scenario.scenario_id, self.simulator)]
+
+    def bundle_kwargs(self, violations) -> Dict[str, object]:
+        return {"simulator": self.simulator, "injector": self.injector,
+                "from_snapshot": self.from_snapshot,
+                "forked_at": self.forked_at}
+
+    def metrics(self, tally: Dict[type, int]):
+        return compact_metrics(self.simulator.trace, tally)
+
+    def result_fields(self) -> Dict[str, object]:
+        trace = self.simulator.trace
+        log = self.injector.log
+        return {
+            "faults_applied": len(log),
+            "injections": tuple(
+                (record.tick, type(record.fault).__name__, record.status)
+                for record in log),
+            "trace_events": len(trace),
+            "trace_digest": trace.digest(),
+            "occupancy": tuple(sorted(
+                self.simulator.pmk.partition_ticks.items())),
+        }
+
+    def publish(self, publisher) -> None:
+        """A single node streams no per-node events."""
 
 
 def run_scenario(scenario: Scenario, *,
                  timeout_s: Optional[float] = None,
-                 check_interval: int = TIMEOUT_CHECK_INTERVAL,
                  from_snapshot: Optional[SimulatorSnapshot] = None,
                  cycle_cache: Optional[bool] = None,
                  publisher=None,
@@ -136,14 +213,14 @@ def run_scenario(scenario: Scenario, *,
                  ) -> ScenarioResult:
     """Execute one scenario to completion, failure or timeout.
 
-    Any exception — a broken config factory, a fault naming an unknown
-    schedule, an internal invariant trip — is captured as a ``crashed``
-    result; exceeding *timeout_s* of wall time yields a ``timeout`` result
-    with the metrics gathered so far.  Either way the caller gets a
-    :class:`ScenarioResult`, never a raised exception.
-
-    *check_interval* bounds the simulated span between wall-clock timeout
-    polls (and thus the timeout's detection granularity).
+    The one lifecycle every scenario runs through, single-node and
+    constellation alike.  Any exception — a broken config factory, a
+    fault naming an unknown schedule, an internal invariant trip — is
+    captured as a ``crashed`` result; exceeding *timeout_s* of wall time
+    yields a ``timeout`` result with the metrics gathered so far.  Either
+    way the caller gets a :class:`ScenarioResult`, never a raised
+    exception.  Wall-clock timeout polls come at least every
+    :data:`TIMEOUT_CHECK_INTERVAL` simulated ticks.
 
     *from_snapshot* forks the scenario from a checkpoint instead of a cold
     simulator: the snapshot must have been captured from the scenario's
@@ -163,110 +240,82 @@ def run_scenario(scenario: Scenario, *,
     host-side hit counters accumulate into the per-worker execution
     sidecar.
 
-    Unless the scenario opts out (``oracle=False``), the finished trace is
-    audited by the TSP invariant oracle
-    (:func:`repro.fdir.oracle.check_trace`); any violation downgrades an
+    Unless the scenario opts out (``oracle=False``), the finished run is
+    audited — by the TSP invariant oracle
+    (:func:`repro.fdir.oracle.check_trace`), and for a constellation also
+    per node and by the cross-node oracle; any violation downgrades an
     otherwise clean run to ``crashed`` with the violations in ``error``.
 
     *publisher* (a :class:`~repro.obs.telemetry.TelemetryPublisher`)
     streams timing-channel lifecycle events; *artifacts*
     (:class:`~repro.campaign.artifacts.ScenarioArtifacts`) dumps
-    per-scenario metrics/timeline files and failure flight-recorder
+    per-simulator metrics/timeline files (``<id>.*`` for a single node,
+    ``<id>.n<i>.*`` per constellation node) and failure flight-recorder
     bundles.  Both are pure observers: every simulation step — including
     the ``run_fast`` chunking, whose span bounds are computed identically
     whether ``should_abort`` is set or not — is byte-identical with them
     on, off, or partially consumed.
 
-    Constellation scenarios (``is_constellation``) dispatch to
-    :func:`repro.constellation.runner.run_constellation_scenario` — same
-    contract, N lockstep nodes instead of one simulator.  They never fork
-    from snapshots (each constellation is its own locality group).
+    Constellation scenarios (``is_constellation``) run N lockstep nodes
+    through :class:`repro.constellation.runner.ConstellationRun` instead
+    of one simulator.  They never fork from snapshots (each constellation
+    is its own locality group).
     """
-    if getattr(scenario, "is_constellation", False):
-        from ..constellation.runner import run_constellation_scenario
-
-        return run_constellation_scenario(
-            scenario, timeout_s=timeout_s, check_interval=check_interval,
-            cycle_cache=cycle_cache, publisher=publisher,
-            artifacts=artifacts)
     start = time.perf_counter()
-    if check_interval < 1:
-        raise ValueError(
-            f"check_interval must be >= 1, got {check_interval}")
-    forked_at = -1
-    simulator = None
-    injector = None
+    if getattr(scenario, "is_constellation", False):
+        from ..constellation.runner import ConstellationRun
+
+        run = ConstellationRun(scenario, cycle_cache)
+    else:
+        run = _NodeRun(scenario, from_snapshot, cycle_cache)
+    scenario_id = scenario.scenario_id
     if publisher is not None:
-        publisher.scenario_started(scenario.scenario_id, scenario.ticks)
+        publisher.scenario_started(scenario_id, scenario.ticks)
     try:
-        config = scenario.build_config()
-        if from_snapshot is not None:
-            simulator = from_snapshot.restore(config, cycle_cache=cycle_cache)
-            forked_at = simulator.now
-            if publisher is not None:
-                publisher.scenario_forked(scenario.scenario_id, forked_at)
-        else:
-            simulator = Simulator(config, cycle_cache=cycle_cache)
-        injector = FaultInjector(simulator)
-        applied = 0
-        if from_snapshot is not None and from_snapshot.extras:
-            state = from_snapshot.extras.get("injector")
-            if state is not None:
-                injector.load_state_dict(state)
-                applied = len(injector.log)
-        # The merged timeline reproduces the historical heap order exactly
-        # (faults first at equal ticks — see Scenario.timeline), so cold
-        # runs are bit-identical to the former faults-then-commands
-        # scheduling, and forked runs skip exactly the applied slice.
-        for tick, fault in scenario.timeline()[applied:]:
-            injector.schedule(tick, fault)
+        run.build()
+        if run.forked_at >= 0 and publisher is not None:
+            publisher.scenario_forked(scenario_id, run.forked_at)
+        run.schedule()
         should_abort = None
         if timeout_s is not None:
             deadline = start + timeout_s
             should_abort = lambda: time.perf_counter() > deadline
         if publisher is not None:
             # Progress heartbeats piggyback on the existing abort poll:
-            # run_fast's span bounds do not depend on should_abort being
-            # set, so publishing from it cannot perturb the simulation.
+            # the span bounds do not depend on should_abort being set, so
+            # publishing from it cannot perturb the simulation.
             inner_abort = should_abort
-            live_simulator = simulator
 
             def should_abort() -> bool:
-                publisher.scenario_progress(
-                    scenario.scenario_id, live_simulator.now,
-                    scenario.ticks)
+                publisher.scenario_progress(scenario_id, run.now,
+                                            scenario.ticks)
                 return inner_abort() if inner_abort is not None else False
-        completed = injector.run_fast(
-            scenario.ticks - simulator.now, should_abort=should_abort,
-            check_interval=check_interval)
+        completed = run.advance(should_abort)
     except Exception as exc:
-        _note_cycle_stats(simulator)
+        _note_cycle_stats(run)
         error = f"{type(exc).__name__}: {exc}"
         result = ScenarioResult(
-            scenario_id=scenario.scenario_id,
+            scenario_id=scenario_id,
             seed=scenario.seed,
             status=STATUS_CRASHED,
             error=error,
             wall_time_s=time.perf_counter() - start,
-            forked_at_tick=forked_at,
+            forked_at_tick=run.forked_at,
         )
-        _record_failure(scenario, status=STATUS_CRASHED, error=error,
-                        simulator=simulator, injector=injector,
-                        from_snapshot=from_snapshot, forked_at=forked_at,
+        _record_failure(scenario, run, status=STATUS_CRASHED, error=error,
                         publisher=publisher, artifacts=artifacts)
         if publisher is not None:
             publisher.scenario_finished(
-                scenario.scenario_id, STATUS_CRASHED,
-                result.wall_time_s, forked_at)
+                scenario_id, STATUS_CRASHED, result.wall_time_s,
+                run.forked_at)
         return result
-    _note_cycle_stats(simulator)
-    trace = simulator.trace
+    _note_cycle_stats(run)
     status = STATUS_OK if completed else STATUS_TIMEOUT
     error = "" if completed else \
-        f"exceeded {timeout_s}s wall-clock budget at tick {simulator.now}"
+        f"exceeded {timeout_s}s wall-clock budget at tick {run.now}"
     violations: Sequence = ()
     if completed and scenario.oracle:
-        violations = check_trace(trace, config)
+        violations = run.audit()
         if violations:
             status = STATUS_CRASHED
             error = (f"oracle: {len(violations)} invariant violation(s); "
@@ -274,41 +323,36 @@ def run_scenario(scenario: Scenario, *,
                          f"{v.invariant}@{v.tick}: {v.detail}"
                          for v in violations[:3]))
     if status == STATUS_CRASHED:
-        _record_failure(scenario, status=status, error=error,
-                        violations=violations, simulator=simulator,
-                        injector=injector, from_snapshot=from_snapshot,
-                        forked_at=forked_at, publisher=publisher,
+        _record_failure(scenario, run, status=status, error=error,
+                        violations=violations, publisher=publisher,
                         artifacts=artifacts)
     if artifacts is not None and artifacts.wants_exports:
-        write_scenario_artifacts(scenario.scenario_id, simulator,
-                                 artifacts)
+        for label, simulator in run.simulators():
+            write_scenario_artifacts(label, simulator, artifacts)
+    if publisher is not None:
+        run.publish(publisher)
     tally = {ScheduleSwitched: 0, MemoryFault: 0}
-    metrics = compact_metrics(trace, tally)
+    metrics = run.metrics(tally)
     counts = dict(metrics)
+    fields = run.result_fields()
     result = ScenarioResult(
-        scenario_id=scenario.scenario_id,
+        scenario_id=scenario_id,
         seed=scenario.seed,
         status=status,
-        ticks=simulator.now,
+        ticks=run.now,
         deadline_misses=counts["deadline_misses"],
         hm_events=counts["hm_events"],
         schedule_switches=tally[ScheduleSwitched],
         memory_faults=tally[MemoryFault],
-        faults_applied=len(injector.log),
-        injections=tuple(
-            (record.tick, type(record.fault).__name__, record.status)
-            for record in injector.log),
-        trace_events=len(trace),
-        trace_digest=trace.digest(),
-        occupancy=tuple(sorted(simulator.pmk.partition_ticks.items())),
         metrics=metrics,
         error=error,
         wall_time_s=time.perf_counter() - start,
-        forked_at_tick=forked_at,
+        forked_at_tick=run.forked_at,
+        **fields,
     )
     if publisher is not None:
-        publisher.scenario_finished(scenario.scenario_id, status,
-                                    result.wall_time_s, forked_at)
+        publisher.scenario_finished(scenario_id, status,
+                                    result.wall_time_s, run.forked_at)
     return result
 
 
@@ -333,10 +377,14 @@ def _init_worker(cache, telemetry) -> None:
     every worker starts from the parent's live snapshots copy-on-write;
     under spawn the cache is pickled once per worker.
     """
-    global _WORKER_PREFIX_CACHE, _WORKER_TELEMETRY, _WORKER_PUBLISHER
+    global _WORKER_PREFIX_CACHE, _WORKER_TELEMETRY, _WORKER_PUBLISHER, \
+        _CYCLE_CACHE_TOTALS
     _WORKER_PREFIX_CACHE = cache
     _WORKER_TELEMETRY = telemetry
     _WORKER_PUBLISHER = None
+    # A forked worker inherits the parent's totals; its sidecar must
+    # count only the scenarios it runs itself.
+    _CYCLE_CACHE_TOTALS = None
 
 
 def _worker_publisher():
@@ -363,15 +411,14 @@ def _group_worker(payload):
     pid on the parent side; later tasks from the same worker simply
     overwrite with larger counts).
     """
-    (indices, group, plans, timeout_s, check_interval, cycle_cache,
-     artifacts) = payload
+    indices, group, plans, timeout_s, cycle_cache, artifacts = payload
     cache = _WORKER_PREFIX_CACHE
     publisher = _worker_publisher()
     results = [
         prefix.run_with_prefix_cache(
             scenario, cache, plan=plan, timeout_s=timeout_s,
-            check_interval=check_interval, cycle_cache=cycle_cache,
-            publisher=publisher, artifacts=artifacts)
+            cycle_cache=cycle_cache, publisher=publisher,
+            artifacts=artifacts)
         for scenario, plan in zip(group, plans)]
     sidecar = {"pid": os.getpid(),
                "prefix_cache": cache.stats(),
@@ -410,7 +457,6 @@ def _close_bus(bus, results: Sequence[ScenarioResult],
 
 def run_serial(scenarios: Sequence[Scenario], *,
                timeout_s: Optional[float] = None,
-               check_interval: int = TIMEOUT_CHECK_INTERVAL,
                prefix_cache: bool = True,
                cycle_cache: Optional[bool] = None,
                telemetry: Optional[Dict] = None,
@@ -444,9 +490,8 @@ def run_serial(scenarios: Sequence[Scenario], *,
     results = [
         prefix.run_with_prefix_cache(
             scenario, cache, plan=plans[scenario.scenario_id],
-            timeout_s=timeout_s, check_interval=check_interval,
-            cycle_cache=cycle_cache, publisher=publisher,
-            artifacts=artifacts)
+            timeout_s=timeout_s, cycle_cache=cycle_cache,
+            publisher=publisher, artifacts=artifacts)
         for scenario in scenarios]
     if telemetry is not None:
         telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_cache)
@@ -499,7 +544,6 @@ def run_pool(scenarios: Sequence[Scenario], *,
              workers: Optional[int] = None,
              chunksize: Optional[int] = None,
              timeout_s: Optional[float] = None,
-             check_interval: int = TIMEOUT_CHECK_INTERVAL,
              prefix_cache: bool = True,
              cycle_cache: Optional[bool] = None,
              telemetry: Optional[Dict] = None,
@@ -542,7 +586,6 @@ def run_pool(scenarios: Sequence[Scenario], *,
         workers = autodetect_workers()
     if workers <= 1 or len(scenarios) <= 1:
         return run_serial(scenarios, timeout_s=timeout_s,
-                          check_interval=check_interval,
                           prefix_cache=prefix_cache,
                           cycle_cache=cycle_cache,
                           telemetry=telemetry, bus=bus,
@@ -573,13 +616,12 @@ def run_pool(scenarios: Sequence[Scenario], *,
                 tuple(chunk),
                 tuple(scenarios[i] for i in chunk),
                 tuple(plans[scenarios[i].scenario_id] for i in chunk),
-                timeout_s, check_interval, cycle_cache, artifacts))
+                timeout_s, cycle_cache, artifacts))
 
     cache = prefix.SnapshotCache()
     for scenario in split_chains:
         prefix._fork_snapshot(scenario, cache, plans[scenario.scenario_id],
-                              cycle_cache=cycle_cache,
-                              check_interval=check_interval)
+                              cycle_cache=cycle_cache)
     prebuild_stats = cache.stats()
     cache.reset_counters()
 
@@ -625,7 +667,6 @@ def run_campaign(scenarios: Sequence[Scenario], *,
                  workers: int = 1,
                  chunksize: Optional[int] = None,
                  timeout_s: Optional[float] = None,
-                 check_interval: int = TIMEOUT_CHECK_INTERVAL,
                  prefix_cache: bool = True,
                  cycle_cache: Optional[bool] = None,
                  telemetry: Optional[Dict] = None,
@@ -641,6 +682,6 @@ def run_campaign(scenarios: Sequence[Scenario], *,
     *cycle_cache* (steady-state MTF memoization, armed unless ``False``).
     """
     return run_pool(scenarios, workers=workers, chunksize=chunksize,
-                    timeout_s=timeout_s, check_interval=check_interval,
-                    prefix_cache=prefix_cache, cycle_cache=cycle_cache,
+                    timeout_s=timeout_s, prefix_cache=prefix_cache,
+                    cycle_cache=cycle_cache,
                     telemetry=telemetry, bus=bus, artifacts=artifacts)

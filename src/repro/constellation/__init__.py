@@ -7,9 +7,9 @@ exchange CRC-framed messages over per-link forked-rng
 leader/standby failover protocol driven by the existing FDIR watchdog
 machinery.  Cross-node fault injection (partitions, storms, silent and
 Byzantine nodes, cascading crashes) and a cross-node invariant oracle
-ride on top; the campaign engine dispatches
-:class:`ConstellationScenario` work through
-:func:`run_constellation_scenario`.
+ride on top; the campaign engine runs :class:`ConstellationScenario`
+work through :func:`repro.campaign.runner.run_scenario`, which hands the
+per-kind parts to :class:`repro.constellation.runner.ConstellationRun`.
 """
 
 from .comm import NODE_COMM_STAT_KEYS, InterNodeComm, decode_message, \
@@ -25,7 +25,6 @@ from .faults import (
     SilentNodeFault,
 )
 from .oracle import check_constellation
-from .runner import run_constellation_scenario
 from .scenarios import (
     ConstellationScenario,
     constellation_campaign,
@@ -52,7 +51,6 @@ __all__ = [
     "ByzantineNodeFault",
     "NodeCrashFault",
     "check_constellation",
-    "run_constellation_scenario",
     "ConstellationScenario",
     "constellation_scenario_to_dict",
     "constellation_scenario_from_dict",

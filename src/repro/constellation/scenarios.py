@@ -8,8 +8,8 @@ a seed, a tick horizon, scheduled *cross-node* faults and scheduled
 *per-node* faults (ordinary single-node faults targeted at one node's
 injector).  The campaign engine dispatches on the
 ``is_constellation`` marker: these scenarios run through
-:func:`repro.constellation.runner.run_constellation_scenario` and skip
-the prefix-sharing trie (each is its own locality group).
+:func:`repro.campaign.runner.run_scenario`'s constellation branch and
+skip the prefix-sharing trie (each is its own locality group).
 
 Builders:
 

@@ -334,35 +334,13 @@ class Pmk(ModuleControl, ActionExecutor):
 
         The caller (:class:`~repro.kernel.snapshot.SimulatorSnapshot`)
         overlays the trace and time source afterwards, erasing the trace
-        events steps 1-2 emitted.
+        events steps 1-2 emitted.  Steps 2-3 are :meth:`overlay`'s
+        rollback form.
         """
-        self.stopped = state["stopped"]
-        self.module_restarts = state["module_restarts"]
-        self._rng.load_state_dict(state["rng"])
-        self.ticks_executed = state["ticks_executed"]
-        self.idle_ticks = state["idle_ticks"]
-        self.partition_ticks = dict(state["partition_ticks"])
         for name, partition_state in state["partitions"].items():
             if partition_state["runtime"]["init_count"] > 0:
                 self.runtime(name).replay_initialization()
-        for name, partition_state in state["partitions"].items():
-            runtime = self.runtime(name)
-            apex = runtime.apex
-            assert apex is not None
-            runtime.pos.restore(partition_state["pos"],
-                                resolve_resource=apex.resolve_resource,
-                                rebuild_body=apex.rebuild_body)
-            runtime.restore(partition_state["runtime"])
-            runtime.pal.restore(partition_state["pal"])
-            apex.restore(partition_state["apex"])
-        self.scheduler.restore(state["scheduler"])
-        self.contexts.restore_state(state["contexts"])
-        self.dispatcher.restore(state["dispatcher"])
-        self.mmu.restore(state["mmu"])
-        self.router.restore(state["router"])
-        self.health_monitor.restore(state["health_monitor"])
-        if state["fdir"] is not None and self.fdir is not None:
-            self.fdir.restore(state["fdir"])
+        self.overlay(state, rebuild_bodies=True)
 
     def overlay(self, state: dict, *, rebuild_bodies: bool = False) -> None:
         """Overlay a :meth:`snapshot`-shaped *state* onto this *live* PMK.

@@ -110,16 +110,6 @@ class TestRunScenario:
             {"tick": tick, "fault": kind, "status": status}
             for tick, kind, status in result.injections]
 
-    def test_check_interval_does_not_change_the_result(self):
-        default = run_scenario(faulty_scenario(), timeout_s=60.0)
-        fine = run_scenario(faulty_scenario(), timeout_s=60.0,
-                            check_interval=137)
-        assert fine.to_dict() == default.to_dict()
-
-    def test_invalid_check_interval_rejected(self):
-        with pytest.raises(ValueError, match="check_interval"):
-            run_scenario(faulty_scenario(), check_interval=0)
-
 
 class TestOracleIntegration:
     def test_invariant_violation_downgrades_to_crashed(self, monkeypatch):

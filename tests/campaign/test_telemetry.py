@@ -118,6 +118,31 @@ class TestPoolShutdown:
                     pid, stat)
 
 
+class TestCycleCacheTotals:
+    def test_pooled_totals_do_not_inherit_the_parents(self, monkeypatch):
+        # Forked pool workers start from the parent's process-wide
+        # cycle-cache totals; a pooled run after a serial one in the same
+        # process must still report only its own scenarios' counters.
+        from repro.apps.prototype import STEADY_MTF, build_steady_prototype
+        from repro.campaign import Scenario
+        from repro.campaign.scenarios import FACTORIES
+
+        monkeypatch.setitem(FACTORIES, "prototype_cruise",
+                            build_steady_prototype)
+        scenarios = [Scenario(scenario_id=f"cruise-{i}",
+                              factory="prototype_cruise", seed=i,
+                              ticks=40 * STEADY_MTF) for i in range(4)]
+        totals = []
+        for workers in (1, 2):
+            telemetry: dict = {}
+            run_campaign(scenarios, workers=workers, telemetry=telemetry)
+            totals.append(telemetry["cycle_cache"])
+        serial, pooled = totals
+        assert serial["hits"] > 0
+        for key in ("hits", "misses", "invalidations", "bytes"):
+            assert pooled[key] == serial[key], key
+
+
 class TestFlightRecorderThroughRunner:
     def test_crashed_scenario_produces_bundle(self, tmp_path):
         scenarios = small_chaos(crash_scenarios=1)

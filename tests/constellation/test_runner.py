@@ -22,7 +22,6 @@ from repro.constellation import (
     constellation_campaign,
     constellation_scenario_to_dict,
     failover_drill,
-    run_constellation_scenario,
 )
 from repro.fault.faults import MemoryViolationFault
 
@@ -33,7 +32,7 @@ def drill():
 
 class TestRunner:
     def test_drill_result_shape(self):
-        result = run_constellation_scenario(drill())
+        result = run_scenario(drill())
         assert result.status == STATUS_OK
         assert result.ticks == 8 * MTF
         assert result.error == ""
@@ -54,16 +53,9 @@ class TestRunner:
             scenario_id="xt-nf", ticks=4 * MTF,
             constellation=ConstellationConfig(nodes=2),
             node_faults=((1, MTF, MemoryViolationFault("P2")),))
-        result = run_constellation_scenario(scenario)
+        result = run_scenario(scenario)
         kinds = [kind for _, kind, _ in result.injections]
         assert "n1:MemoryViolationFault" in kinds
-
-    def test_dispatch_through_run_scenario(self):
-        # The campaign runner duck-types on is_constellation.
-        direct = run_constellation_scenario(drill())
-        routed = run_scenario(drill())
-        assert routed.trace_digest == direct.trace_digest
-        assert routed.to_dict() == direct.to_dict()
 
     def test_oracle_violation_downgrades_to_crashed(self):
         # An impossible failover deadline turns the clean drill into an
@@ -74,7 +66,7 @@ class TestRunner:
         scenario = ConstellationScenario(
             scenario_id="xt-tight", seed=0, ticks=scenario.ticks,
             constellation=tight, faults=scenario.faults)
-        result = run_constellation_scenario(scenario)
+        result = run_scenario(scenario)
         assert result.status == STATUS_CRASHED
         assert "failover-deadline" in result.error
 
@@ -85,11 +77,10 @@ class TestRunner:
         scenario = ConstellationScenario(
             scenario_id="xt-tight-off", seed=0, ticks=scenario.ticks,
             constellation=tight, faults=scenario.faults, oracle=False)
-        assert run_constellation_scenario(scenario).status == STATUS_OK
+        assert run_scenario(scenario).status == STATUS_OK
 
     def test_timeout_degrades(self):
-        result = run_constellation_scenario(
-            drill(), timeout_s=0.0, check_interval=500)
+        result = run_scenario(drill(), timeout_s=0.0)
         assert result.status == "timeout"
         assert "wall-clock" in result.error
 
@@ -163,7 +154,7 @@ class TestFailureObservability:
             constellation=tight, faults=scenario.faults)
         artifacts = ScenarioArtifacts(
             flight_recorder_dir=str(tmp_path))
-        result = run_constellation_scenario(scenario, artifacts=artifacts)
+        result = run_scenario(scenario, artifacts=artifacts)
         assert result.status == STATUS_CRASHED
         [bundle_path] = tmp_path.glob("*.json")
         bundle = json.loads(bundle_path.read_text())
@@ -197,7 +188,7 @@ class TestTelemetryIntegration:
         from repro.obs.telemetry.bus import derive_deterministic_events
         from repro.obs.telemetry.topics import default_registry
 
-        result = run_constellation_scenario(drill())
+        result = run_scenario(drill())
         events = derive_deterministic_events("deadbeef00000000", [result])
         registry = default_registry()
         node_events = [e for e in events if "/node/" in e.topic]

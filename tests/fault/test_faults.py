@@ -80,6 +80,22 @@ class TestInjector:
         assert [repr(e) for e in fast_sim.trace.events] == \
             [repr(e) for e in slow_sim.trace.events]
 
+    def test_run_fast_result_independent_of_check_interval(self):
+        # The abort-poll cadence only splits run_fast spans: the trace
+        # and the injection log must not depend on it.
+        outcomes = set()
+        for check_interval in (50_000, 137, 997):
+            simulator = make_simulator()
+            injector = FaultInjector(simulator)
+            injector.schedule(1 * MTF, StartProcessFault("P1",
+                                                         FAULTY_PROCESS))
+            injector.schedule(2 * MTF + 100, MemoryViolationFault("P4"))
+            assert injector.run_fast(4 * MTF, should_abort=lambda: False,
+                                     check_interval=check_interval)
+            outcomes.add((simulator.now, simulator.trace.digest(),
+                          tuple((r.tick, r.status) for r in injector.log)))
+        assert len(outcomes) == 1
+
     def test_run_fast_abort_hook_stops_early(self, sim):
         injector = FaultInjector(sim)
         assert injector.run_fast(10 * MTF, should_abort=lambda: True) \
