@@ -13,7 +13,7 @@ Three suites over the campaign engine (``repro.campaign``):
   ``build_divergence_trie(..., max_depth=0)`` plans: one shared checkpoint
   at the first divergence).  Reports simulated ticks/sec for both and
   asserts the digest matrix — byte-identical deterministic reports across
-  {serial, pooled x {1, 2, 4}} x {cache on, cache off}, against the
+  {serial, pooled x {2, 4}} x {cache on, cache off}, against the
   serial cold reference.  Speedup floor: >= 2x ticks/sec over the
   root-only baseline, serial.  Per-worker prefix-cache hit rates and
   store counts (the parent's pre-build is its own ``prebuild`` entry)
@@ -56,8 +56,6 @@ from repro.campaign import (
     deterministic_report,
     fault_matrix_campaign,
     run_campaign,
-    run_pool,
-    run_serial,
     run_with_prefix_cache,
 )
 from repro.campaign.runner import autodetect_workers
@@ -102,11 +100,11 @@ def run_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
     campaign = fault_matrix_campaign(count=scenarios, mtfs=mtfs)
 
     start = time.perf_counter()
-    serial = run_serial(campaign)
+    serial = run_campaign(campaign)
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled = run_pool(campaign, workers=workers, chunksize=chunksize)
+    pooled = run_campaign(campaign, workers=workers, chunksize=chunksize)
     pooled_s = time.perf_counter() - start
 
     # The determinism invariant is not load-dependent: assert it on every
@@ -153,26 +151,22 @@ def run_root_only(campaign):
             for scenario in campaign]
 
 
-def assert_digest_matrix(campaign, *, worker_counts=(1, 2, 4)) -> int:
+def assert_digest_matrix(campaign, *, worker_counts=(2, 4)) -> int:
     """Byte-identical reports across dispatch x prefix cache.
 
     Runs {serial, pooled x *worker_counts*} x {cache on, cache off} and
     asserts every deterministic report equals the serial cache-off (cold)
     one.  Returns the number of variants checked.
     """
-    expected = _report_bytes(run_serial(campaign, prefix_cache=False))
+    expected = _report_bytes(run_campaign(campaign, prefix_cache=False))
     checked = 1
     for prefix_cache in (True, False):
-        for workers in (None, *worker_counts):
-            if not prefix_cache and workers is None:
+        for workers in (1, *worker_counts):
+            if not prefix_cache and workers == 1:
                 continue  # the expected variant itself
-            if workers is None:
-                results = run_serial(campaign, prefix_cache=prefix_cache)
-            else:
-                results = run_campaign(campaign, workers=workers,
-                                       prefix_cache=prefix_cache)
-            label = (f"prefix_cache={prefix_cache} "
-                     f"workers={workers or 'serial'}")
+            results = run_campaign(campaign, workers=workers,
+                                   prefix_cache=prefix_cache)
+            label = f"prefix_cache={prefix_cache} workers={workers}"
             assert _report_bytes(results) == expected, \
                 f"digest mismatch: {label}"
             checked += 1
@@ -211,12 +205,13 @@ def run_prefix_benchmark(*, scenarios: int = PREFIX_SCENARIOS,
     total_ticks = sum(result.ticks for result in baseline)
 
     start = time.perf_counter()
-    tree = run_serial(campaign)
+    tree = run_campaign(campaign)
     tree_s = time.perf_counter() - start
 
     telemetry: Dict = {}
     start = time.perf_counter()
-    pooled_tree = run_pool(campaign, workers=workers, telemetry=telemetry)
+    pooled_tree = run_campaign(campaign, workers=workers,
+                               telemetry=telemetry)
     pooled_tree_s = time.perf_counter() - start
 
     expected = _report_bytes(baseline)

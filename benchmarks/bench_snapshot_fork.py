@@ -37,7 +37,7 @@ import time
 from typing import Dict
 
 from repro.campaign import chaos_campaign, deterministic_report
-from repro.campaign.runner import run_serial
+from repro.campaign.runner import run_campaign
 
 from bench_lib import emit_bench_json, workload_record
 
@@ -73,13 +73,13 @@ def run_benchmark(*, scenarios: int = CAMPAIGN_SCENARIOS,
     cold_s = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        cold = run_serial(campaign, prefix_cache=False)
+        cold = run_campaign(campaign, prefix_cache=False)
         cold_s = min(cold_s, time.perf_counter() - start)
 
     cached_s = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        cached = run_serial(campaign, prefix_cache=True)
+        cached = run_campaign(campaign, prefix_cache=True)
         cached_s = min(cached_s, time.perf_counter() - start)
 
     # The bit-identity invariant is not load-dependent: assert it on

@@ -1,9 +1,11 @@
 """Deterministic multi-scenario campaign engine.
 
-Fans independent, fully deterministic scenarios (fault-injection sweeps,
-seed sweeps, config sweeps) out over a ``multiprocessing`` worker pool and
-aggregates compact per-scenario summaries — the reproduction's answer to
-the repeatable TSP evaluation campaigns of the benchmarking literature.
+Runs independent, fully deterministic scenarios (fault-injection sweeps,
+seed sweeps, config sweeps) through one entry point,
+:func:`run_campaign` — in-process or fanned out over a
+``multiprocessing`` worker pool — and aggregates compact per-scenario
+summaries: the reproduction's answer to the repeatable TSP evaluation
+campaigns of the benchmarking literature.
 """
 
 from .artifacts import ScenarioArtifacts, write_scenario_artifacts
@@ -26,9 +28,7 @@ from .results import (
 from .runner import (
     autodetect_workers,
     run_campaign,
-    run_pool,
     run_scenario,
-    run_serial,
 )
 from .scenarios import (
     FACTORIES,
@@ -49,8 +49,7 @@ __all__ = [
     "run_with_prefix_cache", "scenario_fingerprint",
     "ScenarioResult", "aggregate", "canonical_execution_telemetry",
     "deterministic_report", "render_summary", "report_json",
-    "autodetect_workers", "run_campaign", "run_pool", "run_scenario",
-    "run_serial",
+    "autodetect_workers", "run_campaign", "run_scenario",
     "FACTORIES", "Scenario", "chaos_campaign", "config_sweep_campaign",
     "fault_matrix_campaign", "load_campaign_spec", "register_factory",
     "scenario_from_dict", "scenario_to_dict", "seed_sweep_campaign",

@@ -33,7 +33,7 @@ This module removes that redundancy at every level of the divergence tree:
   missing checkpoints on the way down, and run the scenario's divergent
   suffix from the fork.  An empty plan is a plain cold run.  Pool
   workers start from the parent's cache, pre-built with every split
-  group's chain (:func:`~repro.campaign.runner.run_pool`).
+  group's chain (:func:`~repro.campaign.runner.run_campaign`).
 
 Correctness rests on the snapshot layer's bit-identity contract (tested by
 the fork-equivalence matrix): a forked run's trace digest, metrics and

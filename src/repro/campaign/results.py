@@ -45,10 +45,11 @@ STATUS_TIMEOUT = "timeout"
 class ScenarioResult:
     """What one scenario produced — everything the aggregate needs.
 
-    ``wall_time_s`` and ``forked_at_tick`` are the only nondeterministic
-    fields (cache contents depend on scheduling order, wall time on the
-    host); every consumer of the determinism invariant must go through
-    :meth:`to_dict` (which excludes them) or :func:`deterministic_report`.
+    ``wall_time_s``, ``forked_at_tick`` and ``cycle_cache_stats`` are the
+    only nondeterministic fields (cache contents depend on scheduling
+    order, wall time and fingerprint cost on the host); every consumer of
+    the determinism invariant must go through :meth:`to_dict` (which
+    excludes them) or :func:`deterministic_report`.
     """
 
     scenario_id: str
@@ -80,6 +81,11 @@ class ScenarioResult:
     #: run).  Which runs fork depends on cache state, not on the scenario,
     #: so this lives with the timing sidecar, never in the digest.
     forked_at_tick: int = -1
+    #: Cycle-cache counters summed over this scenario's simulators
+    #: (:data:`~repro.kernel.cycle_cache.CYCLE_CACHE_STAT_KEYS`), or None
+    #: when none had the cache armed.  Every per-worker and campaign-wide
+    #: cycle-cache figure of the execution sidecar is a sum of these.
+    cycle_cache_stats: Optional[Dict[str, int]] = None
 
     @property
     def ok(self) -> bool:
@@ -115,6 +121,7 @@ class ScenarioResult:
         if include_timing:
             record["wall_time_s"] = self.wall_time_s
             record["forked_at_tick"] = self.forked_at_tick
+            record["cycle_cache_stats"] = self.cycle_cache_stats
         return record
 
 

@@ -1,18 +1,22 @@
-"""Campaign execution: serial and worker-pool scenario fan-out.
+"""Campaign execution: one runner, in-process or over a worker pool.
 
 One scenario is one fully deterministic simulation; a campaign is many of
 them.  :func:`run_scenario` is the single unit of work — build the config,
 drive the event core through a :class:`~repro.fault.injector.FaultInjector`,
-summarize the trace — and is what both the serial loop and the
-``multiprocessing`` pool execute.  Faults, crashes and per-scenario
-wall-clock timeouts degrade to recorded failure results; one bad scenario
-never takes the campaign down.
+summarize the trace — and :func:`run_campaign` the single way to run many:
+one scenario loop (``_run_group``) that pool workers run per locality
+group and an in-process campaign runs once over every scenario.  Faults,
+crashes and per-scenario wall-clock timeouts degrade to recorded failure
+results; one bad scenario never takes the campaign down.
 
 Determinism invariant (tested): the deterministic report is byte-identical
 for any worker count and any chunk size, because every scenario is
 self-contained (config factory + seed), results are keyed by scenario id,
-and nothing nondeterministic (wall time, delivery order, pid) enters the
-deterministic record.
+and nothing nondeterministic (wall time, delivery order, pid, cache
+counters) enters the deterministic record.  Host-side counters travel
+with the result that produced them — each result carries its own
+simulators' cycle-cache counters — so every sidecar figure is a sum over
+the results returned, never process-global state.
 
 Prefix sharing (on by default, ``prefix_cache=False`` / ``--no-prefix-cache``
 to disable): the divergence trie (:mod:`repro.campaign.prefix`) plans, for
@@ -21,8 +25,8 @@ every scenario, the cached
 prefix it shares with others — the fault-free root and any interior level
 after shared faults — and the scenario forks from the deepest one instead
 of re-simulating it.  With the cache off every plan is empty, so both
-settings run through the same serial loop and the same locality-group
-pool dispatcher.  Checkpoints reach pool workers one way: the parent
+settings run through the same scenario loop and the same locality-group
+dispatch.  Checkpoints reach pool workers one way: the parent
 builds those of every group split across workers, and the pool
 initializer hands that cache to each worker.  Forked runs are
 bit-identical to cold runs, so the
@@ -35,7 +39,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
 from ..fdir.oracle import check_trace
@@ -58,8 +61,6 @@ from .scenarios import Scenario
 
 __all__ = [
     "run_scenario",
-    "run_serial",
-    "run_pool",
     "run_campaign",
     "autodetect_workers",
 ]
@@ -105,25 +106,18 @@ def _record_failure(scenario, run, *, status: str, error: str,
             publisher.flight_record(scenario.scenario_id, path)
 
 
-#: Per-process cycle-cache counter totals, accumulated across every
-#: scenario this process executes with the cache armed (None until the
-#: first one).  Host-side material for the execution sidecar only.
-_CYCLE_CACHE_TOTALS: Optional[Dict[str, int]] = None
-
-
-def _note_cycle_stats(run) -> None:
-    """Fold the cycle-cache counters of *run*'s simulators into this
-    process's total."""
-    global _CYCLE_CACHE_TOTALS
-    for _, simulator in run.simulators():
-        stats = simulator.cycle_cache_stats
-        if not stats:
+def _sum_cycle_stats(stats) -> Optional[Dict[str, int]]:
+    """Key-wise sum of cycle-cache counter dicts, skipping the None of an
+    unarmed cache; None when every entry is None."""
+    totals = None
+    for entry in stats:
+        if entry is None:
             continue
-        if _CYCLE_CACHE_TOTALS is None:
-            _CYCLE_CACHE_TOTALS = {key: 0 for key in CYCLE_CACHE_STAT_KEYS}
-        totals = _CYCLE_CACHE_TOTALS
-        for key, value in stats.items():
-            totals[key] = totals.get(key, 0) + value
+        if totals is None:
+            totals = dict.fromkeys(CYCLE_CACHE_STAT_KEYS, 0)
+        for key, value in entry.items():
+            totals[key] += value
+    return totals
 
 
 class _NodeRun:
@@ -236,9 +230,9 @@ def run_scenario(scenario: Scenario, *,
 
     *cycle_cache* is passed to the scenario's simulators: steady-state
     MTF memoization (DESIGN decision 13) is armed unless it is ``False``
-    — a bit-identity contract, so digests are independent of it; its
-    host-side hit counters accumulate into the per-worker execution
-    sidecar.
+    — a bit-identity contract, so digests are independent of it; the
+    result's ``cycle_cache_stats`` carries its simulators' summed
+    host-side counters, crashed runs included.
 
     Unless the scenario opts out (``oracle=False``), the finished run is
     audited — by the TSP invariant oracle
@@ -292,7 +286,6 @@ def run_scenario(scenario: Scenario, *,
                 return inner_abort() if inner_abort is not None else False
         completed = run.advance(should_abort)
     except Exception as exc:
-        _note_cycle_stats(run)
         error = f"{type(exc).__name__}: {exc}"
         result = ScenarioResult(
             scenario_id=scenario_id,
@@ -301,6 +294,9 @@ def run_scenario(scenario: Scenario, *,
             error=error,
             wall_time_s=time.perf_counter() - start,
             forked_at_tick=run.forked_at,
+            cycle_cache_stats=_sum_cycle_stats(
+                simulator.cycle_cache_stats
+                for _, simulator in run.simulators()),
         )
         _record_failure(scenario, run, status=STATUS_CRASHED, error=error,
                         publisher=publisher, artifacts=artifacts)
@@ -309,7 +305,6 @@ def run_scenario(scenario: Scenario, *,
                 scenario_id, STATUS_CRASHED, result.wall_time_s,
                 run.forked_at)
         return result
-    _note_cycle_stats(run)
     status = STATUS_OK if completed else STATUS_TIMEOUT
     error = "" if completed else \
         f"exceeded {timeout_s}s wall-clock budget at tick {run.now}"
@@ -348,6 +343,8 @@ def run_scenario(scenario: Scenario, *,
         error=error,
         wall_time_s=time.perf_counter() - start,
         forked_at_tick=run.forked_at,
+        cycle_cache_stats=_sum_cycle_stats(
+            simulator.cycle_cache_stats for _, simulator in run.simulators()),
         **fields,
     )
     if publisher is not None:
@@ -356,81 +353,89 @@ def run_scenario(scenario: Scenario, *,
     return result
 
 
-#: Per-worker-process prefix cache, installed by the pool initializer
-#: (:func:`_init_worker`) and reused across every pool task the worker
-#: handles.  Module-level so it survives between tasks in the same worker.
+#: Per-worker-process state, installed by the pool initializer
+#: (:func:`_init_worker`) and reused across every task the worker
+#: handles: the prefix cache its scenarios fork from, and its telemetry
+#: publisher (None when telemetry is off).
 _WORKER_PREFIX_CACHE = None
-
-#: Per-worker-process telemetry wiring, installed by the pool initializer:
-#: ``(sink, campaign id)`` or None.
-_WORKER_TELEMETRY = None
-
-#: Lazily built per-process :class:`TelemetryPublisher` over the wiring.
 _WORKER_PUBLISHER = None
 
 
-def _init_worker(cache, telemetry) -> None:
+def _publisher(wiring, worker: str):
+    """A :class:`TelemetryPublisher` for *worker* over *wiring* (``(sink,
+    campaign id)``), or None when telemetry is off."""
+    if wiring is None:
+        return None
+    from ..obs.telemetry.bus import TelemetryPublisher
+
+    sink, campaign_id = wiring
+    return TelemetryPublisher(sink, campaign_id, worker=worker)
+
+
+def _init_worker(cache, wiring) -> None:
     """Pool initializer: install the parent's pre-built prefix *cache*
-    and its *telemetry* wiring (``(sink, campaign id)`` or None).
+    and a publisher over its telemetry *wiring* (``(sink, campaign id)``
+    or None), labelled with this worker's pid.
 
     Under the fork start method initargs are inherited, not pickled, so
     every worker starts from the parent's live snapshots copy-on-write;
     under spawn the cache is pickled once per worker.
     """
-    global _WORKER_PREFIX_CACHE, _WORKER_TELEMETRY, _WORKER_PUBLISHER, \
-        _CYCLE_CACHE_TOTALS
+    global _WORKER_PREFIX_CACHE, _WORKER_PUBLISHER
     _WORKER_PREFIX_CACHE = cache
-    _WORKER_TELEMETRY = telemetry
-    _WORKER_PUBLISHER = None
-    # A forked worker inherits the parent's totals; its sidecar must
-    # count only the scenarios it runs itself.
-    _CYCLE_CACHE_TOTALS = None
+    _WORKER_PUBLISHER = _publisher(wiring, str(os.getpid()))
 
 
-def _worker_publisher():
-    """This worker's publisher, or None when telemetry is off."""
-    global _WORKER_PUBLISHER
-    if _WORKER_TELEMETRY is None:
-        return None
-    if _WORKER_PUBLISHER is None:
-        from ..obs.telemetry.bus import TelemetryPublisher
+def _run_group(payload, cache, publisher):
+    """Run one payload's scenarios, in order, against the prefix *cache*.
 
-        sink, campaign_id = _WORKER_TELEMETRY
-        _WORKER_PUBLISHER = TelemetryPublisher(
-            sink, campaign_id, worker=str(os.getpid()))
-    return _WORKER_PUBLISHER
-
-
-def _group_worker(payload):
-    """Run one locality group (scenarios sharing a prefix) in one worker.
-
-    Returns ``(original indices, results, sidecar)`` — the parent
-    reassembles results into campaign order by index, so dispatch order
-    (``imap_unordered``) never reaches the deterministic report.  The
-    sidecar carries this worker's cumulative cache counters (keyed by
-    pid on the parent side; later tasks from the same worker simply
-    overwrite with larger counts).
+    The one scenario loop of a campaign: a pool worker runs each locality
+    group it is handed here, and an in-process campaign runs itself here
+    as one payload.  Returns ``(original indices, results, prefix-cache
+    counters, next publish sequence number)``.  The counters are
+    cumulative over every payload the cache served, so a worker's last
+    task reports its total; the sequence number (None without telemetry)
+    lets events published later under this worker's label continue its
+    numbering.
     """
     indices, group, plans, timeout_s, cycle_cache, artifacts = payload
-    cache = _WORKER_PREFIX_CACHE
-    publisher = _worker_publisher()
     results = [
         prefix.run_with_prefix_cache(
             scenario, cache, plan=plan, timeout_s=timeout_s,
             cycle_cache=cycle_cache, publisher=publisher,
             artifacts=artifacts)
         for scenario, plan in zip(group, plans)]
-    sidecar = {"pid": os.getpid(),
-               "prefix_cache": cache.stats(),
-               "cycle_cache": dict(_CYCLE_CACHE_TOTALS)
-               if _CYCLE_CACHE_TOTALS is not None else None}
+    stats = cache.stats()
     if publisher is not None:
-        # Cumulative counters per task; the log consumer reads the last
-        # event per (worker, stat) topic as the worker's final value.
-        publisher.cache_stats(cache.stats())
-        if _CYCLE_CACHE_TOTALS is not None:
-            publisher.cycle_cache_stats(_CYCLE_CACHE_TOTALS)
-    return indices, results, sidecar
+        # The log consumer reads the last event per (worker, stat) topic
+        # as the worker's final value.
+        publisher.cache_stats(stats)
+    return (indices, results, stats,
+            publisher.seq if publisher is not None else None)
+
+
+def _pool_task(payload):
+    """A pool worker's task: :func:`_run_group` over the worker's own
+    cache and publisher, labelled with its pid."""
+    return (str(os.getpid()),) + _run_group(
+        payload, _WORKER_PREFIX_CACHE, _WORKER_PUBLISHER)
+
+
+def _pool_tasks(context, workers: int, cache, wiring, payloads):
+    """Yield each pool task's :func:`_pool_task` tuple as it completes.
+
+    Dispatch order (``imap_unordered``) never reaches the deterministic
+    report: the caller reassembles results by original index.
+    """
+    with context.Pool(processes=workers, initializer=_init_worker,
+                      initargs=(cache, wiring)) as pool:
+        yield from pool.imap_unordered(_pool_task, payloads, chunksize=1)
+        # Let the workers exit on their own before the context manager's
+        # terminate(): a worker killed while its telemetry-queue feeder
+        # thread holds the queue's shared lock would leave the parent's
+        # closing sentinel blocked, and its final events unflushed.
+        pool.close()
+        pool.join()
 
 
 def _plan_campaign(scenarios: Sequence[Scenario], prefix_cache: bool):
@@ -444,85 +449,39 @@ def _plan_campaign(scenarios: Sequence[Scenario], prefix_cache: bool):
             for scenario in scenarios}
 
 
-def _close_bus(bus, results: Sequence[ScenarioResult],
-               telemetry: Optional[Dict]) -> None:
-    """Finish the aggregator (deterministic block + log close) and stash
-    its stream counters into the reporting sidecar."""
-    if bus is None:
-        return
-    stats = bus.finish(results)
-    if telemetry is not None:
-        telemetry["telemetry_stream"] = stats
+def _payload(scenarios: Sequence[Scenario], plans, indices,
+             options) -> tuple:
+    """The :func:`_run_group` payload of the scenarios at *indices*."""
+    return (tuple(indices), tuple(scenarios[i] for i in indices),
+            tuple(plans[scenarios[i].scenario_id] for i in indices)) \
+        + options
 
 
-def run_serial(scenarios: Sequence[Scenario], *,
-               timeout_s: Optional[float] = None,
-               prefix_cache: bool = True,
-               cycle_cache: Optional[bool] = None,
-               telemetry: Optional[Dict] = None,
-               bus=None,
-               artifacts: Optional[ScenarioArtifacts] = None
-               ) -> List[ScenarioResult]:
-    """Run every scenario in this process, in order.
+def _locality_payloads(scenarios: Sequence[Scenario], plans, workers: int,
+                       chunksize: Optional[int], options):
+    """Locality-aware dispatch: ``(payloads, split chain heads)``.
 
-    With *prefix_cache* (the default) scenarios sharing a configuration
-    and seed fork from cached snapshots of their common prefixes — the
-    fault-free root and, via the divergence trie, interior checkpoints
-    after shared faults; results are bit-identical either way.
-    *telemetry*, when a dict, receives nondeterministic cache counters
-    for the reporting sidecar.
-
-    *bus* (a :class:`~repro.obs.telemetry.TelemetryAggregator`) turns on
-    live streaming: the serial loop publishes straight into the
-    aggregator (no queue), and the deterministic event block is derived
-    from the finished results on close.  *artifacts* dumps per-scenario
-    metrics/timeline files and failure flight-recorder bundles.
+    Scenarios are grouped by their plan's deepest shared prefix key
+    (first-appearance order), and each group is split into tasks of at
+    most *chunksize* scenarios (default: the group split across the
+    worker count).  The head of every group split into several tasks is
+    returned too: its chain is pre-built once for all of them.
     """
-    publisher = None
-    if bus is not None:
-        from ..obs.telemetry.bus import TelemetryPublisher
-
-        publisher = TelemetryPublisher(bus.start(None), bus.campaign_id,
-                                       worker="serial")
-    cycle_before = dict(_CYCLE_CACHE_TOTALS or {})
-    plans = _plan_campaign(scenarios, prefix_cache)
-    cache = prefix.SnapshotCache()
-    results = [
-        prefix.run_with_prefix_cache(
-            scenario, cache, plan=plans[scenario.scenario_id],
-            timeout_s=timeout_s, cycle_cache=cycle_cache,
-            publisher=publisher, artifacts=artifacts)
-        for scenario in scenarios]
-    if telemetry is not None:
-        telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_cache)
-        telemetry["workers"] = {
-            "serial": {"prefix_cache": cache.stats()}}
-        _serial_cycle_telemetry(telemetry, cycle_before, cycle_cache)
-    if publisher is not None:
-        publisher.cache_stats(cache.stats())
-        if cycle_cache_armed(cycle_cache):
-            publisher.cycle_cache_stats(_cycle_totals_since(cycle_before))
-    _close_bus(bus, results, telemetry)
-    return results
-
-
-def _cycle_totals_since(before: Dict[str, int]) -> Dict[str, int]:
-    """This process's cycle-cache counters accumulated since *before*."""
-    totals = _CYCLE_CACHE_TOTALS or {}
-    return {key: totals.get(key, 0) - before.get(key, 0)
-            for key in CYCLE_CACHE_STAT_KEYS}
-
-
-def _serial_cycle_telemetry(telemetry: Dict, before: Dict[str, int],
-                            cycle_cache: Optional[bool]) -> None:
-    """Stash this campaign's serial-process cycle-cache counters."""
-    if not cycle_cache_armed(cycle_cache):
-        telemetry["cycle_cache"] = {"enabled": False}
-        return
-    delta = _cycle_totals_since(before)
-    telemetry["cycle_cache"] = {"enabled": True, **delta}
-    workers = telemetry.setdefault("workers", {})
-    workers.setdefault("serial", {})["cycle_cache"] = delta
+    groups: Dict[str, List[int]] = {}
+    for index, scenario in enumerate(scenarios):
+        key = plans[scenario.scenario_id].group_key
+        groups.setdefault(key, []).append(index)
+    payloads = []
+    split_chains: List[Scenario] = []
+    for indices in groups.values():
+        cap = chunksize if chunksize else max(
+            1, -(-len(indices) // workers))
+        if len(indices) > cap:
+            split_chains.append(scenarios[indices[0]])
+        for start in range(0, len(indices), cap):
+            payloads.append(_payload(scenarios, plans,
+                                     indices[start:start + cap], options))
+    return payloads, split_chains
 
 
 def _tree_telemetry(plans, prefix_cache: bool) -> Dict:
@@ -540,129 +499,6 @@ def _tree_telemetry(plans, prefix_cache: bool) -> Dict:
     }
 
 
-def run_pool(scenarios: Sequence[Scenario], *,
-             workers: Optional[int] = None,
-             chunksize: Optional[int] = None,
-             timeout_s: Optional[float] = None,
-             prefix_cache: bool = True,
-             cycle_cache: Optional[bool] = None,
-             telemetry: Optional[Dict] = None,
-             bus=None,
-             artifacts: Optional[ScenarioArtifacts] = None
-             ) -> List[ScenarioResult]:
-    """Fan scenarios out over a ``multiprocessing`` pool.
-
-    Scenarios are grouped by their plan's deepest shared prefix key and
-    whole groups are handed to the same worker via ``imap_unordered`` —
-    the worker that builds a prefix checkpoint is the worker that reuses
-    it.  With *prefix_cache* off every plan is empty and every scenario
-    is its own group.  Results are reassembled into campaign order by
-    original index, so the result list matches the scenario list
-    index-for-index, and the deterministic report is provably independent
-    of dispatch: every scenario is self-contained, results are re-sorted
-    by scenario id in the aggregate, and nothing nondeterministic enters
-    the deterministic record.  *chunksize* caps scenarios per group task
-    (default: each group split across the worker count).  At one worker
-    (or one scenario) this is :func:`run_serial`.
-
-    Checkpoints reach the workers one way: the parent pre-builds the
-    chain of every group split across several workers into one
-    :class:`~repro.campaign.prefix.SnapshotCache`, and the pool
-    initializer installs that cache as each worker's own, so the
-    workers sharing a group fork from it instead of racing each other
-    to cold-build the same chain.  Under the fork start method the
-    workers inherit the live snapshots copy-on-write; under spawn the
-    cache is pickled once per worker.  Single-chunk groups are not
-    pre-built: their one worker builds the chain exactly once anyway.
-    Worker cache counters start from zero; the pre-build's own counters
-    are the ``prebuild`` entry of *telemetry*'s ``workers`` section.
-
-    Worker crashes are absorbed inside :func:`run_scenario`; only an
-    interpreter-level death (signal, OOM kill) can still fail the pool.
-    From the hand-off on, each worker process keeps its own copy of the
-    cache (sharing one across processes would serialize on it).
-    """
-    if workers is None:
-        workers = autodetect_workers()
-    if workers <= 1 or len(scenarios) <= 1:
-        return run_serial(scenarios, timeout_s=timeout_s,
-                          prefix_cache=prefix_cache,
-                          cycle_cache=cycle_cache,
-                          telemetry=telemetry, bus=bus,
-                          artifacts=artifacts)
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-    plans = _plan_campaign(scenarios, prefix_cache)
-
-    # Locality-aware dispatch: group scenarios by their deepest shared
-    # prefix key (first-appearance order), split each group into at most
-    # chunksize-sized tasks, and reassemble results by original index.
-    groups: "OrderedDict[str, List[int]]" = OrderedDict()
-    for index, scenario in enumerate(scenarios):
-        key = plans[scenario.scenario_id].group_key
-        groups.setdefault(key, []).append(index)
-
-    payloads = []
-    split_chains: List[Scenario] = []
-    for key, indices in groups.items():
-        cap = chunksize if chunksize else max(
-            1, -(-len(indices) // workers))
-        if len(indices) > cap:
-            split_chains.append(scenarios[indices[0]])
-        for start in range(0, len(indices), cap):
-            chunk = indices[start:start + cap]
-            payloads.append((
-                tuple(chunk),
-                tuple(scenarios[i] for i in chunk),
-                tuple(plans[scenarios[i].scenario_id] for i in chunk),
-                timeout_s, cycle_cache, artifacts))
-
-    cache = prefix.SnapshotCache()
-    for scenario in split_chains:
-        prefix._fork_snapshot(scenario, cache, plans[scenario.scenario_id],
-                              cycle_cache=cycle_cache)
-    prebuild_stats = cache.stats()
-    cache.reset_counters()
-
-    # Telemetry: the aggregator owns a queue in this (parent) process and
-    # drains it on a daemon thread, so events stream live even while the
-    # blocking imap call below is in flight; workers receive the queue
-    # sink through the pool initializer.
-    wiring = (bus.start(context), bus.campaign_id) if bus is not None \
-        else None
-    results: List[Optional[ScenarioResult]] = [None] * len(scenarios)
-    worker_stats: Dict[str, Dict] = {}
-    with context.Pool(processes=workers, initializer=_init_worker,
-                      initargs=(cache, wiring)) as pool:
-        for indices, group_results, sidecar in pool.imap_unordered(
-                _group_worker, payloads, chunksize=1):
-            for index, result in zip(indices, group_results):
-                results[index] = result
-            worker_stats[str(sidecar["pid"])] = sidecar
-        # Let the workers exit on their own before the context manager's
-        # terminate(): a worker killed while its telemetry-queue feeder
-        # thread holds the queue's shared lock would leave the parent's
-        # closing sentinel blocked, and its final events unflushed.
-        pool.close()
-        pool.join()
-    if telemetry is not None:
-        telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_cache)
-        telemetry["workers"] = {
-            pid: {"prefix_cache": sidecar["prefix_cache"],
-                  "cycle_cache": sidecar.get("cycle_cache")}
-            for pid, sidecar in sorted(worker_stats.items())}
-        telemetry["workers"]["prebuild"] = {"prefix_cache": prebuild_stats}
-        cycle_totals: Dict[str, int] = {}
-        for sidecar in worker_stats.values():
-            for name, value in (sidecar.get("cycle_cache") or {}).items():
-                cycle_totals[name] = cycle_totals.get(name, 0) + value
-        telemetry["cycle_cache"] = {
-            "enabled": cycle_cache_armed(cycle_cache), **cycle_totals}
-    _close_bus(bus, results, telemetry)  # type: ignore[arg-type]
-    return results  # type: ignore[return-value]
-
-
 def run_campaign(scenarios: Sequence[Scenario], *,
                  workers: int = 1,
                  chunksize: Optional[int] = None,
@@ -673,15 +509,123 @@ def run_campaign(scenarios: Sequence[Scenario], *,
                  bus=None,
                  artifacts: Optional[ScenarioArtifacts] = None
                  ) -> List[ScenarioResult]:
-    """Serial (`workers <= 1`, the default) or pooled campaign execution.
+    """Run every scenario, in-process or over a ``multiprocessing`` pool.
 
-    *bus* streams live telemetry (see :func:`run_serial` /
-    :func:`run_pool`); *artifacts* dumps per-scenario files.  Both leave
-    every deterministic output — campaign digest, trace digests, oracle
-    verdicts — byte-identical to a run without them, as does
-    *cycle_cache* (steady-state MTF memoization, armed unless ``False``).
+    The result list matches the scenario list index-for-index.  At one
+    worker (the default), or when the campaign makes a single payload,
+    the whole campaign is one payload, run in campaign order in this
+    process with a fresh :class:`~repro.campaign.prefix.SnapshotCache`.
+    Otherwise scenarios are grouped by their plan's deepest shared prefix
+    key and whole groups are handed to the same worker via
+    ``imap_unordered`` — the worker that builds a prefix checkpoint is
+    the worker that reuses it; *chunksize* caps scenarios per group task
+    (default: each group split across the worker count).  Both run the
+    same :func:`_run_group` loop.
+
+    With *prefix_cache* (the default) scenarios sharing a configuration
+    and seed fork from cached snapshots of their common prefixes — the
+    fault-free root and, via the divergence trie, interior checkpoints
+    after shared faults; with it off every plan is empty and every
+    scenario is its own group.  Checkpoints reach pool workers one way:
+    this process pre-builds the chain of every group split across
+    several workers into one cache, and the pool initializer installs
+    that cache as each worker's own, so the workers sharing a group fork
+    from it instead of racing each other to cold-build the same chain.
+    Under the fork start method the workers inherit the live snapshots
+    copy-on-write; under spawn the cache is pickled once per worker.
+    Single-chunk groups are not pre-built: their one worker builds the
+    chain exactly once anyway.
+
+    The deterministic report is independent of all of this — worker
+    count, chunking, dispatch order, the prefix cache and *cycle_cache*
+    (steady-state MTF memoization, armed unless ``False``): every
+    scenario is self-contained, results are re-sorted by scenario id in
+    the aggregate, and nothing nondeterministic enters the deterministic
+    record.
+
+    *telemetry*, when a dict, receives the nondeterministic execution
+    sidecar: the trie shape (``prefix_tree``), per-worker prefix- and
+    cycle-cache counters (``workers``: ``serial``, or one entry per pid
+    plus the pre-build's own ``prebuild`` counters) and campaign-wide
+    cycle-cache totals (``cycle_cache``).  Every cycle-cache figure is a
+    sum of the returned results' ``cycle_cache_stats``.
+
+    *bus* (a :class:`~repro.obs.telemetry.TelemetryAggregator`) turns on
+    live streaming: in-process runs publish straight into the aggregator;
+    a pool's workers publish onto a queue the aggregator drains on a
+    thread, so events stream while the pool runs.  The deterministic
+    event block is derived from the finished results on close.
+    *artifacts* dumps per-scenario metrics/timeline files and failure
+    flight-recorder bundles.  Both are pure observers.
+
+    Worker crashes are absorbed inside :func:`run_scenario`; only an
+    interpreter-level death (signal, OOM kill) can still fail the pool.
     """
-    return run_pool(scenarios, workers=workers, chunksize=chunksize,
-                    timeout_s=timeout_s, prefix_cache=prefix_cache,
-                    cycle_cache=cycle_cache,
-                    telemetry=telemetry, bus=bus, artifacts=artifacts)
+    plans = _plan_campaign(scenarios, prefix_cache)
+    options = (timeout_s, cycle_cache, artifacts)
+    payloads, split_chains = _locality_payloads(
+        scenarios, plans, workers, chunksize, options) \
+        if workers > 1 else ([], [])
+    context = None
+    if len(payloads) > 1:
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
+    wiring = (bus.start(context), bus.campaign_id) if bus is not None \
+        else None
+    prebuild_stats = None
+    if context is None:
+        whole = _payload(scenarios, plans, range(len(scenarios)), options)
+        tasks = [("serial",) + _run_group(
+            whole, prefix.SnapshotCache(), _publisher(wiring, "serial"))]
+    else:
+        cache = prefix.SnapshotCache()
+        for scenario in split_chains:
+            prefix._fork_snapshot(scenario, cache,
+                                  plans[scenario.scenario_id],
+                                  cycle_cache=cycle_cache)
+        prebuild_stats = cache.stats()
+        cache.reset_counters()
+        tasks = _pool_tasks(context, workers, cache, wiring, payloads)
+
+    results: List[Optional[ScenarioResult]] = [None] * len(scenarios)
+    # Per worker label; a worker's tasks arrive in the order it ran
+    # them, so its last task carries its cumulative prefix-cache counters
+    # and its next sequence number.
+    prefix_stats: Dict[str, Dict[str, int]] = {}
+    cycle_stats: Dict[str, Optional[Dict[str, int]]] = {}
+    next_seq: Dict[str, Optional[int]] = {}
+    for label, indices, group_results, stats, seq in tasks:
+        for index, result in zip(indices, group_results):
+            results[index] = result
+        prefix_stats[label] = stats
+        next_seq[label] = seq
+        cycle_stats[label] = _sum_cycle_stats(
+            [cycle_stats.get(label)]
+            + [result.cycle_cache_stats for result in group_results])
+    labels = sorted(prefix_stats)
+
+    if telemetry is not None:
+        telemetry["prefix_tree"] = _tree_telemetry(plans, prefix_cache)
+        telemetry["workers"] = {
+            label: {"prefix_cache": prefix_stats[label],
+                    "cycle_cache": cycle_stats[label]}
+            for label in labels}
+        if prebuild_stats is not None:
+            telemetry["workers"]["prebuild"] = {
+                "prefix_cache": prebuild_stats}
+        telemetry["cycle_cache"] = {
+            "enabled": cycle_cache_armed(cycle_cache),
+            **(_sum_cycle_stats(cycle_stats.values()) or {})}
+    if bus is not None:
+        # Each worker's cycle-cache gauges, published once under its
+        # label from the results it returned.
+        for label in labels:
+            if cycle_stats[label] is not None:
+                publisher = _publisher(wiring, label)
+                publisher.seq = next_seq[label]
+                publisher.cycle_cache_stats(cycle_stats[label])
+        stream = bus.finish(results)
+        if telemetry is not None:
+            telemetry["telemetry_stream"] = stream
+    return results  # type: ignore[return-value]

@@ -167,13 +167,12 @@ class Constellation:
     # ---------------------------------------------------------------- #
 
     def run(self, ticks: Ticks, *,
-            should_abort: Optional[Callable[[], bool]] = None,
-            check_interval: Ticks = 50_000) -> bool:
+            should_abort: Optional[Callable[[], bool]] = None) -> bool:
         """Advance the whole constellation by *ticks*.
 
         Returns False if *should_abort* tripped (the campaign wall-clock
-        budget), True on normal completion.  Bit-identical for any
-        abort-poll cadence.
+        budget), True on normal completion.  *should_abort* is polled
+        once per lockstep boundary, never inside a node's span.
         """
         target = self.now + ticks
         while self.now < target:
@@ -185,8 +184,7 @@ class Constellation:
                     continue
                 span = boundary - node.simulator.now
                 if span > 0:
-                    node.injector.run_fast(span,
-                                           check_interval=check_interval)
+                    node.injector.run_fast(span)
             self.now = boundary
             for node in self.nodes:
                 # A node whose own FDIR stopped the module (HM

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..campaign.runner import TIMEOUT_CHECK_INTERVAL
 from ..fdir.oracle import InvariantViolation, check_trace
 from ..obs.derived import compact_metrics
 from .constellation import Constellation
@@ -100,9 +99,8 @@ class ConstellationRun:
         return self.constellation.now
 
     def advance(self, should_abort) -> bool:
-        return self.constellation.run(
-            self.scenario.ticks, should_abort=should_abort,
-            check_interval=TIMEOUT_CHECK_INTERVAL)
+        return self.constellation.run(self.scenario.ticks,
+                                      should_abort=should_abort)
 
     def audit(self) -> List[InvariantViolation]:
         """Per-node TSP invariants first (each node must be as sound as

@@ -182,10 +182,11 @@ class PartitionRuntime(PartitionControl):
         The caller guarantees the span ends at or before
         :meth:`next_event_tick`, so the per-tick sequence (surrogate
         announcement, then process execution) reduces to batch
-        bookkeeping.  The PAL's :meth:`~repro.pos.pal.PosAdaptationLayer.
-        announce_span` is inlined here (POS elapsed-time bookkeeping plus
-        the Algorithm 3 batch accounting) — this runs on every batched
-        span of the event core.  Returns the process charged, or None.
+        bookkeeping: the quiet-span form of the PAL's
+        :meth:`~repro.pos.pal.PosAdaptationLayer.announce_ticks` is POS
+        elapsed-time bookkeeping plus the Algorithm 3 batch accounting,
+        bit-identical to *ticks* single-tick announcements.  Returns the
+        process charged, or None.
         """
         pos = self.pos
         pos.announce_span(ticks)

@@ -111,18 +111,6 @@ class PosAdaptationLayer:
         self.pos.announce_ticks(now, elapsed)
         return self.monitor.verify(now)
 
-    def announce_span(self, elapsed: Ticks) -> None:
-        """Batch form of :meth:`announce_ticks` for a provably quiet span.
-
-        The event-driven core calls this when it has proven (via
-        :meth:`next_event_tick`) that neither the native POS announcement
-        nor the Algorithm 3 verification can observe anything inside the
-        span; only elapsed-time and instrumentation bookkeeping remain,
-        bit-identical to *elapsed* single-tick announcements.
-        """
-        self.pos.announce_span(elapsed)
-        self.monitor.batch_account(elapsed)
-
     def next_event_tick(self, now: Ticks) -> Optional[Ticks]:
         """First tick at which this partition's announcement could act.
 

@@ -17,7 +17,7 @@ from repro.campaign.prefix import (
     scenario_fingerprint,
 )
 from repro.campaign.results import deterministic_report, report_json
-from repro.campaign.runner import run_campaign, run_scenario, run_serial
+from repro.campaign.runner import run_campaign, run_scenario
 from repro.campaign.scenarios import Scenario, chaos_campaign
 from repro.fault.faults import MemoryViolationFault, PartitionCrashFault
 
@@ -463,21 +463,21 @@ class TestCampaignBitIdentity:
 
     def test_serial_cache_on_equals_cache_off(self):
         campaign = self.campaign()
-        cold = run_serial(campaign, prefix_cache=False)
-        warm = run_serial(campaign, prefix_cache=True)
+        cold = run_campaign(campaign, prefix_cache=False)
+        warm = run_campaign(campaign, prefix_cache=True)
         assert self.deterministic(warm) == self.deterministic(cold)
         assert all(r.forked_at_tick >= 0 for r in warm)
         assert all(r.forked_at_tick == -1 for r in cold)
 
     def test_pooled_cache_on_equals_serial_cache_off(self):
         campaign = self.campaign()
-        cold = run_serial(campaign, prefix_cache=False)
+        cold = run_campaign(campaign, prefix_cache=False)
         pooled = run_campaign(campaign, workers=2, prefix_cache=True)
         assert self.deterministic(pooled) == self.deterministic(cold)
 
     def test_report_sidecar_carries_prefix_cache_stats(self):
         campaign = self.campaign()
-        results = run_serial(campaign, prefix_cache=True)
+        results = run_campaign(campaign, prefix_cache=True)
         report = json.loads(report_json(results, include_timing=True))
         stats = report["timing"]["prefix_cache"]
         assert stats["forked_scenarios"] == len(campaign)
@@ -490,6 +490,6 @@ class TestCampaignBitIdentity:
     def test_distinct_seeds_never_share_prefixes(self):
         campaign = chaos_campaign(count=3, mtfs=10, base_seed=3,
                                   prefix_mtfs=6)  # per-scenario seeds
-        cold = run_serial(campaign, prefix_cache=False)
-        warm = run_serial(campaign, prefix_cache=True)
+        cold = run_campaign(campaign, prefix_cache=False)
+        warm = run_campaign(campaign, prefix_cache=True)
         assert self.deterministic(warm) == self.deterministic(cold)

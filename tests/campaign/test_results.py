@@ -15,7 +15,7 @@ from repro.campaign.results import (
     render_summary,
     report_json,
 )
-from repro.campaign.runner import run_pool, run_serial
+from repro.campaign.runner import run_campaign
 from repro.campaign.scenarios import Scenario, fault_matrix_campaign
 
 
@@ -123,11 +123,11 @@ class TestCampaignMetrics:
 
     def test_pooled_metrics_match_serial(self):
         campaign = fault_matrix_campaign(count=4, mtfs=3)
-        serial = aggregate(run_serial(campaign))["metrics"]
+        serial = aggregate(run_campaign(campaign))["metrics"]
         assert serial  # non-trivial section
         for workers in (2, 4):
-            assert aggregate(run_pool(campaign,
-                                      workers=workers))["metrics"] == serial
+            assert aggregate(run_campaign(
+                campaign, workers=workers))["metrics"] == serial
 
 
 class TestDeterminismInvariant:
@@ -139,23 +139,23 @@ class TestDeterminismInvariant:
 
     @pytest.fixture(scope="class")
     def serial_json(self, campaign):
-        return report_json(run_serial(campaign))
+        return report_json(run_campaign(campaign))
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_worker_counts_agree(self, campaign, serial_json, workers):
-        results = run_pool(campaign, workers=workers)
+        results = run_campaign(campaign, workers=workers)
         assert report_json(results) == serial_json
 
     @pytest.mark.parametrize("chunksize", [1, 3, 8])
     def test_chunk_sizes_agree(self, campaign, serial_json, chunksize):
-        results = run_pool(campaign, workers=2, chunksize=chunksize)
+        results = run_campaign(campaign, workers=2, chunksize=chunksize)
         assert report_json(results) == serial_json
 
     def test_failures_are_deterministic_too(self):
         scenarios = [Scenario(scenario_id=f"b{i}", factory="broken",
                               ticks=10) for i in range(4)]
-        assert report_json(run_pool(scenarios, workers=2)) == \
-            report_json(run_serial(scenarios))
+        assert report_json(run_campaign(scenarios, workers=2)) == \
+            report_json(run_campaign(scenarios))
 
 
 class TestChaosSuiteInvariant:
@@ -172,7 +172,7 @@ class TestChaosSuiteInvariant:
 
     @pytest.fixture(scope="class")
     def serial_results(self, campaign):
-        return run_serial(campaign)
+        return run_campaign(campaign)
 
     def test_all_scenarios_survive_the_oracle(self, serial_results):
         assert [r.status for r in serial_results] == ["ok"] * 50
@@ -182,5 +182,5 @@ class TestChaosSuiteInvariant:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_counts_agree_byte_for_byte(self, campaign,
                                                serial_results, workers):
-        assert report_json(run_pool(campaign, workers=workers)) == \
+        assert report_json(run_campaign(campaign, workers=workers)) == \
             report_json(serial_results)

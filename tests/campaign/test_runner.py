@@ -1,4 +1,4 @@
-"""Tests for serial and pooled campaign execution."""
+"""Tests for in-process and pooled campaign execution."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from repro.campaign.results import STATUS_CRASHED, STATUS_OK, STATUS_TIMEOUT
 from repro.campaign.runner import (
     autodetect_workers,
     run_campaign,
-    run_pool,
     run_scenario,
-    run_serial,
 )
 from repro.campaign.scenarios import Scenario, fault_matrix_campaign
 from repro.apps.prototype import FAULTY_PROCESS, MTF
@@ -150,13 +148,13 @@ class TestCampaignExecution:
         scenarios = [faulty_scenario("a"),
                      Scenario(scenario_id="b", factory="broken", ticks=10),
                      faulty_scenario("c", seed=1)]
-        results = run_serial(scenarios)
+        results = run_campaign(scenarios)
         assert [r.status for r in results] == \
             [STATUS_OK, STATUS_CRASHED, STATUS_OK]
 
     def test_pool_preserves_scenario_order(self):
         scenarios = fault_matrix_campaign(count=6, mtfs=4)
-        results = run_pool(scenarios, workers=2)
+        results = run_campaign(scenarios, workers=2)
         assert [r.scenario_id for r in results] == \
             [s.scenario_id for s in scenarios]
 
@@ -165,14 +163,9 @@ class TestCampaignExecution:
                      Scenario(scenario_id="b", factory="broken", ticks=10),
                      faulty_scenario("c", seed=1),
                      Scenario(scenario_id="d", factory="broken", ticks=10)]
-        results = run_pool(scenarios, workers=2)
+        results = run_campaign(scenarios, workers=2)
         assert [r.status for r in results] == \
             [STATUS_OK, STATUS_CRASHED, STATUS_OK, STATUS_CRASHED]
-
-    def test_run_campaign_dispatches_serial_below_two_workers(self):
-        scenarios = fault_matrix_campaign(count=2, mtfs=3)
-        assert [r.to_dict() for r in run_campaign(scenarios, workers=1)] \
-            == [r.to_dict() for r in run_serial(scenarios)]
 
     def test_autodetect_workers_positive(self):
         assert autodetect_workers() >= 1
@@ -191,7 +184,7 @@ class TestChaosDigestEquality:
 
     @pytest.fixture(scope="class")
     def serial_report(self, chaos_50):
-        return deterministic(run_serial(chaos_50))
+        return deterministic(run_campaign(chaos_50))
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_pooled_chaos_digests_match_serial(
@@ -226,12 +219,12 @@ class TestPrefixTreeDigestEquality:
 
     @pytest.fixture(scope="class")
     def tree_off_report(self, shared_chaos):
-        return deterministic(run_serial(shared_chaos, prefix_cache=False))
+        return deterministic(run_campaign(shared_chaos, prefix_cache=False))
 
     def test_serial_tree_on_matches_tree_off(self, shared_chaos,
                                              tree_off_report):
         telemetry = {}
-        results = run_serial(shared_chaos, telemetry=telemetry)
+        results = run_campaign(shared_chaos, telemetry=telemetry)
         assert deterministic(results) == tree_off_report
         assert telemetry["prefix_tree"]["enabled"]
         assert telemetry["prefix_tree"]["planned_scenarios"] == \
@@ -254,7 +247,7 @@ class TestPrefixTreeDigestEquality:
         monkeypatch.setattr(runner.multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
         telemetry = {}
-        pooled = run_pool(shared_chaos, workers=2, telemetry=telemetry)
+        pooled = run_campaign(shared_chaos, workers=2, telemetry=telemetry)
         assert deterministic(pooled) == tree_off_report
         workers = [stats for label, stats in telemetry["workers"].items()
                    if label != "prebuild"]
@@ -265,12 +258,12 @@ class TestPrefixTreeDigestEquality:
 
     def test_chunksize_never_changes_the_report(self, shared_chaos,
                                                 tree_off_report):
-        pooled = run_pool(shared_chaos, workers=2, chunksize=1)
+        pooled = run_campaign(shared_chaos, workers=2, chunksize=1)
         assert deterministic(pooled) == tree_off_report
 
     def test_pool_telemetry_reports_tree_and_workers(self, shared_chaos):
         telemetry = {}
-        run_pool(shared_chaos, workers=2, telemetry=telemetry)
+        run_campaign(shared_chaos, workers=2, telemetry=telemetry)
         tree = telemetry["prefix_tree"]
         assert tree["enabled"]
         assert tree["groups"] >= 1

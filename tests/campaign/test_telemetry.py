@@ -107,8 +107,13 @@ class TestPoolShutdown:
         assert "joined" in calls
         assert calls.index("joined") < calls.index("terminate")
         last = {}
+        numbered = []
         for record in map(json.loads, log.read_text().splitlines()):
             last[record["topic"]] = record["payload"].get("value")
+            if "seq" in record:
+                numbered.append((record["worker"], record["seq"]))
+        # Gauges the parent publishes for a worker continue its numbering.
+        assert len(numbered) == len(set(numbered))
         workers = {pid: sidecar for pid, sidecar
                    in telemetry["workers"].items() if pid != "prebuild"}
         assert workers
@@ -116,31 +121,83 @@ class TestPoolShutdown:
             for stat, value in sidecar["prefix_cache"].items():
                 assert last.get(f"worker/{pid}/cache/{stat}") == value, (
                     pid, stat)
+            for stat, value in (sidecar["cycle_cache"] or {}).items():
+                assert last.get(f"worker/{pid}/cycle_cache/{stat}") \
+                    == value, (pid, stat)
 
 
 class TestCycleCacheTotals:
-    def test_pooled_totals_do_not_inherit_the_parents(self, monkeypatch):
-        # Forked pool workers start from the parent's process-wide
-        # cycle-cache totals; a pooled run after a serial one in the same
-        # process must still report only its own scenarios' counters.
+    """Every cycle-cache figure of the sidecar is a sum over the results
+    the campaign returned, so no counter leaks from one campaign into
+    the next run in the same process (``fingerprint_ns`` is wall time,
+    so only the event counts and bytes are compared)."""
+
+    COUNTS = ("hits", "misses", "invalidations", "bytes")
+
+    @pytest.fixture
+    def cruise(self, monkeypatch):
         from repro.apps.prototype import STEADY_MTF, build_steady_prototype
         from repro.campaign import Scenario
         from repro.campaign.scenarios import FACTORIES
 
         monkeypatch.setitem(FACTORIES, "prototype_cruise",
                             build_steady_prototype)
-        scenarios = [Scenario(scenario_id=f"cruise-{i}",
-                              factory="prototype_cruise", seed=i,
-                              ticks=40 * STEADY_MTF) for i in range(4)]
-        totals = []
-        for workers in (1, 2):
-            telemetry: dict = {}
-            run_campaign(scenarios, workers=workers, telemetry=telemetry)
-            totals.append(telemetry["cycle_cache"])
-        serial, pooled = totals
+        return [Scenario(scenario_id=f"cruise-{i}",
+                         factory="prototype_cruise", seed=i,
+                         ticks=40 * STEADY_MTF) for i in range(4)]
+
+    def totals(self, scenarios, workers):
+        telemetry: dict = {}
+        results = run_campaign(scenarios, workers=workers,
+                               telemetry=telemetry)
+        return telemetry["cycle_cache"], results
+
+    def test_pooled_totals_do_not_inherit_the_parents(self, cruise):
+        # A pooled run after a serial one in the same process reports
+        # only its own scenarios' counters.
+        serial, _ = self.totals(cruise, 1)
+        pooled, _ = self.totals(cruise, 2)
         assert serial["hits"] > 0
-        for key in ("hits", "misses", "invalidations", "bytes"):
+        for key in self.COUNTS:
             assert pooled[key] == serial[key], key
+
+    def test_serial_totals_do_not_leak_between_campaigns(self, cruise):
+        first, results = self.totals(cruise, 1)
+        second, _ = self.totals(cruise, 1)
+        assert first["hits"] > 0
+        for key in self.COUNTS:
+            assert second[key] == first[key], key
+            assert first[key] == sum(
+                result.cycle_cache_stats[key] for result in results), key
+
+    def test_crashed_result_carries_its_counters(self, cruise):
+        from dataclasses import replace
+
+        from repro.apps.prototype import STEADY_MTF
+        from repro.campaign import deterministic_report
+        from repro.fault.faults import SimulatedCrashFault
+
+        # Its own seed, so it shares no prefix to fork from: the crash
+        # ends a cold run that replayed steady MTFs first.
+        drill = replace(cruise[0], scenario_id="cruise-crash", seed=99,
+                        faults=((30 * STEADY_MTF, SimulatedCrashFault()),))
+        results = run_campaign(cruise + [drill])
+        crashed = [r for r in results if r.status == "crashed"]
+        assert [r.scenario_id for r in crashed] == ["cruise-crash"]
+        assert crashed[0].cycle_cache_stats["hits"] > 0
+        assert "cycle_cache_stats" not in crashed[0].to_dict()
+        # Timing-only: the field never reaches the deterministic report.
+        stripped = [replace(r, cycle_cache_stats=None) for r in results]
+        assert json.dumps(deterministic_report(results), sort_keys=True) \
+            == json.dumps(deterministic_report(stripped), sort_keys=True)
+
+    def test_cache_off_results_carry_no_counters(self):
+        telemetry: dict = {}
+        results = run_campaign(small_chaos(), cycle_cache=False,
+                               telemetry=telemetry)
+        assert all(r.cycle_cache_stats is None for r in results)
+        assert telemetry["cycle_cache"] == {"enabled": False}
+        assert telemetry["workers"]["serial"]["cycle_cache"] is None
 
 
 class TestFlightRecorderThroughRunner:
