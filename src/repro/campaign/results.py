@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..obs.derived import _rank
+from ..obs.derived import percentile
 
 __all__ = [
     "ScenarioResult",
@@ -26,7 +26,6 @@ __all__ = [
     "deterministic_report",
     "report_json",
     "render_summary",
-    "percentile",
 ]
 
 #: The fixed top-level key set of the canonicalized ``timing.execution``
@@ -125,26 +124,9 @@ class ScenarioResult:
         return record
 
 
-def percentile(values: Sequence[int], fraction: float) -> int:
-    """Nearest-rank percentile of *values* (deterministic, no interpolation)."""
-    if not values:
-        return 0
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"percentile fraction must be in [0, 1], "
-                         f"got {fraction}")
-    return _rank(sorted(values), fraction)
-
-
 def _distribution(values: Sequence[int]) -> Dict[str, int]:
-    if not values:
-        return {"p50": 0, "p90": 0, "p99": 0, "max": 0}
-    ordered = sorted(values)
-    return {
-        "p50": _rank(ordered, 0.50),
-        "p90": _rank(ordered, 0.90),
-        "p99": _rank(ordered, 0.99),
-        "max": ordered[-1],
-    }
+    return {"p50": percentile(values, 0.50), "p90": percentile(values, 0.90),
+            "p99": percentile(values, 0.99), "max": max(values, default=0)}
 
 
 def aggregate(results: Sequence[ScenarioResult]) -> Dict[str, Any]:

@@ -44,9 +44,9 @@ from typing import Dict, List, Optional, Sequence
 from ..fdir.oracle import check_trace
 from ..kernel.simulator import cycle_cache_armed
 from ..kernel.snapshot import SimulatorSnapshot
-from ..kernel.trace import MemoryFault, ScheduleSwitched
 from ..kernel.cycle_cache import CYCLE_CACHE_STAT_KEYS
 from ..obs.derived import compact_metrics
+from ..obs.fold import MetricsState, total
 # Used as ``prefix.<name>`` so every call looks the function up on the
 # module; instrumentation that patches it there sees every call.
 from . import prefix
@@ -177,8 +177,10 @@ class _NodeRun:
                 "from_snapshot": self.from_snapshot,
                 "forked_at": self.forked_at}
 
-    def metrics(self, tally: Dict[type, int]):
-        return compact_metrics(self.simulator.trace, tally)
+    def metrics(self):
+        """``(compact pairs, fold states)``: one state, this node's."""
+        state = MetricsState()
+        return compact_metrics(self.simulator.trace, state), (state,)
 
     def result_fields(self) -> Dict[str, object]:
         trace = self.simulator.trace
@@ -326,8 +328,7 @@ def run_scenario(scenario: Scenario, *,
             write_scenario_artifacts(label, simulator, artifacts)
     if publisher is not None:
         run.publish(publisher)
-    tally = {ScheduleSwitched: 0, MemoryFault: 0}
-    metrics = run.metrics(tally)
+    metrics, states = run.metrics()
     counts = dict(metrics)
     fields = run.result_fields()
     result = ScenarioResult(
@@ -337,8 +338,9 @@ def run_scenario(scenario: Scenario, *,
         ticks=run.now,
         deadline_misses=counts["deadline_misses"],
         hm_events=counts["hm_events"],
-        schedule_switches=tally[ScheduleSwitched],
-        memory_faults=tally[MemoryFault],
+        schedule_switches=sum(total(state.schedule_switches)
+                              for state in states),
+        memory_faults=sum(total(state.memory_faults) for state in states),
         metrics=metrics,
         error=error,
         wall_time_s=time.perf_counter() - start,

@@ -25,7 +25,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fdir.oracle import InvariantViolation, check_trace
-from ..obs.derived import compact_metrics
+from ..obs.derived import combine_compact, compact_metrics
+from ..obs.fold import MetricsState
 from .constellation import Constellation
 from .oracle import check_constellation
 from .scenarios import ConstellationScenario
@@ -142,22 +143,20 @@ class ConstellationRun:
         return {"simulator": node.simulator, "injector": node.injector,
                 "node_id": node_id, "internode_backlog": backlog}
 
-    def metrics(self, tally: Dict[type, int]) -> Tuple[Tuple[str, int], ...]:
-        """Fleet-wide compact metrics: per-name sum (max for ``*_max``).
+    def metrics(self):
+        """``(fleet-wide compact pairs, one fold state per node)``.
 
-        Stays inside the governed
-        :data:`~repro.obs.derived.COMPACT_METRIC_NAMES` key set, so the
+        Each pair combines the nodes' values by the rule it declares
+        (:data:`~repro.obs.derived.COMPACT_QUANTITIES`), so the fleet
+        stays inside the governed
+        :data:`~repro.obs.derived.COMPACT_METRIC_NAMES` key set and the
         campaign metric topics need no constellation-specific variants.
-        *tally* sums fleet-wide like the pairs (see :func:`compact_metrics`).
         """
-        folded: Dict[str, int] = {}
-        for node in self.constellation.nodes:
-            for name, value in compact_metrics(node.simulator.trace, tally):
-                if name.endswith("_max"):
-                    folded[name] = max(folded.get(name, 0), value)
-                else:
-                    folded[name] = folded.get(name, 0) + value
-        return tuple(sorted(folded.items()))
+        states = [MetricsState() for _ in self.constellation.nodes]
+        return combine_compact([
+            compact_metrics(node.simulator.trace, state)
+            for node, state in zip(self.constellation.nodes, states)]), \
+            states
 
     def result_fields(self) -> Dict[str, object]:
         constellation = self.constellation

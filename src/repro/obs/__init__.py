@@ -1,13 +1,16 @@
 """Observability: deterministic telemetry for the simulated AIR system.
 
-DESIGN decision 6.  Five pieces:
+DESIGN decision 6.  Six pieces:
 
 * :mod:`repro.obs.metrics` — deterministic instruments (counters, gauges,
   fixed-bucket histograms) timestamped in simulated ticks;
-* :mod:`repro.obs.instrument` — live trace-observer feeding a registry
-  from a running :class:`~repro.kernel.simulator.Simulator`;
+* :mod:`repro.obs.fold` — every per-event quantity, declared once as a
+  fold over trace events; the next two modules are its views;
+* :mod:`repro.obs.instrument` — the fold live on a running
+  :class:`~repro.kernel.simulator.Simulator`, rendered as a registry;
 * :mod:`repro.obs.derived` — paper-level quantities recomputed offline
-  from any saved :class:`~repro.kernel.trace.Trace`;
+  from any saved :class:`~repro.kernel.trace.Trace`, and the campaign's
+  compact metric pairs;
 * :mod:`repro.obs.timeline` — Chrome trace-event / Perfetto JSON export;
 * :mod:`repro.obs.telemetry` — the campaign telemetry bus: governed
   topic namespace, live worker streaming, crash flight recorder

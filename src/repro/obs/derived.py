@@ -1,9 +1,10 @@
 """Derived metrics: paper-level quantities computed from any saved trace.
 
-Where :mod:`repro.obs.instrument` accumulates metrics *live*, this module
-recomputes the interesting quantities purely from a :class:`Trace` — so a
-``save_jsonl`` file written months ago (or shipped from a campaign worker)
-is analyzable offline, with no simulator in sight:
+Where :mod:`repro.obs.instrument` renders the metrics fold
+(:mod:`repro.obs.fold`) *live*, this module folds a finished
+:class:`Trace` — so a ``save_jsonl`` file written months ago (or shipped
+from a campaign worker) is analyzable offline, with no simulator in
+sight — and adds the quantities that need whole spans:
 
 * **window occupancy vs. PST entitlement** — the run-time counterpart of
   eqs. (1)-(5): the fraction of the analyzed span each partition actually
@@ -13,8 +14,12 @@ is analyzable offline, with no simulator in sight:
   switch, and so do we);
 * **dispatch jitter** — distributions of inter-dispatch intervals;
 * **deadline miss counts and Algorithm 3 detection-latency distributions**;
-* **channel delivery latencies and peak queue depths**;
-* **HM event counts by level/code/action**.
+* **per-port delivery latencies and peak queue depths** (depth as the
+  fold's depth step defines it: see :mod:`repro.obs.fold`);
+* **HM event counts by level/code/action**;
+* **the campaign pairs** (:func:`compact_metrics`) — a flat summary of
+  the same fold, combined across constellation nodes by the rule each
+  pair declares.
 
 Everything is computed with integer arithmetic plus plain float division in
 a fixed order, so the canonical JSON form is byte-identical for equal
@@ -25,45 +30,53 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..kernel.trace import (
-    DeadlineMissed,
-    EscalationStepped,
-    HealthMonitorEvent,
-    MemoryFault,
-    PartitionDispatched,
-    PartitionParked,
-    PortMessageReceived,
-    PortMessageSent,
-    ProcessDispatched,
-    ScheduleSwitched,
-    Trace,
-    WatchdogExpired,
-)
+from ..kernel.trace import PartitionDispatched, ScheduleSwitched, Trace
+from .fold import MetricsState, entries, fold, total
 
 __all__ = ["COMPACT_METRIC_NAMES", "derived_metrics", "derived_to_json",
-           "compact_metrics", "percentile", "distribution"]
+           "compact_metrics", "combine_compact", "percentile",
+           "distribution"]
+
+
+def _sample_sum(table: Dict[str, List[int]]) -> int:
+    return sum(sum(samples) for samples in table.values())
+
+
+def _sample_max(table: Dict[str, List[int]]) -> int:
+    return max((max(samples) for samples in table.values()), default=0)
+
+
+#: The campaign pairs, in emission order: name, the fold table it reads,
+#: how it reads it, and the rule combining one value per constellation
+#: node into the fleet's (:func:`combine_compact`).
+COMPACT_QUANTITIES: Tuple[Tuple[str, str, Callable, Callable], ...] = (
+    ("context_switches", "partition_context_switches", total, sum),
+    ("deadline_detection_latency_max", "deadline_detection_latency_ticks",
+     _sample_max, max),
+    ("deadline_detection_latency_sum", "deadline_detection_latency_ticks",
+     _sample_sum, sum),
+    ("deadline_misses", "deadline_misses", total, sum),
+    ("delivery_latency_max", "port_delivery_latency_ticks", _sample_max, max),
+    ("delivery_latency_sum", "port_delivery_latency_ticks", _sample_sum, sum),
+    ("fdir_escalations", "fdir_escalations", total, sum),
+    ("fdir_parked", "fdir_partitions_parked", total, sum),
+    ("fdir_watchdog_expiries", "watchdog_expiries", total, sum),
+    ("hm_events", "hm_events", total, sum),
+    # The depth rule of repro.obs.fold._port_received; the fleet value
+    # sums the nodes' peaks.
+    ("peak_queue_depth", "port_queue_depth", _sample_max, sum),
+    ("port_received", "port_messages_received", total, sum),
+    ("port_sent", "port_messages_sent", total, sum),
+    ("process_dispatches", "process_dispatches", total, sum),
+)
 
 #: The fixed key set :func:`compact_metrics` emits, in emission order.
 #: The governed telemetry namespace constrains the
 #: ``campaign/<digest>/scenario/<id>/metric/<name>`` topic to this set.
-COMPACT_METRIC_NAMES: Tuple[str, ...] = (
-    "context_switches",
-    "deadline_detection_latency_max",
-    "deadline_detection_latency_sum",
-    "deadline_misses",
-    "delivery_latency_max",
-    "delivery_latency_sum",
-    "fdir_escalations",
-    "fdir_parked",
-    "fdir_watchdog_expiries",
-    "hm_events",
-    "peak_queue_depth",
-    "port_received",
-    "port_sent",
-    "process_dispatches",
-)
+COMPACT_METRIC_NAMES: Tuple[str, ...] = tuple(
+    quantity[0] for quantity in COMPACT_QUANTITIES)
 
 
 def _rank(ordered: Sequence[int], fraction: float) -> int:
@@ -73,7 +86,13 @@ def _rank(ordered: Sequence[int], fraction: float) -> int:
 
 
 def percentile(values: Sequence[int], fraction: float) -> int:
-    """Nearest-rank percentile of *values* (must be non-empty)."""
+    """Nearest-rank percentile of *values* (deterministic, no
+    interpolation); 0 for no values."""
+    if not values:
+        return 0
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"percentile fraction must be in [0, 1], "
+                         f"got {fraction}")
     return _rank(sorted(values), fraction)
 
 
@@ -162,6 +181,11 @@ def _make_frame_occupancy(spans, partitions):
     return occupancy
 
 
+def _by_first_label(table: Dict[str, object]) -> Dict[str, int]:
+    """A counter table's events per value of its first label."""
+    return {value: total(inner) for value, inner in table.items()}
+
+
 def derived_metrics(trace: Trace, config=None,
                     horizon: Optional[int] = None) -> Dict[str, object]:
     """Compute the derived-metric report from *trace*.
@@ -227,32 +251,15 @@ def derived_metrics(trace: Trace, config=None,
                 frame_start = frame_end
                 index += 1
 
-    # ---- dispatch jitter ------------------------------------------ #
-    last_dispatch: Dict[str, int] = {}
-    intervals: Dict[str, List[int]] = {}
-    for event in trace.of_type(PartitionDispatched):
-        if event.heir is None:
-            continue
-        previous = last_dispatch.get(event.heir)
-        if previous is not None:
-            intervals.setdefault(event.heir, []).append(event.tick - previous)
-        last_dispatch[event.heir] = event.tick
+    # ---- the fold: jitter, deadlines, channels, HM ---------------- #
+    state = fold(MetricsState(), events)
+    intervals = state.partition_dispatch_interval_ticks
     jitter = {partition: distribution(intervals.get(partition, []))
               for partition in partitions}
 
-    # ---- deadline misses ------------------------------------------ #
-    misses = trace.of_type(DeadlineMissed)
-    miss_counts: Dict[str, int] = {}
-    latencies: Dict[str, List[int]] = {}
-    for event in misses:
-        miss_counts[event.partition] = miss_counts.get(event.partition, 0) + 1
-        latencies.setdefault(event.partition, []).append(
-            event.detection_latency)
-    process_dispatches: Dict[str, int] = {}
-    for event in trace.of_type(ProcessDispatched):
-        if event.heir is not None:
-            process_dispatches[event.partition] = (
-                process_dispatches.get(event.partition, 0) + 1)
+    miss_counts = _by_first_label(state.deadline_misses)
+    latencies = state.deadline_detection_latency_ticks
+    process_dispatches = _by_first_label(state.process_dispatches)
     deadline = {
         partition: {
             "misses": miss_counts.get(partition, 0),
@@ -265,36 +272,23 @@ def derived_metrics(trace: Trace, config=None,
         for partition in sorted(set(miss_counts) | set(process_dispatches)
                                 | set(partitions))}
 
-    # ---- channels -------------------------------------------------- #
-    sent: Dict[str, int] = {}
-    received: Dict[str, int] = {}
-    delivery: Dict[str, List[int]] = {}
-    depth: Dict[str, int] = {}
-    peak_depth: Dict[str, int] = {}
-    for event in events:
-        if type(event) is PortMessageSent:
-            sent[event.port] = sent.get(event.port, 0) + 1
-            depth[event.port] = depth.get(event.port, 0) + 1
-            if depth[event.port] > peak_depth.get(event.port, 0):
-                peak_depth[event.port] = depth[event.port]
-        elif type(event) is PortMessageReceived:
-            received[event.port] = received.get(event.port, 0) + 1
-            depth[event.port] = max(depth.get(event.port, 0) - 1, 0)
-            delivery.setdefault(event.port, []).append(event.latency)
+    sent = _by_first_label(state.port_messages_sent)
+    received = _by_first_label(state.port_messages_received)
+    depths = state.port_queue_depth
+    delivery = state.port_delivery_latency_ticks
     ports = {
         port: {
             "sent": sent.get(port, 0),
             "received": received.get(port, 0),
-            "peak_queue_depth": peak_depth.get(port, 0),
+            "peak_queue_depth": max(depths.get(port, [0])),
             "delivery_latency": distribution(delivery.get(port, [])),
         }
         for port in sorted(set(sent) | set(received))}
 
-    # ---- health monitoring ---------------------------------------- #
     hm: Dict[str, int] = {}
-    for event in trace.of_type(HealthMonitorEvent):
-        key = f"{event.level}/{event.code}/{event.action}"
-        hm[key] = hm.get(key, 0) + 1
+    for (level, code, action), count in entries(state.hm_events, 3):
+        key = f"{level}/{code}/{action}"
+        hm[key] = hm.get(key, 0) + count
 
     return {
         "horizon": horizon,
@@ -307,7 +301,7 @@ def derived_metrics(trace: Trace, config=None,
         "deadline": deadline,
         "ports": ports,
         "hm_events": dict(sorted(hm.items())),
-        "memory_faults": trace.count(MemoryFault),
+        "memory_faults": total(state.memory_faults),
     }
 
 
@@ -316,83 +310,29 @@ def derived_to_json(report: Dict[str, object]) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
-def compact_metrics(trace: Trace,
-                    tally: Optional[Dict[type, int]] = None
+def compact_metrics(trace: Trace, state: Optional[MetricsState] = None
                     ) -> Tuple[Tuple[str, int], ...]:
     """Flat, integer-only metric pairs for the campaign boundary.
 
     Small, picklable and deterministic — a ``ScenarioResult`` carries this
     instead of a full registry; the aggregator folds the pairs into
     cross-scenario distributions that are byte-identical for any worker
-    count.
+    count.  The pairs are :data:`COMPACT_QUANTITIES` read off a fold of
+    *trace*, in :data:`COMPACT_METRIC_NAMES` order.
 
-    *tally*, when given, maps further event classes to running counts,
-    and the same pass adds each event of exactly that class, so a caller
-    needing such counts as well does not scan the trace again.  Only
-    classes none of the pairs count can be tallied: an event a pair
-    counts never reaches the tally.
+    *state*, when given, is the fold state the pass steps (a fresh one
+    otherwise), so a caller reads any further quantity of the same pass
+    from it afterwards.
     """
-    context_switches = 0
-    process_dispatches = 0
-    misses = 0
-    latency_sum = 0
-    latency_max = 0
-    port_sent = 0
-    port_received = 0
-    delivery_sum = 0
-    delivery_max = 0
-    depth: Dict[str, int] = {}
-    peak_depth = 0
-    hm_events = 0
-    escalations = 0
-    parked = 0
-    watchdog_expiries = 0
-    for event in trace:
-        event_type = type(event)
-        if event_type is PartitionDispatched:
-            context_switches += 1
-        elif event_type is ProcessDispatched:
-            if event.heir is not None:
-                process_dispatches += 1
-        elif event_type is DeadlineMissed:
-            misses += 1
-            latency_sum += event.detection_latency
-            if event.detection_latency > latency_max:
-                latency_max = event.detection_latency
-        elif event_type is PortMessageSent:
-            port_sent += 1
-            depth[event.port] = depth.get(event.port, 0) + 1
-            if depth[event.port] > peak_depth:
-                peak_depth = depth[event.port]
-        elif event_type is PortMessageReceived:
-            port_received += 1
-            delivery_sum += event.latency
-            if event.latency > delivery_max:
-                delivery_max = event.latency
-            depth[event.port] = max(depth.get(event.port, 0) - 1, 0)
-        elif event_type is HealthMonitorEvent:
-            hm_events += 1
-        elif event_type is EscalationStepped:
-            escalations += 1
-        elif event_type is PartitionParked:
-            parked += 1
-        elif event_type is WatchdogExpired:
-            watchdog_expiries += 1
-        elif tally and event_type in tally:
-            tally[event_type] += 1
-    return (
-        ("context_switches", context_switches),
-        ("deadline_detection_latency_max", latency_max),
-        ("deadline_detection_latency_sum", latency_sum),
-        ("deadline_misses", misses),
-        ("delivery_latency_max", delivery_max),
-        ("delivery_latency_sum", delivery_sum),
-        ("fdir_escalations", escalations),
-        ("fdir_parked", parked),
-        ("fdir_watchdog_expiries", watchdog_expiries),
-        ("hm_events", hm_events),
-        ("peak_queue_depth", peak_depth),
-        ("port_received", port_received),
-        ("port_sent", port_sent),
-        ("process_dispatches", process_dispatches),
-    )
+    state = fold(state if state is not None else MetricsState(), trace)
+    return tuple((name, read(getattr(state, table)))
+                 for name, table, read, _ in COMPACT_QUANTITIES)
+
+
+def combine_compact(per_node: Iterable[Tuple[Tuple[str, int], ...]]
+                    ) -> Tuple[Tuple[str, int], ...]:
+    """Fleet-wide pairs from one :func:`compact_metrics` result per node:
+    each quantity's declared combine over the nodes' values."""
+    columns = zip(*[[value for _, value in pairs] for pairs in per_node])
+    return tuple((name, combine(column)) for (name, _, _, combine), column
+                 in zip(COMPACT_QUANTITIES, columns))

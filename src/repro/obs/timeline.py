@@ -6,7 +6,7 @@ for the partition's execution windows, nested spans for the process the
 partition's POS is running), instant events for deadline misses, schedule
 switches, HM actions, memory faults and FDIR supervision (escalation
 rungs, parking, watchdog expiry, recovery), and counter tracks for
-channel queue depths.
+per-port queue depths (the depth rule of :mod:`repro.obs.fold`).
 
 One simulated tick maps to one microsecond of trace time (``ts``/``dur``
 are integers, so the mapping is exact); ``displayTimeUnit`` is set to
@@ -36,6 +36,7 @@ from ..kernel.trace import (
     Trace,
     WatchdogExpired,
 )
+from .fold import MetricsState, fold
 
 __all__ = ["to_chrome_trace", "save_timeline"]
 
@@ -96,7 +97,7 @@ def to_chrome_trace(trace: Trace, *,
     active_since = 0
     running: Dict[str, Optional[str]] = {}
     running_since = 0
-    depth: Dict[str, int] = {}
+    ports = MetricsState()
 
     def close_process(partition: str, until: int) -> None:
         process = running.get(partition)
@@ -164,16 +165,13 @@ def to_chrome_trace(trace: Trace, *,
             instant(f"watchdog expired: {event.partition}", "fdir",
                     tids.get(event.partition, MODULE_TID), event.tick, "t",
                     {"last_kick": event.last_kick})
-        elif event_type is PortMessageSent:
-            depth[event.port] = depth.get(event.port, 0) + 1
+        elif event_type is PortMessageSent \
+                or event_type is PortMessageReceived:
+            fold(ports, (event,))
             events.append({"name": f"queue:{event.port}", "cat": "comm",
                            "ph": "C", "pid": MODULE_PID, "ts": event.tick,
-                           "args": {"in_flight": depth[event.port]}})
-        elif event_type is PortMessageReceived:
-            depth[event.port] = max(depth.get(event.port, 0) - 1, 0)
-            events.append({"name": f"queue:{event.port}", "cat": "comm",
-                           "ph": "C", "pid": MODULE_PID, "ts": event.tick,
-                           "args": {"in_flight": depth[event.port]}})
+                           "args": {"in_flight":
+                                    ports.port_in_flight[event.port]}})
     if active is not None:
         close_process(active, horizon)
         close_window(horizon)

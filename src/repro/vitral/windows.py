@@ -135,10 +135,12 @@ class VitralScreen:
         return len(new)
 
     def _refresh_metrics(self) -> None:
-        """Redraw the metrics window from the live registry (gauge-style:
-        current values, not a scrolling log)."""
+        """Redraw the metrics window from the live metrics fold
+        (gauge-style: current values, not a scrolling log)."""
+        from ..obs.fold import total
+
         pmk = self.simulator.pmk
-        registry = self.metrics.registry
+        state = self.metrics.state
         occupancy = " ".join(
             f"{name}:{fraction:.0%}"
             for name, fraction in sorted(pmk.occupancy().items()))
@@ -146,16 +148,12 @@ class VitralScreen:
             f"ticks {pmk.ticks_executed}  idle {pmk.idle_ticks}",
             f"occupancy {occupancy}",
             f"ctx switches {pmk.dispatcher.stats.context_switches}  "
-            f"sched switches "
-            f"{registry.counter_total('air_schedule_switches_total')}",
-            f"deadline misses "
-            f"{registry.counter_total('air_deadline_misses_total')}",
-            f"hm events {registry.counter_total('air_hm_events_total')}  "
-            f"mem faults "
-            f"{registry.counter_total('air_memory_faults_total')}",
-            f"port msgs "
-            f"{registry.counter_total('air_port_messages_sent_total')} sent "
-            f"{registry.counter_total('air_port_messages_received_total')} "
+            f"sched switches {total(state.schedule_switches)}",
+            f"deadline misses {total(state.deadline_misses)}",
+            f"hm events {total(state.hm_events)}  "
+            f"mem faults {total(state.memory_faults)}",
+            f"port msgs {total(state.port_messages_sent)} sent "
+            f"{total(state.port_messages_received)} "
             f"rcvd  in-flight {pmk.router.in_flight}",
         ])
 

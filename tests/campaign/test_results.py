@@ -11,12 +11,12 @@ from repro.campaign.results import (
     ScenarioResult,
     aggregate,
     deterministic_report,
-    percentile,
     render_summary,
     report_json,
 )
 from repro.campaign.runner import run_campaign
 from repro.campaign.scenarios import Scenario, fault_matrix_campaign
+from repro.obs.derived import percentile
 
 
 def result(scenario_id, *, status="ok", misses=0, events=10, digest="d"):

@@ -16,6 +16,7 @@ from repro.kernel.trace import (
     Trace,
 )
 from repro.obs import compact_metrics, derived_metrics, derived_to_json
+from repro.obs.fold import MetricsState, total
 from repro.obs.derived import (
     _dispatch_spans,
     _make_frame_occupancy,
@@ -201,14 +202,15 @@ class TestCompactMetrics:
         assert pairs["port_sent"] == \
             simulator.trace.count(PortMessageSent)
 
-    def test_tally_counts_further_classes_in_the_same_pass(self):
+    def test_state_carries_further_quantities_of_the_same_pass(self):
         simulator = prototype_run()
-        tally = {ScheduleSwitched: 0, MemoryFault: 0}
-        pairs = compact_metrics(simulator.trace, tally)
+        state = MetricsState()
+        pairs = compact_metrics(simulator.trace, state)
         assert pairs == compact_metrics(simulator.trace)
-        assert tally == {
-            ScheduleSwitched: simulator.trace.count(ScheduleSwitched),
-            MemoryFault: simulator.trace.count(MemoryFault)}
+        assert (total(state.schedule_switches),
+                total(state.memory_faults)) == (
+            simulator.trace.count(ScheduleSwitched),
+            simulator.trace.count(MemoryFault))
 
     def test_names_sorted_and_ints(self):
         simulator = prototype_run()
