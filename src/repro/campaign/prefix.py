@@ -43,7 +43,12 @@ Interior checkpoints carry the fault injector's applied log in the
 snapshot's ``extras`` side-channel; a forked run seeds its injector from
 it and schedules only the not-yet-applied remainder of the timeline, so
 the injection log — which feeds the campaign digest — is bit-identical to
-a cold run's.
+a cold run's.  Beside it rides the prefix's audit state: the metrics fold
+(:class:`~repro.obs.fold.MetricsState`) and the oracle fold
+(:class:`~repro.fdir.oracle.OracleState`) over the checkpoint's events.
+A fork folds copies of both over its own events only, and the trace
+digest continues the checkpoint's running hash, so a fork pays for the
+audits of its new work alone.
 """
 
 from __future__ import annotations
@@ -52,10 +57,16 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fault.faults import fault_to_dict
+from ..fdir.oracle import MAX_VIOLATIONS, OracleState
+from ..fdir.oracle import fold as fold_oracle
 from ..kernel.snapshot import SimulatorSnapshot
+from ..kernel.trace import Trace
+from ..obs.fold import MetricsState
+from ..obs.fold import fold as fold_metrics
 from ..types import Ticks
 from .scenarios import Scenario
 
@@ -363,26 +374,58 @@ class SnapshotCache:
 
 def _resume(snapshot: Optional[SimulatorSnapshot], config, *,
             cycle_cache: Optional[bool]):
-    """A simulator and injector continuing *snapshot* (cold when None).
+    """``(simulator, injector, audits)`` continuing *snapshot* (cold when
+    None).
 
     The one fork/resume helper: checkpoint-chain construction and
     :func:`~repro.campaign.runner.run_scenario` both start here.  The
     injector is seeded from the applied log the checkpoint carries
     in its ``extras``, so only the rest of the timeline is scheduled.
+    *audits* are the checkpoint's audit fold states (see
+    :func:`_fold_audits`) — shared with the checkpoint, so a caller
+    folds on from copies — or fresh states at event 0.
     """
     from ..fault.injector import FaultInjector
     from ..kernel.simulator import Simulator
 
+    extras = {}
     if snapshot is None:
         simulator = Simulator(config, cycle_cache=cycle_cache)
     else:
         simulator = snapshot.restore(config, cycle_cache=cycle_cache)
+        extras = snapshot.extras or {}
     injector = FaultInjector(simulator)
-    state = snapshot.extras.get("injector") \
-        if snapshot is not None and snapshot.extras else None
+    state = extras.get("injector")
     if state is not None:
         injector.load_state_dict(state)
-    return simulator, injector
+    audits = extras.get("audits") or (0, MetricsState(), OracleState(config))
+    return simulator, injector, audits
+
+
+def _fold_audits(audits, trace: Trace, config):
+    """The audit fold states of *trace*'s whole log, continuing *audits*.
+
+    *audits* is ``(event count, MetricsState, OracleState)``: the metrics
+    and oracle folds over the log's first *event count* events.  Copies
+    of both fold the events after them, so *audits* itself — the states
+    an earlier checkpoint carries — is left as it was.  The trace must
+    be unbounded: a fold covers every event recorded, and a bounded log
+    would hold fewer.
+    """
+    count, metrics, oracle = audits
+    events = tuple(islice(trace, count, None))
+    return (len(trace), fold_metrics(metrics.copy(), events),
+            fold_oracle(oracle.copy(), events, config, MAX_VIOLATIONS))
+
+
+def _checkpoint(simulator, injector, audits, config) -> SimulatorSnapshot:
+    """Capture *simulator* with its injector's applied log and, for an
+    unbounded trace, the audit states of its whole log folded on from
+    *audits* (see :func:`_fold_audits`), in ``extras``."""
+    extras = {"injector": injector.state_dict()}
+    if config.trace_capacity is None:
+        extras["audits"] = _fold_audits(audits, simulator.trace, config)
+    return SimulatorSnapshot.capture(simulator, extras=extras)
 
 
 def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
@@ -396,15 +439,18 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
     Starts from *base_snapshot* (the checkpoint at *base_depth*), else
     cold; schedules timeline events incrementally so a checkpoint at
     level *d* has exactly the first *d* events applied and nothing deeper
-    pending.  Returns the deepest checkpoint reached (or *base_snapshot*
-    if nothing new was needed); returns None to degrade on any failure.
+    pending.  Each checkpoint of an unbounded trace also carries its
+    prefix's audit fold states (:func:`_fold_audits`), so forks audit
+    only their own events.  Returns the deepest checkpoint reached (or
+    *base_snapshot* if nothing new was needed); returns None to degrade
+    on any failure.
     """
     from .runner import TIMEOUT_CHECK_INTERVAL
 
     try:
         config = scenario.build_config()
-        simulator, injector = _resume(base_snapshot, config,
-                                      cycle_cache=cycle_cache)
+        simulator, injector, audits = _resume(base_snapshot, config,
+                                              cycle_cache=cycle_cache)
         cursor = max(base_depth, 0)
         events = scenario.timeline()
         deepest = base_snapshot
@@ -416,8 +462,8 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
             cursor = depth
             injector.run_fast(tick - simulator.now,
                               check_interval=TIMEOUT_CHECK_INTERVAL)
-            snapshot = SimulatorSnapshot.capture(
-                simulator, extras={"injector": injector.state_dict()})
+            snapshot = _checkpoint(simulator, injector, audits, config)
+            audits = snapshot.extras.get("audits", audits)
             cache.put(key, tick, snapshot.to_bytes(), snapshot)
             deepest = snapshot
         return deepest

@@ -39,6 +39,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 from ..fdir.oracle import check_trace
@@ -46,7 +47,7 @@ from ..kernel.simulator import cycle_cache_armed
 from ..kernel.snapshot import SimulatorSnapshot
 from ..kernel.cycle_cache import CYCLE_CACHE_STAT_KEYS
 from ..obs.derived import compact_metrics
-from ..obs.fold import MetricsState, total
+from ..obs.fold import total
 # Used as ``prefix.<name>`` so every call looks the function up on the
 # module; instrumentation that patches it there sees every call.
 from . import prefix
@@ -126,7 +127,9 @@ class _NodeRun:
 
     ``check_trace`` and ``compact_metrics`` are looked up in this
     module's namespace at call time, so instrumentation that patches
-    them here sees every single-node audit.
+    them here sees every single-node audit.  A forked run resumes both
+    from the audit states its checkpoint carries and folds only the
+    events recorded after the fork point.
     """
 
     def __init__(self, scenario: Scenario,
@@ -136,14 +139,21 @@ class _NodeRun:
         self.from_snapshot = from_snapshot
         self.cycle_cache = cycle_cache
         self.config = self.simulator = self.injector = None
+        self.audits = None
         self.forked_at = -1
 
     def build(self) -> None:
         self.config = self.scenario.build_config()
-        self.simulator, self.injector = prefix._resume(
+        self.simulator, self.injector, self.audits = prefix._resume(
             self.from_snapshot, self.config, cycle_cache=self.cycle_cache)
         if self.from_snapshot is not None:
             self.forked_at = self.simulator.now
+
+    def _events_since(self, count: int):
+        """The trace's events after its first *count* (the whole trace
+        for 0): what the audits fold on top of the fork point's states."""
+        trace = self.simulator.trace
+        return islice(trace, count, None) if count else trace
 
     def schedule(self) -> None:
         # The merged timeline reproduces the historical heap order exactly
@@ -164,7 +174,9 @@ class _NodeRun:
             should_abort=should_abort, check_interval=TIMEOUT_CHECK_INTERVAL)
 
     def audit(self) -> Sequence:
-        return check_trace(self.simulator.trace, self.config)
+        count, _, oracle = self.audits
+        return check_trace(self._events_since(count), self.config,
+                           state=oracle.copy())
 
     def simulators(self):
         """``(artifact label, simulator)``: the scenario id, once."""
@@ -179,8 +191,9 @@ class _NodeRun:
 
     def metrics(self):
         """``(compact pairs, fold states)``: one state, this node's."""
-        state = MetricsState()
-        return compact_metrics(self.simulator.trace, state), (state,)
+        count, metrics, _ = self.audits
+        state = metrics.copy()
+        return compact_metrics(self._events_since(count), state), (state,)
 
     def result_fields(self) -> Dict[str, object]:
         trace = self.simulator.trace

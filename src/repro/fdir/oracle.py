@@ -10,6 +10,16 @@ with no simulator in sight: a pure function from (trace, config) to a
 tuple of structured :class:`InvariantViolation`\\ s, empty iff the run
 honored every invariant.
 
+The check is a fold plus a finalize step, each invariant a state plus a
+transition (the shape of the Circus ARINC 653 specification):
+:func:`fold` steps a plain-data :class:`OracleState` through events in
+trace order, and :func:`finalize` settles what only the trace's end can
+decide — memory faults never matched by a Health Monitor event.
+:func:`check_trace` is the two in one pass.  Because the state after a
+prefix is all the fold needs, a run forked from a checkpoint resumes the
+fold from the checkpoint's state and steps only its own events
+(:mod:`repro.campaign.prefix`); the verdict equals a full pass's.
+
 Checked invariants (names appear in ``InvariantViolation.invariant``):
 
 ``monotonic-time``
@@ -45,7 +55,7 @@ same-tick sequences: the trace records causality within a tick.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..kernel.trace import (
     DeadlineMissed,
@@ -57,11 +67,12 @@ from ..kernel.trace import (
     PartitionParked,
     ProcessDispatched,
     ScheduleSwitched,
-    Trace,
+    TraceEvent,
 )
 from ..types import ErrorCode, PartitionMode, Ticks
 
-__all__ = ["InvariantViolation", "check_trace", "render_violations"]
+__all__ = ["MAX_VIOLATIONS", "InvariantViolation", "OracleState",
+           "check_trace", "finalize", "fold", "render_violations"]
 
 
 @dataclass(frozen=True)
@@ -81,17 +92,102 @@ _STARTING_OR_NORMAL = frozenset({
     PartitionMode.WARM_START.value,
 })
 
+#: The most violations one report collects (a corrupted trace should not
+#: produce an unbounded report); :func:`check_trace`'s default cap.
+MAX_VIOLATIONS = 64
 
-def check_trace(trace: Trace, config=None,
-                max_violations: int = 64) -> Tuple[InvariantViolation, ...]:
-    """Verify the TSP invariants over *trace*.
+
+class OracleState:
+    """The oracle fold's state after a prefix of a trace.
+
+    Plain data — ints, strings, dicts and lists of them, and the
+    violations flagged so far — so a state pickles and copies cheaply.
+    ``schedule_id`` names the schedule in force (None without a config),
+    ``spans`` holds each partition's closed dispatch spans ``(start,
+    end)`` (end exclusive; the active partition's open span starts at
+    ``active_since``), ``mode_changes`` the restart marks of the
+    deadline-detection exemption, ``registered`` the last deadline
+    registration tick per ``(partition, process)`` and
+    ``pending_memory_faults`` the ``(tick, partition, address)`` of every
+    memory fault not yet matched by a Health Monitor event.
+    """
+
+    __slots__ = ("schedule_id", "last_switch", "last_tick", "active",
+                 "active_since", "spans", "parked", "mode_changes",
+                 "registered", "pending_memory_faults", "violations")
+
+    def __init__(self, config) -> None:
+        model = config.model if config is not None else None
+        self.schedule_id: Optional[str] = \
+            model.initial_schedule if model else None
+        self.last_switch: Ticks = 0
+        self.last_tick: Ticks = 0
+        self.active: Optional[str] = None
+        self.active_since: Ticks = 0
+        self.spans: Dict[str, List[Tuple[Ticks, Ticks]]] = {}
+        self.parked: Dict[str, Ticks] = {}
+        self.mode_changes: Dict[str, List[Ticks]] = {}
+        self.registered: Dict[Tuple[str, str], Ticks] = {}
+        self.pending_memory_faults: List[Tuple[Ticks, str, int]] = []
+        self.violations: List[InvariantViolation] = []
+
+    def copy(self) -> "OracleState":
+        """An independent state folding on from the same prefix."""
+        clone = OracleState.__new__(OracleState)
+        for name in ("schedule_id", "last_switch", "last_tick", "active",
+                     "active_since"):
+            setattr(clone, name, getattr(self, name))
+        clone.spans = {key: list(value) for key, value in self.spans.items()}
+        clone.parked = dict(self.parked)
+        clone.mode_changes = {key: list(value)
+                              for key, value in self.mode_changes.items()}
+        clone.registered = dict(self.registered)
+        clone.pending_memory_faults = list(self.pending_memory_faults)
+        clone.violations = list(self.violations)
+        return clone
+
+
+def _unmatched_fault(fault: Tuple[Ticks, str, int]) -> InvariantViolation:
+    tick, partition, address = fault
+    return InvariantViolation(
+        invariant="memory-containment", tick=tick,
+        detail=f"memory fault at address {address} has no same-tick HM "
+               f"memoryViolation event",
+        partition=partition)
+
+
+def check_trace(trace: Iterable[TraceEvent], config=None,
+                max_violations: int = MAX_VIOLATIONS,
+                state: Optional[OracleState] = None
+                ) -> Tuple[InvariantViolation, ...]:
+    """Verify the TSP invariants over *trace*: :func:`fold`, then
+    :func:`finalize`.
 
     *config* (a :class:`~repro.config.schema.SystemConfig`) enables the
     schedule-conformance check; without it only trace-intrinsic
-    invariants run.  At most *max_violations* are collected (a corrupted
-    trace should not produce an unbounded report).
+    invariants run.  At most *max_violations* are collected.
+
+    *state* resumes a fold: an :class:`OracleState` already stepped
+    through the events that precede *trace*, which then holds only the
+    events after them.  This call steps and finalizes *state*, so a
+    caller that keeps the prefix state passes a :meth:`~OracleState.copy`.
     """
-    violations: List[InvariantViolation] = []
+    if state is None:
+        state = OracleState(config)
+    return finalize(fold(state, trace, config, max_violations),
+                    max_violations)
+
+
+def fold(state: OracleState, events: Iterable[TraceEvent], config,
+         max_violations: int) -> OracleState:
+    """Step *state* through *events*, in trace order; returns *state*.
+
+    Each invariant is a check of one event against the state plus an
+    update of the state.  The one check that needs the future — a
+    memory fault with no same-tick HM event — is settled when the first
+    later-tick event arrives, or by :func:`finalize` at the trace's end.
+    """
+    violations = state.violations
 
     def flag(invariant: str, tick: Ticks, detail: str,
              partition: Optional[str] = None,
@@ -102,21 +198,16 @@ def check_trace(trace: Trace, config=None,
                 partition=partition, process=process))
 
     model = config.model if config is not None else None
-    schedule = model.schedule(model.initial_schedule) if model else None
-    last_switch: Ticks = 0
-
-    last_tick: Ticks = 0
-    active: Optional[str] = None
-    #: partition -> [(start, end), ...] closed dispatch spans (end exclusive);
-    #: the currently-active partition's open span is (active_since, None).
-    spans: Dict[str, List[Tuple[Ticks, Ticks]]] = {}
-    active_since: Ticks = 0
-    parked: Dict[str, Ticks] = {}
-    #: restart marks for the deadline-detection exemption.
-    mode_changes: Dict[str, List[Ticks]] = {}
-    #: (partition, process) -> last deadline registration tick.
-    registered: Dict[Tuple[str, str], Ticks] = {}
-    pending_memory_faults: List[MemoryFault] = []
+    schedule = model.schedule(state.schedule_id) if model else None
+    last_switch = state.last_switch
+    last_tick = state.last_tick
+    active = state.active
+    active_since = state.active_since
+    spans = state.spans
+    parked = state.parked
+    mode_changes = state.mode_changes
+    registered = state.registered
+    pending_memory_faults = state.pending_memory_faults
 
     def close_active(until: Ticks) -> None:
         if active is not None and until > active_since:
@@ -134,14 +225,12 @@ def check_trace(trace: Trace, config=None,
         return False
 
     def flush_memory_faults(now: Ticks) -> None:
-        while pending_memory_faults and pending_memory_faults[0].tick < now:
+        while pending_memory_faults and pending_memory_faults[0][0] < now:
             fault = pending_memory_faults.pop(0)
-            flag("memory-containment", fault.tick,
-                 f"memory fault at address {fault.address} has no "
-                 f"same-tick HM memoryViolation event",
-                 partition=fault.partition)
+            if len(violations) < max_violations:
+                violations.append(_unmatched_fault(fault))
 
-    for event in trace:
+    for event in events:
         tick = event.tick
         if tick < last_tick:
             flag("monotonic-time", tick,
@@ -213,14 +302,15 @@ def check_trace(trace: Trace, config=None,
         elif event_type is DeadlineRegistered:
             registered[(event.partition, event.process)] = tick
         elif event_type is MemoryFault:
-            pending_memory_faults.append(event)
+            pending_memory_faults.append(
+                (tick, event.partition, event.address))
         elif event_type is HealthMonitorEvent:
             if (event.code == ErrorCode.MEMORY_VIOLATION.value
                     and pending_memory_faults):
                 pending_memory_faults = [
                     fault for fault in pending_memory_faults
-                    if not (fault.tick == tick
-                            and fault.partition == event.partition)]
+                    if not (fault[0] == tick
+                            and fault[1] == event.partition)]
         elif event_type is PartitionModeChanged:
             mode_changes.setdefault(event.partition, []).append(tick)
             if (event.partition in parked
@@ -231,7 +321,25 @@ def check_trace(trace: Trace, config=None,
         elif event_type is PartitionParked:
             parked[event.partition] = tick
 
-    flush_memory_faults(last_tick + 1)
+    if schedule is not None:
+        state.schedule_id = schedule.schedule_id
+    state.last_switch = last_switch
+    state.last_tick = last_tick
+    state.active = active
+    state.active_since = active_since
+    state.pending_memory_faults = pending_memory_faults
+    return state
+
+
+def finalize(state: OracleState,
+             max_violations: int) -> Tuple[InvariantViolation, ...]:
+    """End the fold: every memory fault still pending has no same-tick
+    HM event, so it is flagged; returns the violations, in order."""
+    violations = state.violations
+    for fault in state.pending_memory_faults:
+        if len(violations) < max_violations:
+            violations.append(_unmatched_fault(fault))
+    state.pending_memory_faults = []
     return tuple(violations)
 
 

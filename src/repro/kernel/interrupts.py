@@ -117,6 +117,22 @@ class InterruptController:
         """Currently installed handlers on *vector*, in chain order."""
         return tuple(self._handlers[vector])
 
+    def sole_handler(self, vector: Vector) -> Optional[Callable[[], None]]:
+        """The handler on *vector* when it is the only one and the vector
+        is unmasked, else None: delivering *vector* then amounts to
+        calling it (and counting the delivery)."""
+        chain = self._handlers[vector]
+        if len(chain) == 1 and not self._masked[vector]:
+            return chain[0].handler
+        return None
+
     def dispatch_count(self, vector: Vector) -> int:
         """How many times *vector* has been delivered (unmasked)."""
         return self._dispatch_counts[vector]
+
+    def account_bypassed(self, vector: Vector, count: int) -> None:
+        """Settle *count* deliveries made by calling the vector's one
+        handler directly (the default clock wiring, see
+        :meth:`~repro.kernel.simulator.Simulator.run_fast`), so
+        :meth:`dispatch_count` reads as if each went through the table."""
+        self._dispatch_counts[vector] += count

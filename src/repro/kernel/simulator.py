@@ -26,6 +26,11 @@ from .trace import Trace
 
 __all__ = ["Simulator", "cycle_cache_armed"]
 
+#: The clock vector, read once: an enum member lookup costs more than the
+#: rest of ``run_fast``'s set-up, which runs tens of thousands of times
+#: per constellation campaign.
+_CLOCK = Vector.CLOCK
+
 
 def cycle_cache_armed(cycle_cache: Optional[bool]) -> bool:
     """Whether ``Simulator(..., cycle_cache=cycle_cache)`` arms
@@ -121,8 +126,11 @@ class Simulator:
         The trace (and every instrumentation counter) stays bit-identical
         to :meth:`run`, asserted by the equivalence tests across active
         windows, mode switches, deadline misses and HM restarts.  Every
-        stepped tick goes through the full clock interrupt vector, exactly
-        as :meth:`step` delivers it.
+        stepped tick runs the clock ISR.  Under the default wiring — the
+        clock vector holds exactly the PMK's handler, unmasked — the loop
+        calls that handler directly and settles the vector's dispatch
+        count for every such tick; any other wiring delivers each stepped
+        tick through the full vector, exactly as :meth:`step` does.
         """
         if ticks < 0:
             raise SimulationError(f"cannot run {ticks} ticks")
@@ -130,34 +138,51 @@ class Simulator:
         pmk = self.pmk
         step = self.step
         cache = self._cycle_cache
+        interrupts = self.interrupts
+        isr = interrupts.sole_handler(_CLOCK)
+        if isr != pmk.clock_tick:
+            isr = None
+        advance = time.advance
+        bypassed = 0
         now = time.now
         target = now + ticks
-        while now < target:
-            if pmk.stopped:
-                return
-            if cache is not None and cache.on_boundary(now, target):
-                now = time.now
-                continue
-            event = pmk.next_event_tick(now)
-            if event > now:
-                span = min(event, target) - now
-                pmk.execute_span(now, span)
-                time.skip(span)
-                self._spans_batched += 1
-                self._ticks_batched += span
-                now += span
-                if event >= target:
-                    continue
-                # Spans typically land exactly on the MTF boundary (the
-                # schedule switch is an event tick), so the cache must be
-                # consulted again before the boundary tick is stepped.
+        try:
+            while now < target:
+                if pmk.stopped:
+                    return
                 if cache is not None and cache.on_boundary(now, target):
                     now = time.now
                     continue
-            # The event tick itself always goes through the full ISR —
-            # no need to recompute the horizon to discover that.
-            step()
-            now += 1
+                event = pmk.next_event_tick(now)
+                if event > now:
+                    span = min(event, target) - now
+                    pmk.execute_span(now, span)
+                    time.skip(span)
+                    self._spans_batched += 1
+                    self._ticks_batched += span
+                    now += span
+                    if event >= target:
+                        continue
+                    # Spans typically land exactly on the MTF boundary
+                    # (the schedule switch is an event tick), so the cache
+                    # must be consulted again before the boundary tick is
+                    # stepped.
+                    if cache is not None and cache.on_boundary(now, target):
+                        now = time.now
+                        continue
+                # The event tick itself always runs the ISR — no need to
+                # recompute the horizon to discover that.
+                if isr is None:
+                    step()
+                else:
+                    isr()
+                    advance()
+                    bypassed += 1
+                now += 1
+        finally:
+            if bypassed:
+                self._ticks_stepped += bypassed
+                interrupts.account_bypassed(_CLOCK, bypassed)
 
     def run_until(self, tick: Ticks) -> None:
         """Run until simulated time reaches *tick*."""

@@ -13,7 +13,9 @@ tests fail loudly) and makes snapshots picklable across process boundaries.
 The trace section is the one part that is not plain data: it holds the
 recorded event objects themselves, which are immutable, so every fork
 shares them; pickling writes them as plain tuples
-(:meth:`Trace.pack_state`).
+(:meth:`Trace.pack_state`).  Beside the live capture, never in it, sits
+the running sha256 of the trace prefix: each fork's trace continues a
+copy of it, and an unpickled checkpoint rebuilds it on its first fork.
 
 The two deliberately non-data pieces of simulator state are encoded
 symbolically and reconstructed on restore:
@@ -156,7 +158,9 @@ class SimulatorSnapshot:
         excludes.  Overlay order matters: time first (replay runs under
         the checkpoint clock), then the PMK (initialization replay and
         body reconstruction happen inside), then the trace — wholesale,
-        erasing any events the replays emitted.
+        erasing any events the replays emitted — which continues this
+        checkpoint's running digest hash instead of re-hashing the
+        prefix.
 
         *cycle_cache* is passed to the continuation's :class:`Simulator`
         (steady-state cycle memoization, armed unless ``False``) — cache
@@ -175,7 +179,20 @@ class SimulatorSnapshot:
         sim.time.restore(self.time)
         sim.pmk.restore(self.pmk)
         sim.trace.restore(self.trace)
+        sim.trace.adopt_hash(self._trace_hash())
         return sim
+
+    def _trace_hash(self):
+        """The running hash of the captured trace prefix
+        (:meth:`Trace.prefix_hash`), computed on first use and kept
+        beside this live checkpoint — never pickled — so a checkpoint
+        hashes its prefix at most once however often it is forked."""
+        try:
+            return self.__dict__["_prefix_hash"]
+        except KeyError:
+            running = Trace.prefix_hash(self.trace)
+            object.__setattr__(self, "_prefix_hash", running)
+            return running
 
     # ------------------------------------------------------------ #
     # serialization
@@ -185,6 +202,7 @@ class SimulatorSnapshot:
         # The live trace section holds shared event objects; the pickled
         # form is the v2 tuple encoding (see :meth:`Trace.pack_state`).
         state = dict(self.__dict__)
+        state.pop("_prefix_hash", None)
         state["trace"] = Trace.pack_state(self.trace)
         return state
 

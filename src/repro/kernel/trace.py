@@ -376,10 +376,11 @@ class Trace:
         self._deferred: List[Tuple[int, FrameFormat, range]] = []
         # Running sha256 of the canonical document up to and including
         # chunk ``_hashed - 1`` (unbounded traces that drop nothing).
-        # Created and advanced by digest() alone, so a trace that is
-        # never digested hashes nothing; dropped with the chunks it
-        # covers by clear()/restore().  Not part of snapshot state:
-        # hash objects do not pickle.
+        # Advanced by digest() alone, so a trace that is never digested
+        # hashes nothing; dropped with the chunks it covers by
+        # clear()/restore().  Not part of snapshot state (hash objects
+        # do not pickle): a restored trace adopts the hash of its
+        # capture's prefix from the live checkpoint (adopt_hash).
         self._hash: Optional["hashlib._Hash"] = None
         self._hashed = 0
 
@@ -541,6 +542,31 @@ class Trace:
             [prior] if (self._capacity is None and not self._dropped
                         and isinstance(prior, str) and prior) else [])
         self._memo_generation += 1
+
+    @staticmethod
+    def prefix_hash(state: Dict[str, object]) -> Optional["hashlib._Hash"]:
+        """The running :meth:`digest` hash over a :meth:`snapshot`
+        capture's encoded events, or None when it shipped none.
+
+        Kept beside a live checkpoint rather than in the capture, so the
+        capture stays pure data; every trace restored from it continues
+        a copy (:meth:`adopt_hash`) instead of re-hashing the prefix.
+        """
+        encoded = state.get("encoded")
+        if not isinstance(encoded, str) or not encoded:
+            return None
+        running = hashlib.sha256(b'{"dropped":0,"events":[')
+        running.update(encoded.encode("utf-8"))
+        return running
+
+    def adopt_hash(self, running: Optional["hashlib._Hash"]) -> None:
+        """Continue digesting from a copy of *running*, the
+        :meth:`prefix_hash` of the capture this trace was just restored
+        from; a no-op when it adopted no encoded prefix."""
+        if running is not None and len(self._encoded) == 1 \
+                and self._hash is None:
+            self._hash = running.copy()
+            self._hashed = 1
 
     @staticmethod
     def pack_state(state: Dict[str, object]) -> Dict[str, object]:

@@ -32,7 +32,12 @@ import json
 from bisect import bisect_right
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..kernel.trace import PartitionDispatched, ScheduleSwitched, Trace
+from ..kernel.trace import (
+    PartitionDispatched,
+    ScheduleSwitched,
+    Trace,
+    TraceEvent,
+)
 from .fold import MetricsState, entries, fold, total
 
 __all__ = ["COMPACT_METRIC_NAMES", "derived_metrics", "derived_to_json",
@@ -310,7 +315,8 @@ def derived_to_json(report: Dict[str, object]) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
-def compact_metrics(trace: Trace, state: Optional[MetricsState] = None
+def compact_metrics(trace: Iterable[TraceEvent],
+                    state: Optional[MetricsState] = None
                     ) -> Tuple[Tuple[str, int], ...]:
     """Flat, integer-only metric pairs for the campaign boundary.
 
@@ -322,7 +328,9 @@ def compact_metrics(trace: Trace, state: Optional[MetricsState] = None
 
     *state*, when given, is the fold state the pass steps (a fresh one
     otherwise), so a caller reads any further quantity of the same pass
-    from it afterwards.
+    from it afterwards.  A state already folded over a run's first events
+    makes *trace* the events after them: a run forked from a checkpoint
+    passes a copy of the checkpoint's state and only its own events.
     """
     state = fold(state if state is not None else MetricsState(), trace)
     return tuple((name, read(getattr(state, table)))

@@ -96,6 +96,26 @@ class MetricsState:
             if not labels:
                 setattr(self, name, 0)
 
+    def copy(self) -> "MetricsState":
+        """An independent state folding on from the same events."""
+        clone = MetricsState.__new__(MetricsState)
+        for name in self.__slots__:
+            setattr(clone, name, _copy_table(getattr(self, name)))
+        return clone
+
+
+def _copy_table(table):
+    """A copy of a state table sharing nothing mutable with it."""
+    if type(table) is list:
+        return list(table)
+    if type(table) is not dict:
+        return table
+    copied = dict(table)
+    for key, inner in copied.items():
+        if type(inner) is not int:
+            copied[key] = _copy_table(inner)
+    return copied
+
 
 def total(table) -> int:
     """Events counted by a counter table, over every label."""

@@ -82,6 +82,12 @@ class PartitionOs:
     #: path of the event-driven core).
     has_quantum_horizon = False
 
+    #: True when :meth:`dispatch` is a function of the scheduling-state
+    #: generation and the running process, so :meth:`execute_tick` may
+    #: memoize it.  Policies whose heir choice carries per-call state
+    #: (round-robin rotation) turn it off.
+    memoizes_dispatch = True
+
     def __init__(self, partition: Partition) -> None:
         self.partition = partition
         self.callbacks = PosCallbacks()
@@ -93,9 +99,11 @@ class PartitionOs:
         # Scheduling-state generation counter.  Every eq. (13) transition
         # funnels through Tcb.set_state -> _forward_state_change, so the
         # counter advances whenever the ready set, a wait condition or a
-        # priority can have changed; the timer-horizon memo keys on it.
+        # priority can have changed; the timer-horizon and dispatch
+        # memos key on it.
         self._generation = 0
         self._timer_memo: Tuple[int, Optional[Ticks]] = (-1, None)
+        self._dispatch_generation = -1
         #: Optional generator-resume observer — the cycle cache's
         #: recording tap (:mod:`repro.kernel.cycle_cache`): ``enter()``
         #: before every resume, ``(partition, process, send_value,
@@ -418,9 +426,23 @@ class PartitionOs:
 
         Returns the name of the process that consumed the tick, or ``None``
         if the partition idled (no schedulable process).
+
+        Dispatch is memoized on the scheduling-state generation: when
+        nothing scheduling-relevant changed since the last dispatch,
+        :meth:`dispatch` provably keeps the running process and performs
+        no transition or callback, so the memo skips it.  The memo is
+        never stored or used under the preemption lock (the heir then
+        depends on the lock, which has no generation), nor by policies
+        with :attr:`memoizes_dispatch` off.
         """
         for _ in range(_MAX_ZERO_TIME_STEPS):
-            heir = self.dispatch(now)
+            if self._dispatch_generation == self._generation \
+                    and not self._preemption_lock:
+                heir = self._running
+            else:
+                heir = self.dispatch(now)
+                if self.memoizes_dispatch and not self._preemption_lock:
+                    self._dispatch_generation = self._generation
             if heir is None:
                 return None
             if heir.compute_remaining > 0:

@@ -38,6 +38,9 @@ class GenericPos(PartitionOs):
 
     kernel_name = "generic"
     has_quantum_horizon = True
+    #: :meth:`choose_heir` rotates on the quantum counter, which advances
+    #: without a generation bump: every dispatch runs the real policy.
+    memoizes_dispatch = False
 
     def __init__(self, partition: Partition,
                  quantum: Ticks = DEFAULT_QUANTUM) -> None:

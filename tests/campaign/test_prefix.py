@@ -1,15 +1,20 @@
 """Tests for prefix-sharing campaign scheduling (repro.campaign.prefix)."""
 
+import dataclasses
 import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.prototype import MTF
 from repro.campaign.prefix import (
     MIN_PREFIX_TICKS,
     PREFIX_QUANTUM,
     SnapshotCache,
+    _checkpoint,
+    _resume,
     build_divergence_trie,
     prefix_key,
     prefix_levels,
@@ -20,6 +25,7 @@ from repro.campaign.results import deterministic_report, report_json
 from repro.campaign.runner import run_campaign, run_scenario
 from repro.campaign.scenarios import Scenario, chaos_campaign
 from repro.fault.faults import MemoryViolationFault, PartitionCrashFault
+from repro.kernel.snapshot import SimulatorSnapshot
 
 
 def scenario(scenario_id="s", seed=0, ticks=4 * MTF, faults=(),
@@ -493,3 +499,39 @@ class TestCampaignBitIdentity:
         cold = run_campaign(campaign, prefix_cache=False)
         warm = run_campaign(campaign, prefix_cache=True)
         assert self.deterministic(warm) == self.deterministic(cold)
+
+
+class TestForkPointAudits:
+    """A fork resumes its audits from its checkpoint's fold states and
+    continues the checkpoint's running trace hash: wherever the
+    checkpoint sits, the fork's trace digest, oracle verdict and compact
+    metric pairs equal a cold run's."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 40), mtfs=st.integers(4, 8),
+           subset=st.integers(0, 127), at=st.floats(0.0, 1.0))
+    def test_fork_at_any_tick_audits_like_a_cold_run(self, seed, mtfs,
+                                                     subset, at):
+        drawn = chaos_campaign(count=1, mtfs=mtfs, base_seed=seed)[0]
+        chaos = dataclasses.replace(drawn, faults=tuple(
+            fault for index, fault in enumerate(drawn.faults)
+            if subset >> index & 1))
+        fork_tick = int(at * chaos.ticks)
+        config = chaos.build_config()
+        simulator, injector, audits = _resume(None, config,
+                                              cycle_cache=None)
+        for tick, fault in chaos.timeline():
+            if tick < fork_tick:
+                injector.schedule(tick, fault)
+        injector.run_fast(fork_tick)
+        live = _checkpoint(simulator, injector, audits, config)
+        captured = pickle.dumps(live.extras["audits"])
+        assert live.extras["audits"][0] == len(live.trace["events"])
+        cold = run_scenario(chaos).to_dict()
+        for snapshot in (live, SimulatorSnapshot.from_bytes(live.to_bytes())):
+            forked = run_scenario(chaos, from_snapshot=snapshot)
+            assert forked.forked_at_tick == fork_tick
+            assert forked.to_dict() == cold
+        # Neither fork stepped the checkpoint's own states.
+        assert pickle.dumps(live.extras["audits"]) == captured
+

@@ -1,6 +1,16 @@
-"""Tests for the TSP invariant oracle (repro.fdir.oracle)."""
+"""Tests for the TSP invariant oracle (repro.fdir.oracle).
 
-from repro.fdir.oracle import check_trace, render_violations
+Every verdict here is also checked as a resumed fold: :func:`check_trace`
+below splits the trace at every event index, folds the prefix into an
+:class:`OracleState` (also pushed through a pickle round trip) and
+resumes the check from it over the rest, which must give the one-pass
+violations — the ``max_violations`` cap and the finalize flush included.
+"""
+
+import pickle
+
+from repro.fdir import oracle
+from repro.fdir.oracle import MAX_VIOLATIONS, OracleState, render_violations
 from repro.kernel.simulator import Simulator
 from repro.kernel.trace import (
     DeadlineMissed,
@@ -17,6 +27,24 @@ from repro.kernel.trace import (
 from repro.types import ErrorCode, ErrorLevel, PartitionMode, RecoveryAction
 
 from ..conftest import build_two_partition_config
+
+
+def check_trace(trace, config=None, max_violations=MAX_VIOLATIONS):
+    """The oracle's one-pass verdict, asserted equal to the resumed fold's
+    at every split point, from a live and from an unpickled state."""
+    verdict = oracle.check_trace(trace, config, max_violations)
+    events = list(trace)
+    prefix = OracleState(config)
+    for split in range(len(events) + 1):
+        if split:
+            oracle.fold(prefix, events[split - 1:split], config,
+                        max_violations)
+        for state in (prefix.copy(),
+                      pickle.loads(pickle.dumps(prefix))):
+            assert oracle.check_trace(events[split:], config,
+                                      max_violations, state=state) \
+                == verdict, f"resumed at event {split}"
+    return verdict
 
 
 def violations_of(trace, config=None, **kwargs):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.prototype import MTF, build_prototype, make_simulator
 from repro.exceptions import SimulationError
+from repro.kernel.interrupts import InterruptController, Vector
 from repro.kernel.simulator import Simulator
 from repro.kernel.trace import ProcessDispatched
 from repro.types import ErrorCode, PartitionMode
@@ -96,3 +97,63 @@ class TestEventCoreStats:
         stats = simulator.event_core_stats
         assert stats["ticks_batched"] + stats["ticks_stepped"] == 10 * MTF
         assert stats["ticks_batched"] > stats["ticks_stepped"]
+
+
+class TestClockWiring:
+    """``run_fast`` calls the PMK's clock handler directly only while the
+    clock vector holds exactly that handler, unmasked; any other wiring
+    delivers every stepped tick through the full vector."""
+
+    TICKS = 4 * MTF
+
+    def run(self, rewire=None):
+        """``(simulator, deliveries through the vector)`` after a
+        ``run_fast`` under the wiring *rewire* leaves."""
+        simulator = make_simulator(build_prototype())
+        interrupts = simulator.interrupts
+        if rewire is not None:
+            rewire(interrupts)
+        delivered = []
+        raise_interrupt = interrupts.raise_interrupt
+
+        def counting(vector):
+            delivered.append(vector)
+            return raise_interrupt(vector)
+
+        interrupts.raise_interrupt = counting
+        simulator.run_fast(self.TICKS)
+        assert simulator.event_core_stats["ticks_stepped"] > 0
+        return simulator, delivered
+
+    def test_second_clock_handler_runs_on_every_stepped_tick(self):
+        ran = []
+
+        def rewire(interrupts):
+            interrupts.install(Vector.CLOCK, lambda: ran.append(None),
+                               owner=InterruptController.PMK_OWNER)
+
+        simulator, delivered = self.run(rewire)
+        stepped = simulator.event_core_stats["ticks_stepped"]
+        assert len(delivered) == stepped
+        assert len(ran) == stepped
+        assert simulator.interrupts.dispatch_count(Vector.CLOCK) == stepped
+        default, _ = self.run()
+        assert simulator.trace.digest() == default.trace.digest()
+
+    def test_masked_clock_vector_runs_no_handler(self):
+        simulator, delivered = self.run(
+            lambda interrupts: interrupts.mask(
+                Vector.CLOCK, owner=InterruptController.PMK_OWNER))
+        stepped = simulator.event_core_stats["ticks_stepped"]
+        assert len(delivered) == stepped
+        assert simulator.interrupts.dispatch_count(Vector.CLOCK) == 0
+
+    def test_default_wiring_settles_the_dispatch_count(self):
+        simulator, delivered = self.run()
+        assert delivered == []
+        assert simulator.interrupts.dispatch_count(Vector.CLOCK) == \
+            simulator.event_core_stats["ticks_stepped"]
+        stepped = make_simulator(build_prototype())
+        stepped.run(self.TICKS)
+        assert simulator.trace.digest() == stepped.trace.digest()
+

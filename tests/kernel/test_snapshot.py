@@ -33,14 +33,18 @@ from repro.fault.faults import (
     ScheduleSwitchFault,
     StartProcessFault,
 )
+from repro.campaign.prefix import _checkpoint
 from repro.fault.injector import FaultInjector
-from repro.fdir.oracle import check_trace
+from repro.fdir.oracle import OracleState, check_trace
 from repro.kernel.snapshot import (
     SNAPSHOT_VERSION,
     SimulatorSnapshot,
     config_identity,
 )
+from repro.kernel.trace import Trace
 from repro.obs import instrument
+from repro.obs.derived import compact_metrics
+from repro.obs.fold import MetricsState
 
 
 def build_sim(**kwargs):
@@ -402,12 +406,26 @@ class TestSharedEvents:
         injector.run_fast(SHARED_FORK_TICK)
         return SimulatorSnapshot.capture(sim)
 
+    def audited_snapshot(self):
+        """:meth:`live_snapshot` as the campaign layer captures it: the
+        injector log and the prefix's audit fold states ride along."""
+        sim, config = build_sim()
+        injector = FaultInjector(sim)
+        for tick, make in SHARED_PREFIX:
+            injector.schedule(tick, make())
+        injector.run_fast(SHARED_FORK_TICK)
+        fresh = (0, MetricsState(), OracleState(config))
+        return _checkpoint(sim, injector, fresh, config)
+
     def test_diverging_forks_leave_the_snapshot_untouched(self):
-        snapshot = self.live_snapshot()
+        snapshot = self.audited_snapshot()
         events = snapshot.trace["events"]
         identities = [id(event) for event in events]
         values = [repr(event) for event in events]
         payload = snapshot.to_bytes()
+        count, metrics, oracle_state = snapshot.extras["audits"]
+        audits = pickle.dumps(snapshot.extras["audits"])
+        assert count == len(events)
         digests = []
         for branch in range(len(BRANCHES)):
             cold_sim, cold_config, _ = cold_run(
@@ -420,12 +438,42 @@ class TestSharedEvents:
             assert sim.trace.digest() == cold_sim.trace.digest()
             assert check_trace(sim.trace, config) == \
                 check_trace(cold_sim.trace, cold_config)
+            # The audits resumed from the checkpoint's states over the
+            # fork's own events equal full passes over the cold trace.
+            own = sim.trace.events[count:]
+            assert check_trace(own, config, state=oracle_state.copy()) == \
+                check_trace(cold_sim.trace, cold_config)
+            assert compact_metrics(own, metrics.copy()) == \
+                compact_metrics(cold_sim.trace)
             digests.append(sim.trace.digest())
         assert digests[0] != digests[1]  # the forks really diverged
         assert snapshot.trace["events"] is events
         assert [id(event) for event in events] == identities
         assert [repr(event) for event in events] == values
         assert snapshot.to_bytes() == payload
+        # The checkpoint's audit states still hold their capture values.
+        assert pickle.dumps(snapshot.extras["audits"]) == audits
+
+    def test_unpickled_checkpoint_hashes_its_prefix_once(self, monkeypatch):
+        snapshot = SimulatorSnapshot.from_bytes(
+            self.live_snapshot().to_bytes())
+        hashed = []
+        prefix_hash = Trace.prefix_hash
+
+        def counting(state):
+            hashed.append(state)
+            return prefix_hash(state)
+
+        monkeypatch.setattr(Trace, "prefix_hash", staticmethod(counting))
+        forks = [_drive_branch(snapshot, branch)[0]
+                 for branch in (0, 1, 0)]
+        assert len(hashed) == 1
+        assert forks[0].trace.digest() == forks[2].trace.digest() == \
+            cold_run(SHARED_PREFIX + BRANCHES[0],
+                     SHARED_TOTAL)[0].trace.digest()
+        # The running hash stays beside the checkpoint, out of its pickle.
+        assert SimulatorSnapshot.from_bytes(snapshot.to_bytes()) \
+            .__dict__.get("_prefix_hash") is None
 
     def test_pickled_trace_section_is_tuple_encoded(self):
         snapshot = self.live_snapshot()
