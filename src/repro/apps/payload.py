@@ -36,11 +36,15 @@ class PayloadStats:
 
 def _imaging_body(work: Ticks, stats: PayloadStats):
     def factory(ctx: ProcessContext) -> Iterator:
+        # Frames are numbered by the process itself: *stats* is shared by
+        # every simulator built from the configuration, so it only counts.
+        frame = 0
         while True:
             yield Compute(work)
+            frame += 1
             stats.frames_acquired += 1
             buffer = ctx.apex.buffer("frames")
-            yield Call(buffer.send, (b"frame-%d" % stats.frames_acquired,))
+            yield Call(buffer.send, (b"frame-%d" % frame,))
             yield Call(ctx.apex.periodic_wait)
 
     return factory

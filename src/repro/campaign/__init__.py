@@ -12,6 +12,7 @@ from .artifacts import ScenarioArtifacts, write_scenario_artifacts
 from .prefix import (
     PrefixPlan,
     SnapshotCache,
+    Start,
     build_divergence_trie,
     prefix_key,
     run_with_prefix_cache,
@@ -45,7 +46,8 @@ from .scenarios import (
 
 __all__ = [
     "ScenarioArtifacts", "write_scenario_artifacts",
-    "PrefixPlan", "SnapshotCache", "build_divergence_trie", "prefix_key",
+    "PrefixPlan", "SnapshotCache", "Start", "build_divergence_trie",
+    "prefix_key",
     "run_with_prefix_cache", "scenario_fingerprint",
     "ScenarioResult", "aggregate", "canonical_execution_telemetry",
     "deterministic_report", "render_summary", "report_json",

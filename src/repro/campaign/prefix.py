@@ -27,7 +27,8 @@ This module removes that redundancy at every level of the divergence tree:
   is the depth-0 slice of the same plans;
 * :class:`SnapshotCache` — LRU of *pickled*
   :class:`~repro.kernel.snapshot.SimulatorSnapshot` payloads, keyed by
-  ``(prefix key, tick)``;
+  ``(prefix key, tick)``, beside the configurations its scenarios run on,
+  built once per :func:`scenario_fingerprint` (:meth:`SnapshotCache.config`);
 * :func:`run_with_prefix_cache` — the scenario executor: fork from the
   deepest cached checkpoint on the scenario's plan, build and cache any
   missing checkpoints on the way down, and run the scenario's divergent
@@ -57,9 +58,11 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..config.schema import SystemConfig
 from ..fault.faults import fault_to_dict
 from ..fdir.oracle import MAX_VIOLATIONS, OracleState
 from ..fdir.oracle import fold as fold_oracle
@@ -75,6 +78,7 @@ __all__ = [
     "PREFIX_QUANTUM",
     "PrefixPlan",
     "SnapshotCache",
+    "Start",
     "build_divergence_trie",
     "prefix_key",
     "prefix_levels",
@@ -266,6 +270,18 @@ class SnapshotCache:
     memoized snapshot reset, so a caller that rebuilt a prefix never
     leaves a stale payload behind.
 
+    Beside the checkpoints sit the configurations they were captured
+    from: :meth:`config` builds a scenario's configuration once per
+    :func:`scenario_fingerprint` — the root of every prefix key — and
+    hands that one :class:`SystemConfig` to the chain build, to every
+    fork and to every cold run with the same fingerprint
+    (``config_builds`` counts the builds).  Sharing it is sound because
+    a configuration is stateless integration data (DESIGN decision 14).
+    The memo holds at most *capacity* configurations, and it never
+    crosses a process boundary: configurations hold process bodies and
+    init hooks — closures — so :meth:`__getstate__` drops it, and a
+    spawned worker builds its own.
+
     ``fallbacks`` counts the times :func:`run_with_prefix_cache` gave up
     on building a checkpoint (a capture, pickle or restore raised) and
     ran that scenario's prefix unshared.  Digests cannot show a fallback
@@ -282,8 +298,8 @@ class SnapshotCache:
     #: The fixed key set :meth:`stats` emits.  The governed telemetry
     #: namespace constrains ``worker/<n>/cache/<stat>`` to this set.
     STAT_KEYS = ("entries", "hits", "misses", "stores", "refreshes",
-                 "evictions", "fallbacks", "total_bytes", "stored_bytes",
-                 "hit_bytes", "evicted_bytes")
+                 "evictions", "fallbacks", "config_builds", "total_bytes",
+                 "stored_bytes", "hit_bytes", "evicted_bytes")
 
     def __init__(self, capacity: int = 16) -> None:
         if capacity < 1:
@@ -291,6 +307,8 @@ class SnapshotCache:
         self.capacity = capacity
         # key -> [payload bytes, memoized SimulatorSnapshot or None]
         self._entries: "OrderedDict[Tuple[str, Ticks], list]" = OrderedDict()
+        # scenario fingerprint -> its validated configuration
+        self._configs: "OrderedDict[str, SystemConfig]" = OrderedDict()
         self.total_bytes = 0
         self.reset_counters()
 
@@ -298,7 +316,7 @@ class SnapshotCache:
         """Zero every counter except the two describing the current
         contents (``entries`` and ``total_bytes``)."""
         self.hits = self.misses = self.stores = self.refreshes = 0
-        self.evictions = self.fallbacks = 0
+        self.evictions = self.fallbacks = self.config_builds = 0
         self.stored_bytes = self.hit_bytes = self.evicted_bytes = 0
 
     def __len__(self) -> int:
@@ -307,12 +325,31 @@ class SnapshotCache:
     def __getstate__(self) -> Dict[str, object]:
         """Pickle each entry's payload only: the memoized live snapshot
         is the payload unpickled, so shipping both (a cache handed to a
-        spawned pool worker) would pickle every checkpoint twice."""
+        spawned pool worker) would pickle every checkpoint twice.  The
+        configurations stay behind: they hold closures."""
         state = dict(self.__dict__)
         state["_entries"] = OrderedDict(
             (key, [payload, None])
             for key, (payload, _snapshot) in self._entries.items())
+        state["_configs"] = OrderedDict()
         return state
+
+    def config(self, scenario: Scenario) -> SystemConfig:
+        """*scenario*'s configuration: the one memoized for its
+        :func:`scenario_fingerprint`, else a fresh build (counted in
+        ``config_builds``).  A build that raises memoizes nothing, so
+        the next scenario with that fingerprint builds — and fails — on
+        its own."""
+        key = scenario_fingerprint(scenario)
+        config = self._configs.get(key)
+        if config is None:
+            self.config_builds += 1
+            config = self._configs[key] = scenario.build_config()
+            if len(self._configs) > self.capacity:
+                self._configs.popitem(last=False)
+        else:
+            self._configs.move_to_end(key)
+        return config
 
     def put(self, fingerprint: str, tick: Ticks, payload: bytes,
             snapshot: Optional[SimulatorSnapshot] = None) -> None:
@@ -361,6 +398,7 @@ class SnapshotCache:
                 "refreshes": self.refreshes,
                 "evictions": self.evictions,
                 "fallbacks": self.fallbacks,
+                "config_builds": self.config_builds,
                 "total_bytes": self.total_bytes,
                 "stored_bytes": self.stored_bytes,
                 "hit_bytes": self.hit_bytes,
@@ -370,6 +408,19 @@ class SnapshotCache:
 # ------------------------------------------------------------------ #
 # the prefix-sharing executor
 # ------------------------------------------------------------------ #
+
+
+class Start(NamedTuple):
+    """Where a single-node scenario run starts.
+
+    *build_config* returns the run's configuration; the run calls it
+    itself, so a build that raises is that scenario's crash.  *snapshot*
+    is the checkpoint the run forks from, None for a cold run from
+    tick 0.
+    """
+
+    build_config: Callable[[], SystemConfig]
+    snapshot: Optional[SimulatorSnapshot]
 
 
 def _resume(snapshot: Optional[SimulatorSnapshot], config, *,
@@ -448,7 +499,7 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
     from .runner import TIMEOUT_CHECK_INTERVAL
 
     try:
-        config = scenario.build_config()
+        config = cache.config(scenario)
         simulator, injector, audits = _resume(base_snapshot, config,
                                               cycle_cache=cycle_cache)
         cursor = max(base_depth, 0)
@@ -509,7 +560,9 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
     *plan* is the scenario's slice of :func:`build_divergence_trie`;
     :func:`_fork_snapshot` finds or builds the deepest checkpoint on it
     and the scenario's divergent suffix runs from there.  An empty plan
-    is a cold run.
+    is a cold run.  Either way the run's configuration is the one
+    *cache* memoizes for the scenario's fingerprint
+    (:meth:`SnapshotCache.config`).
 
     Prefix construction failures degrade to an uncached cold run: the
     cache is an optimization, never a correctness dependency.
@@ -524,7 +577,8 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
     snapshot = _fork_snapshot(scenario, cache, plan,
                               cycle_cache=cycle_cache)
     return run_scenario(scenario, timeout_s=timeout_s,
-                        from_snapshot=snapshot,
+                        start=Start(partial(cache.config, scenario),
+                                    snapshot),
                         cycle_cache=cycle_cache,
                         publisher=publisher,
                         artifacts=artifacts)

@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ..fdir.oracle import check_trace
 from ..kernel.simulator import cycle_cache_armed
-from ..kernel.snapshot import SimulatorSnapshot
 from ..kernel.cycle_cache import CYCLE_CACHE_STAT_KEYS
 from ..obs.derived import compact_metrics
 from ..obs.fold import total
@@ -123,7 +122,9 @@ def _sum_cycle_stats(stats) -> Optional[Dict[str, int]]:
 
 class _NodeRun:
     """A single-node scenario's part in :func:`run_scenario`: one
-    simulator and its fault injector, cold or forked from a checkpoint.
+    simulator and its fault injector, cold or forked from a checkpoint,
+    on the configuration its :class:`~repro.campaign.prefix.Start`
+    builds (by default the scenario's own build).
 
     ``check_trace`` and ``compact_metrics`` are looked up in this
     module's namespace at call time, so instrumentation that patches
@@ -132,21 +133,21 @@ class _NodeRun:
     events recorded after the fork point.
     """
 
-    def __init__(self, scenario: Scenario,
-                 from_snapshot: Optional[SimulatorSnapshot],
+    def __init__(self, scenario: Scenario, start: Optional[prefix.Start],
                  cycle_cache: Optional[bool]) -> None:
         self.scenario = scenario
-        self.from_snapshot = from_snapshot
+        self.start = start if start is not None \
+            else prefix.Start(scenario.build_config, None)
         self.cycle_cache = cycle_cache
         self.config = self.simulator = self.injector = None
         self.audits = None
         self.forked_at = -1
 
     def build(self) -> None:
-        self.config = self.scenario.build_config()
+        self.config = self.start.build_config()
         self.simulator, self.injector, self.audits = prefix._resume(
-            self.from_snapshot, self.config, cycle_cache=self.cycle_cache)
-        if self.from_snapshot is not None:
+            self.start.snapshot, self.config, cycle_cache=self.cycle_cache)
+        if self.start.snapshot is not None:
             self.forked_at = self.simulator.now
 
     def _events_since(self, count: int):
@@ -186,7 +187,7 @@ class _NodeRun:
 
     def bundle_kwargs(self, violations) -> Dict[str, object]:
         return {"simulator": self.simulator, "injector": self.injector,
-                "from_snapshot": self.from_snapshot,
+                "from_snapshot": self.start.snapshot,
                 "forked_at": self.forked_at}
 
     def metrics(self):
@@ -215,7 +216,7 @@ class _NodeRun:
 
 def run_scenario(scenario: Scenario, *,
                  timeout_s: Optional[float] = None,
-                 from_snapshot: Optional[SimulatorSnapshot] = None,
+                 start: Optional[prefix.Start] = None,
                  cycle_cache: Optional[bool] = None,
                  publisher=None,
                  artifacts: Optional[ScenarioArtifacts] = None
@@ -231,14 +232,20 @@ def run_scenario(scenario: Scenario, *,
     exception.  Wall-clock timeout polls come at least every
     :data:`TIMEOUT_CHECK_INTERVAL` simulated ticks.
 
-    *from_snapshot* forks the scenario from a checkpoint instead of a cold
-    simulator: the snapshot must have been captured from the scenario's
-    own configuration, either before its first fault/command tick (a
-    fault-free root) or — when the snapshot's ``extras`` carry the fault
-    injector's applied log — after any leading slice of its timeline was
-    applied (an interior divergence-trie node).  The injector is seeded
-    from that log and schedules only the not-yet-applied remainder, and
-    the run covers the remaining ``scenario.ticks - snapshot.tick`` ticks.
+    *start* (a :class:`~repro.campaign.prefix.Start`) says where a
+    single-node run starts.  Its ``build_config`` supplies the
+    configuration and is called inside the run, so a build that raises
+    is a ``crashed`` result.  A campaign passes the configuration its
+    cache memoizes per scenario fingerprint; without a *start* the
+    scenario builds its own.  Its ``snapshot`` forks the scenario from a
+    checkpoint instead of a cold simulator: the snapshot must have been
+    captured from the scenario's own configuration, either before its
+    first fault/command tick (a fault-free root) or — when the
+    snapshot's ``extras`` carry the fault injector's applied log — after
+    any leading slice of its timeline was applied (an interior
+    divergence-trie node).  The injector is seeded from that log and
+    schedules only the not-yet-applied remainder, and the run covers
+    the remaining ``scenario.ticks - snapshot.tick`` ticks.
     The result is bit-identical to a cold run (the snapshot layer's
     contract); only the nondeterministic ``forked_at_tick`` field records
     that a fork happened.
@@ -270,13 +277,13 @@ def run_scenario(scenario: Scenario, *,
     of one simulator.  They never fork from snapshots (each constellation
     is its own locality group).
     """
-    start = time.perf_counter()
+    began = time.perf_counter()
     if getattr(scenario, "is_constellation", False):
         from ..constellation.runner import ConstellationRun
 
         run = ConstellationRun(scenario, cycle_cache)
     else:
-        run = _NodeRun(scenario, from_snapshot, cycle_cache)
+        run = _NodeRun(scenario, start, cycle_cache)
     scenario_id = scenario.scenario_id
     if publisher is not None:
         publisher.scenario_started(scenario_id, scenario.ticks)
@@ -287,7 +294,7 @@ def run_scenario(scenario: Scenario, *,
         run.schedule()
         should_abort = None
         if timeout_s is not None:
-            deadline = start + timeout_s
+            deadline = began + timeout_s
             should_abort = lambda: time.perf_counter() > deadline
         if publisher is not None:
             # Progress heartbeats piggyback on the existing abort poll:
@@ -307,7 +314,7 @@ def run_scenario(scenario: Scenario, *,
             seed=scenario.seed,
             status=STATUS_CRASHED,
             error=error,
-            wall_time_s=time.perf_counter() - start,
+            wall_time_s=time.perf_counter() - began,
             forked_at_tick=run.forked_at,
             cycle_cache_stats=_sum_cycle_stats(
                 simulator.cycle_cache_stats
@@ -356,7 +363,7 @@ def run_scenario(scenario: Scenario, *,
         memory_faults=sum(total(state.memory_faults) for state in states),
         metrics=metrics,
         error=error,
-        wall_time_s=time.perf_counter() - start,
+        wall_time_s=time.perf_counter() - began,
         forked_at_tick=run.forked_at,
         cycle_cache_stats=_sum_cycle_stats(
             simulator.cycle_cache_stats for _, simulator in run.simulators()),

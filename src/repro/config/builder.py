@@ -302,5 +302,5 @@ class SystemBuilder:
             seed=self._seed,
             memory_emulation=self._memory_emulation,
             fdir=self._fdir)
-        config.validate().raise_if_invalid()
+        config.ensure_valid()
         return config

@@ -143,6 +143,31 @@ class SystemConfig:
         override = self.runtime_for(partition).deadline_store_kind
         return override if override is not None else self.deadline_store_kind
 
+    def ensure_valid(self) -> None:
+        """Raise :class:`~repro.exceptions.ValidationError` unless
+        :meth:`validate` passes — running it only when what it reads has
+        changed since it last passed.
+
+        One configuration is checked once however many simulators are
+        built from it (every :class:`~repro.core.pmk.Pmk` calls this).
+        The memo is the exact input of :meth:`validate`, taken when it
+        passed: the frozen model, the channels, the FDIR policy and its
+        watchdog names, and each runtime's body names and ``auto_start``.
+        Any later change to them — a body registered for an unknown
+        process, an ``auto_start`` entry without a body — re-validates.
+        """
+        inputs = self._validation_inputs()
+        if getattr(self, "_validated", None) != inputs:
+            self.validate().raise_if_invalid()
+            self._validated = inputs
+
+    def _validation_inputs(self) -> tuple:
+        fdir = self.fdir
+        return (self.model, self.channels, fdir,
+                tuple(fdir.watchdogs) if fdir is not None else (),
+                tuple((name, tuple(runtime.bodies), runtime.auto_start)
+                      for name, runtime in self.runtime.items()))
+
     def validate(self) -> ValidationReport:
         """Model verification (eqs. (20)-(23)) plus configuration checks."""
         report = validate_system(self.model)

@@ -82,7 +82,7 @@ class Pmk(ModuleControl, ActionExecutor):
 
     def __init__(self, config: SystemConfig, *, time: TimeSource,
                  trace: Trace) -> None:
-        config.validate().raise_if_invalid()
+        config.ensure_valid()
         self.config = config
         self.time = time
         self.trace = trace

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..exceptions import ClockTamperingError, SimulationError
 from ..types import Ticks
@@ -22,7 +22,15 @@ __all__ = ["Vector", "InterruptController", "IsrRegistration"]
 
 
 class Vector(enum.Enum):
-    """Interrupt vectors of the simulated platform."""
+    """Interrupt vectors of the simulated platform.
+
+    Members hash by identity: ``Enum.__hash__`` runs in Python (it hashes
+    the member name), and every vector-table lookup of the clock ISR
+    would pay for it.  Members are singletons that compare by identity
+    anyway, so the tables behave the same.
+    """
+
+    __hash__ = object.__hash__
 
     CLOCK = "clock"
     MEMORY_FAULT = "memoryFault"
@@ -39,6 +47,19 @@ class IsrRegistration:
     handler: Callable[[], None]
 
 
+class _VectorSlot:
+    """One vector's table entry: its handler chain (a tuple, replaced on
+    every install or uninstall, so a delivery in progress keeps the chain
+    it started with), its mask bit and its delivery count."""
+
+    __slots__ = ("chain", "masked", "count")
+
+    def __init__(self) -> None:
+        self.chain: Tuple[IsrRegistration, ...] = ()
+        self.masked = False
+        self.count = 0
+
+
 class InterruptController:
     """Vector table with PMK-owned clock vector.
 
@@ -47,16 +68,15 @@ class InterruptController:
     the paravirtualization trap (recorded, and raised as
     :class:`ClockTamperingError` so the POS adaptation layer can route it to
     Health Monitoring).  Multiple handlers may chain on a vector; they run
-    in installation order.
+    in installation order.  Each vector's chain, mask bit and delivery
+    count sit in one slot, so a delivery makes one table lookup.
     """
 
     PMK_OWNER = "PMK"
 
     def __init__(self) -> None:
-        self._handlers: Dict[Vector, List[IsrRegistration]] = {
-            vector: [] for vector in Vector}
-        self._masked: Dict[Vector, bool] = {vector: False for vector in Vector}
-        self._dispatch_counts: Dict[Vector, int] = {vector: 0 for vector in Vector}
+        self._slots: Dict[Vector, _VectorSlot] = {
+            vector: _VectorSlot() for vector in Vector}
 
     def install(self, vector: Vector, handler: Callable[[], None], *,
                 owner: str) -> IsrRegistration:
@@ -72,17 +92,20 @@ class InterruptController:
                 partition=owner, operation="install_clock_isr")
         registration = IsrRegistration(vector=vector, owner=owner,
                                        handler=handler)
-        self._handlers[vector].append(registration)
+        self._slots[vector].chain += (registration,)
         return registration
 
     def uninstall(self, registration: IsrRegistration) -> None:
         """Remove a previously installed handler."""
+        slot = self._slots[registration.vector]
+        chain = list(slot.chain)
         try:
-            self._handlers[registration.vector].remove(registration)
+            chain.remove(registration)
         except ValueError:
             raise SimulationError(
                 f"handler by {registration.owner!r} on "
                 f"{registration.vector.value} is not installed") from None
+        slot.chain = tuple(chain)
 
     def mask(self, vector: Vector, *, owner: str) -> None:
         """Mask *vector*.  The clock vector may only be masked by the PMK."""
@@ -90,49 +113,51 @@ class InterruptController:
             raise ClockTamperingError(
                 f"{owner!r} attempted to mask the clock interrupt",
                 partition=owner, operation="mask_clock")
-        self._masked[vector] = True
+        self._slots[vector].masked = True
 
     def unmask(self, vector: Vector) -> None:
         """Unmask *vector*."""
-        self._masked[vector] = False
+        self._slots[vector].masked = False
 
     def is_masked(self, vector: Vector) -> bool:
         """True if *vector* is currently masked."""
-        return self._masked[vector]
+        return self._slots[vector].masked
 
     def raise_interrupt(self, vector: Vector) -> int:
         """Deliver *vector*: run its handler chain unless masked.
 
         Returns the number of handlers that ran.
         """
-        if self._masked[vector]:
+        slot = self._slots[vector]
+        if slot.masked:
             return 0
-        chain = tuple(self._handlers[vector])
+        chain = slot.chain
         for registration in chain:
             registration.handler()
-        self._dispatch_counts[vector] += 1
+        slot.count += 1
         return len(chain)
 
     def handlers_on(self, vector: Vector) -> Tuple[IsrRegistration, ...]:
         """Currently installed handlers on *vector*, in chain order."""
-        return tuple(self._handlers[vector])
+        return self._slots[vector].chain
 
     def sole_handler(self, vector: Vector) -> Optional[Callable[[], None]]:
         """The handler on *vector* when it is the only one and the vector
         is unmasked, else None: delivering *vector* then amounts to
         calling it (and counting the delivery)."""
-        chain = self._handlers[vector]
-        if len(chain) == 1 and not self._masked[vector]:
+        slot = self._slots[vector]
+        chain = slot.chain
+        if len(chain) == 1 and not slot.masked:
             return chain[0].handler
         return None
 
     def dispatch_count(self, vector: Vector) -> int:
         """How many times *vector* has been delivered (unmasked)."""
-        return self._dispatch_counts[vector]
+        return self._slots[vector].count
 
     def account_bypassed(self, vector: Vector, count: int) -> None:
         """Settle *count* deliveries made by calling the vector's one
         handler directly (the default clock wiring, see
         :meth:`~repro.kernel.simulator.Simulator.run_fast`), so
         :meth:`dispatch_count` reads as if each went through the table."""
-        self._dispatch_counts[vector] += count
+        self._slots[vector].count += count

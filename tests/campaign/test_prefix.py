@@ -13,6 +13,7 @@ from repro.campaign.prefix import (
     MIN_PREFIX_TICKS,
     PREFIX_QUANTUM,
     SnapshotCache,
+    Start,
     _checkpoint,
     _resume,
     build_divergence_trie,
@@ -69,6 +70,7 @@ class TestSnapshotCache:
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 2,
                                  "stores": 1, "refreshes": 0,
                                  "evictions": 0, "fallbacks": 0,
+                                 "config_builds": 0,
                                  "total_bytes": 7, "stored_bytes": 7,
                                  "hit_bytes": 7, "evicted_bytes": 0}
 
@@ -107,6 +109,7 @@ class TestSnapshotCache:
         assert cache.stats() == {"entries": 1, "hits": 0, "misses": 0,
                                  "stores": 0, "refreshes": 0,
                                  "evictions": 0, "fallbacks": 0,
+                                 "config_builds": 0,
                                  "total_bytes": 2, "stored_bytes": 0,
                                  "hit_bytes": 0, "evicted_bytes": 0}
         assert cache.get_snapshot("b", 0) is not None
@@ -529,7 +532,8 @@ class TestForkPointAudits:
         assert live.extras["audits"][0] == len(live.trace["events"])
         cold = run_scenario(chaos).to_dict()
         for snapshot in (live, SimulatorSnapshot.from_bytes(live.to_bytes())):
-            forked = run_scenario(chaos, from_snapshot=snapshot)
+            forked = run_scenario(chaos, start=Start(lambda: config,
+                                                     snapshot))
             assert forked.forked_at_tick == fork_tick
             assert forked.to_dict() == cold
         # Neither fork stepped the checkpoint's own states.
