@@ -46,11 +46,11 @@ from repro.apps.prototype import (
     MTF,
     STEADY_MTF,
     build_prototype,
+    build_steady_prototype,
     inject_faulty_process,
-    make_simulator,
-    make_steady_simulator,
 )
 from repro.kernel.cycle_cache import state_fingerprint
+from repro.kernel.simulator import Simulator
 
 from bench_lib import emit_bench_json, workload_record
 
@@ -89,7 +89,7 @@ CYCLE_CACHE_FAULTY_FLOOR = 0.90
 
 
 def _build(faulty: bool):
-    simulator = make_simulator(build_prototype(), cycle_cache=False)
+    simulator = Simulator(build_prototype().config, cycle_cache=False)
     if faulty:
         inject_faulty_process(simulator)
     return simulator
@@ -154,7 +154,7 @@ def measure(faulty: bool, *, mtfs: int = MEASURE_MTFS,
 
 
 def _time_steady(cycle_cache: bool, ticks: int) -> float:
-    simulator = make_steady_simulator(cycle_cache=cycle_cache)
+    simulator = Simulator(build_steady_prototype(), cycle_cache=cycle_cache)
     gc.collect()
     gc.disable()
     try:
@@ -170,9 +170,9 @@ def assert_steady_equivalent(mtfs: int = 12) -> None:
     identical full-state fingerprints and identical raw snapshots (the
     fingerprint excludes counter values), and the cached run must have
     genuinely replayed frames."""
-    reference = make_steady_simulator(cycle_cache=False)
+    reference = Simulator(build_steady_prototype(), cycle_cache=False)
     reference.run_fast(STEADY_MTF * mtfs)
-    cached = make_steady_simulator(cycle_cache=True)
+    cached = Simulator(build_steady_prototype(), cycle_cache=True)
     cached.run_fast(STEADY_MTF * mtfs)
     assert trace_signature(cached) == trace_signature(reference)
     assert state_fingerprint(cached) == state_fingerprint(reference)
@@ -209,7 +209,7 @@ def measure_faulty_cache_ratio(*, mtfs: int = MEASURE_MTFS,
     off_times, on_times = [], []
     for _ in range(repeats):
         off_times.append(_time_mode("run_fast", True, ticks))
-        simulator = make_simulator(build_prototype(), cycle_cache=True)
+        simulator = Simulator(build_prototype().config, cycle_cache=True)
         inject_faulty_process(simulator)
         gc.collect()
         gc.disable()

@@ -285,14 +285,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                            chunksize=args.chunksize,
                            timeout_s=args.timeout,
                            prefix_cache=args.prefix_cache,
-                           cycle_cache=args.cycle_cache,
                            telemetry=telemetry,
                            bus=bus,
                            artifacts=artifacts)
     if args.verify_serial and args.workers > 1:
         serial = run_campaign(scenarios, workers=1, timeout_s=args.timeout,
-                              prefix_cache=args.prefix_cache,
-                              cycle_cache=args.cycle_cache)
+                              prefix_cache=args.prefix_cache)
         if report_json(results) != report_json(serial):
             print("DETERMINISM VIOLATION: pooled aggregate differs from "
                   "serial aggregate", file=sys.stderr)
@@ -488,12 +486,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="chaos suite: make the first N scenarios "
                                "crash deterministically (flight-recorder "
                                "drills; default 0)")
-    campaign.add_argument("--no-cycle-cache", dest="cycle_cache",
-                          action="store_const", const=False, default=None,
-                          help="step every MTF instead of replaying "
-                               "fingerprint-verified steady-state cycle "
-                               "templates (bit-identical digests either "
-                               "way; memoization is on by default)")
     campaign.add_argument("--live", action="store_true",
                           help="stream live per-scenario telemetry "
                                "(started/forked/finished) to stdout while "

@@ -183,15 +183,13 @@ def build_prototype(*, seed: int = 0, deadline_store: str = "list",
                             fdir_stats=fdir_stats)
 
 
-def make_simulator(handles: Optional[PrototypeHandles] = None, *,
-                   cycle_cache: Optional[bool] = None,
+def make_simulator(handles: Optional[PrototypeHandles] = None,
                    **kwargs) -> Simulator:
     """Convenience: build (or reuse) a prototype config and wrap it in a
-    simulator.  *cycle_cache* ``False`` turns steady-state MTF
-    memoization off."""
+    simulator."""
     if handles is None:
         handles = build_prototype(**kwargs)
-    return Simulator(handles.config, cycle_cache=cycle_cache)
+    return Simulator(handles.config)
 
 
 #: Major time frame of the steady-state cruise configuration.
@@ -309,11 +307,9 @@ def build_steady_prototype(*, seed: int = 0) -> SystemConfig:
     return builder.build()
 
 
-def make_steady_simulator(*, cycle_cache: Optional[bool] = None,
-                          seed: int = 0) -> Simulator:
+def make_steady_simulator(*, seed: int = 0) -> Simulator:
     """Build the cruise-mode configuration wrapped in a simulator."""
-    return Simulator(build_steady_prototype(seed=seed),
-                     cycle_cache=cycle_cache)
+    return Simulator(build_steady_prototype(seed=seed))
 
 
 def inject_faulty_process(simulator: Simulator) -> None:

@@ -265,10 +265,9 @@ class SnapshotCache:
     fresh deque over them (pinned by the repeated-fork and shared-event
     entries of the fork-equivalence matrix).
 
-    Re-``put`` of an existing key is an explicit **refresh** (counted in
-    ``refreshes``, not ``stores``): the payload is replaced and the
-    memoized snapshot reset, so a caller that rebuilt a prefix never
-    leaves a stale payload behind.
+    Each key is stored once: a checkpoint chain builds only the levels
+    its lookups just missed, so a ``put`` of a key already present is a
+    planning bug and raises.
 
     Beside the checkpoints sit the configurations they were captured
     from: :meth:`config` builds a scenario's configuration once per
@@ -297,8 +296,8 @@ class SnapshotCache:
 
     #: The fixed key set :meth:`stats` emits.  The governed telemetry
     #: namespace constrains ``worker/<n>/cache/<stat>`` to this set.
-    STAT_KEYS = ("entries", "hits", "misses", "stores", "refreshes",
-                 "evictions", "fallbacks", "config_builds", "total_bytes",
+    STAT_KEYS = ("entries", "hits", "misses", "stores", "evictions",
+                 "fallbacks", "config_builds", "total_bytes",
                  "stored_bytes", "hit_bytes", "evicted_bytes")
 
     def __init__(self, capacity: int = 16) -> None:
@@ -315,7 +314,7 @@ class SnapshotCache:
     def reset_counters(self) -> None:
         """Zero every counter except the two describing the current
         contents (``entries`` and ``total_bytes``)."""
-        self.hits = self.misses = self.stores = self.refreshes = 0
+        self.hits = self.misses = self.stores = 0
         self.evictions = self.fallbacks = self.config_builds = 0
         self.stored_bytes = self.hit_bytes = self.evicted_bytes = 0
 
@@ -353,22 +352,13 @@ class SnapshotCache:
 
     def put(self, fingerprint: str, tick: Ticks, payload: bytes,
             snapshot: Optional[SimulatorSnapshot] = None) -> None:
-        """Insert or refresh the snapshot at ``(fingerprint, tick)``.
-
-        An existing key is refreshed in place: payload replaced, memoized
-        snapshot reset to *snapshot*, recency touched.
-        """
+        """Insert the snapshot at ``(fingerprint, tick)``, a key not yet
+        present, with *snapshot* as its memoized live form."""
         key = (fingerprint, tick)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.total_bytes -= len(entry[0])
-            entry[0] = payload
-            entry[1] = snapshot
-            self.refreshes += 1
-            self._entries.move_to_end(key)
-        else:
-            self._entries[key] = [payload, snapshot]
-            self.stores += 1
+        if key in self._entries:
+            raise ValueError(f"checkpoint {key!r} is already cached")
+        self._entries[key] = [payload, snapshot]
+        self.stores += 1
         self.total_bytes += len(payload)
         self.stored_bytes += len(payload)
         while len(self._entries) > self.capacity:
@@ -395,7 +385,6 @@ class SnapshotCache:
         """Counters for the nondeterministic reporting sidecar."""
         return {"entries": len(self._entries), "hits": self.hits,
                 "misses": self.misses, "stores": self.stores,
-                "refreshes": self.refreshes,
                 "evictions": self.evictions,
                 "fallbacks": self.fallbacks,
                 "config_builds": self.config_builds,
@@ -423,8 +412,7 @@ class Start(NamedTuple):
     snapshot: Optional[SimulatorSnapshot]
 
 
-def _resume(snapshot: Optional[SimulatorSnapshot], config, *,
-            cycle_cache: Optional[bool]):
+def _resume(snapshot: Optional[SimulatorSnapshot], config):
     """``(simulator, injector, audits)`` continuing *snapshot* (cold when
     None).
 
@@ -441,9 +429,9 @@ def _resume(snapshot: Optional[SimulatorSnapshot], config, *,
 
     extras = {}
     if snapshot is None:
-        simulator = Simulator(config, cycle_cache=cycle_cache)
+        simulator = Simulator(config)
     else:
-        simulator = snapshot.restore(config, cycle_cache=cycle_cache)
+        simulator = snapshot.restore(config)
         extras = snapshot.extras or {}
     injector = FaultInjector(simulator)
     state = extras.get("injector")
@@ -482,9 +470,7 @@ def _checkpoint(simulator, injector, audits, config) -> SimulatorSnapshot:
 def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
                        plan: PrefixPlan,
                        base_snapshot: Optional[SimulatorSnapshot],
-                       base_depth: int, *,
-                       cycle_cache: Optional[bool]
-                       ) -> Optional[SimulatorSnapshot]:
+                       base_depth: int) -> Optional[SimulatorSnapshot]:
     """Build and cache the plan's missing checkpoints.
 
     Starts from *base_snapshot* (the checkpoint at *base_depth*), else
@@ -496,12 +482,9 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
     *base_snapshot* if nothing new was needed); returns None to degrade
     on any failure.
     """
-    from .runner import TIMEOUT_CHECK_INTERVAL
-
     try:
         config = cache.config(scenario)
-        simulator, injector, audits = _resume(base_snapshot, config,
-                                              cycle_cache=cycle_cache)
+        simulator, injector, audits = _resume(base_snapshot, config)
         cursor = max(base_depth, 0)
         events = scenario.timeline()
         deepest = base_snapshot
@@ -511,8 +494,7 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
             for event_tick, fault in events[cursor:depth]:
                 injector.schedule(event_tick, fault)
             cursor = depth
-            injector.run_fast(tick - simulator.now,
-                              check_interval=TIMEOUT_CHECK_INTERVAL)
+            injector.run_fast(tick - simulator.now)
             snapshot = _checkpoint(simulator, injector, audits, config)
             audits = snapshot.extras.get("audits", audits)
             cache.put(key, tick, snapshot.to_bytes(), snapshot)
@@ -524,8 +506,7 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
 
 
 def _fork_snapshot(scenario: Scenario, cache: SnapshotCache,
-                   plan: PrefixPlan, *, cycle_cache: Optional[bool]
-                   ) -> Optional[SimulatorSnapshot]:
+                   plan: PrefixPlan) -> Optional[SimulatorSnapshot]:
     """The checkpoint *scenario* forks from under *plan*, or None (cold).
 
     Walks the plan's fork levels deepest-first through *cache* and,
@@ -542,8 +523,7 @@ def _fork_snapshot(scenario: Scenario, cache: SnapshotCache,
             break
     if plan.capture_levels and found_depth < plan.capture_levels[-1][0]:
         built = _build_plan_levels(
-            scenario, cache, plan, snapshot, found_depth,
-            cycle_cache=cycle_cache)
+            scenario, cache, plan, snapshot, found_depth)
         if built is not None:
             snapshot = built
     return snapshot
@@ -552,7 +532,6 @@ def _fork_snapshot(scenario: Scenario, cache: SnapshotCache,
 def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
                           plan: PrefixPlan,
                           timeout_s: Optional[float] = None,
-                          cycle_cache: Optional[bool] = None,
                           publisher=None,
                           artifacts=None):
     """Run *scenario* from the checkpoint its *plan* names in *cache*.
@@ -567,18 +546,15 @@ def run_with_prefix_cache(scenario: Scenario, cache: SnapshotCache, *,
     Prefix construction failures degrade to an uncached cold run: the
     cache is an optimization, never a correctness dependency.
 
-    *cycle_cache* is passed to every simulator built here, chain
-    construction included (steady-state MTF memoization, armed unless
-    ``False``).  Checkpoints capture deterministic state only, so they
-    are byte-identical whichever mode built them or forks from them.
+    Every simulator built here, chain construction included, runs with
+    the cycle cache armed.  Checkpoints capture deterministic state only,
+    so they would be byte-identical with it off.
     """
     from .runner import run_scenario
 
-    snapshot = _fork_snapshot(scenario, cache, plan,
-                              cycle_cache=cycle_cache)
+    snapshot = _fork_snapshot(scenario, cache, plan)
     return run_scenario(scenario, timeout_s=timeout_s,
                         start=Start(partial(cache.config, scenario),
                                     snapshot),
-                        cycle_cache=cycle_cache,
                         publisher=publisher,
                         artifacts=artifacts)

@@ -82,8 +82,9 @@ class ScenarioResult:
     forked_at_tick: int = -1
     #: Cycle-cache counters summed over this scenario's simulators
     #: (:data:`~repro.kernel.cycle_cache.CYCLE_CACHE_STAT_KEYS`), or None
-    #: when none had the cache armed.  Every per-worker and campaign-wide
-    #: cycle-cache figure of the execution sidecar is a sum of these.
+    #: when none had the cache armed (a run that crashed before building
+    #: a simulator).  Every per-worker and campaign-wide cycle-cache
+    #: figure of the execution sidecar is a sum of these.
     cycle_cache_stats: Optional[Dict[str, int]] = None
 
     @property

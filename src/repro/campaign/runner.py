@@ -43,7 +43,6 @@ from itertools import islice
 from typing import Dict, List, Optional, Sequence
 
 from ..fdir.oracle import check_trace
-from ..kernel.simulator import cycle_cache_armed
 from ..kernel.cycle_cache import CYCLE_CACHE_STAT_KEYS
 from ..obs.derived import compact_metrics
 from ..obs.fold import total
@@ -64,10 +63,6 @@ __all__ = [
     "run_campaign",
     "autodetect_workers",
 ]
-
-#: Simulated ticks between wall-clock timeout polls inside a scenario
-#: (and the span cap of every campaign ``run_fast`` call).
-TIMEOUT_CHECK_INTERVAL = 20_000
 
 
 def autodetect_workers() -> int:
@@ -133,12 +128,11 @@ class _NodeRun:
     events recorded after the fork point.
     """
 
-    def __init__(self, scenario: Scenario, start: Optional[prefix.Start],
-                 cycle_cache: Optional[bool]) -> None:
+    def __init__(self, scenario: Scenario,
+                 start: Optional[prefix.Start]) -> None:
         self.scenario = scenario
         self.start = start if start is not None \
             else prefix.Start(scenario.build_config, None)
-        self.cycle_cache = cycle_cache
         self.config = self.simulator = self.injector = None
         self.audits = None
         self.forked_at = -1
@@ -146,7 +140,7 @@ class _NodeRun:
     def build(self) -> None:
         self.config = self.start.build_config()
         self.simulator, self.injector, self.audits = prefix._resume(
-            self.start.snapshot, self.config, cycle_cache=self.cycle_cache)
+            self.start.snapshot, self.config)
         if self.start.snapshot is not None:
             self.forked_at = self.simulator.now
 
@@ -172,7 +166,7 @@ class _NodeRun:
     def advance(self, should_abort) -> bool:
         return self.injector.run_fast(
             self.scenario.ticks - self.simulator.now,
-            should_abort=should_abort, check_interval=TIMEOUT_CHECK_INTERVAL)
+            should_abort=should_abort)
 
     def audit(self) -> Sequence:
         count, _, oracle = self.audits
@@ -217,7 +211,6 @@ class _NodeRun:
 def run_scenario(scenario: Scenario, *,
                  timeout_s: Optional[float] = None,
                  start: Optional[prefix.Start] = None,
-                 cycle_cache: Optional[bool] = None,
                  publisher=None,
                  artifacts: Optional[ScenarioArtifacts] = None
                  ) -> ScenarioResult:
@@ -230,7 +223,7 @@ def run_scenario(scenario: Scenario, *,
     yields a ``timeout`` result with the metrics gathered so far.  Either
     way the caller gets a :class:`ScenarioResult`, never a raised
     exception.  Wall-clock timeout polls come at least every
-    :data:`TIMEOUT_CHECK_INTERVAL` simulated ticks.
+    :data:`~repro.fault.injector.CHECK_INTERVAL` simulated ticks.
 
     *start* (a :class:`~repro.campaign.prefix.Start`) says where a
     single-node run starts.  Its ``build_config`` supplies the
@@ -250,11 +243,11 @@ def run_scenario(scenario: Scenario, *,
     contract); only the nondeterministic ``forked_at_tick`` field records
     that a fork happened.
 
-    *cycle_cache* is passed to the scenario's simulators: steady-state
-    MTF memoization (DESIGN decision 13) is armed unless it is ``False``
-    — a bit-identity contract, so digests are independent of it; the
-    result's ``cycle_cache_stats`` carries its simulators' summed
-    host-side counters, crashed runs included.
+    The scenario's simulators run with the cycle cache armed
+    (steady-state MTF memoization, DESIGN decision 13) — a bit-identity
+    contract, so digests are independent of it; the result's
+    ``cycle_cache_stats`` carries its simulators' summed host-side
+    counters, crashed runs included.
 
     Unless the scenario opts out (``oracle=False``), the finished run is
     audited — by the TSP invariant oracle
@@ -281,9 +274,9 @@ def run_scenario(scenario: Scenario, *,
     if getattr(scenario, "is_constellation", False):
         from ..constellation.runner import ConstellationRun
 
-        run = ConstellationRun(scenario, cycle_cache)
+        run = ConstellationRun(scenario)
     else:
-        run = _NodeRun(scenario, start, cycle_cache)
+        run = _NodeRun(scenario, start)
     scenario_id = scenario.scenario_id
     if publisher is not None:
         publisher.scenario_started(scenario_id, scenario.ticks)
@@ -420,12 +413,11 @@ def _run_group(payload, cache, publisher):
     lets events published later under this worker's label continue its
     numbering.
     """
-    indices, group, plans, timeout_s, cycle_cache, artifacts = payload
+    indices, group, plans, timeout_s, artifacts = payload
     results = [
         prefix.run_with_prefix_cache(
             scenario, cache, plan=plan, timeout_s=timeout_s,
-            cycle_cache=cycle_cache, publisher=publisher,
-            artifacts=artifacts)
+            publisher=publisher, artifacts=artifacts)
         for scenario, plan in zip(group, plans)]
     stats = cache.stats()
     if publisher is not None:
@@ -526,7 +518,6 @@ def run_campaign(scenarios: Sequence[Scenario], *,
                  chunksize: Optional[int] = None,
                  timeout_s: Optional[float] = None,
                  prefix_cache: bool = True,
-                 cycle_cache: Optional[bool] = None,
                  telemetry: Optional[Dict] = None,
                  bus=None,
                  artifacts: Optional[ScenarioArtifacts] = None
@@ -559,9 +550,9 @@ def run_campaign(scenarios: Sequence[Scenario], *,
     chain exactly once anyway.
 
     The deterministic report is independent of all of this — worker
-    count, chunking, dispatch order, the prefix cache and *cycle_cache*
-    (steady-state MTF memoization, armed unless ``False``): every
-    scenario is self-contained, results are re-sorted by scenario id in
+    count, chunking, dispatch order, the prefix cache and the cycle
+    cache (steady-state MTF memoization): every scenario is
+    self-contained, results are re-sorted by scenario id in
     the aggregate, and nothing nondeterministic enters the deterministic
     record.
 
@@ -584,7 +575,7 @@ def run_campaign(scenarios: Sequence[Scenario], *,
     interpreter-level death (signal, OOM kill) can still fail the pool.
     """
     plans = _plan_campaign(scenarios, prefix_cache)
-    options = (timeout_s, cycle_cache, artifacts)
+    options = (timeout_s, artifacts)
     payloads, split_chains = _locality_payloads(
         scenarios, plans, workers, chunksize, options) \
         if workers > 1 else ([], [])
@@ -604,8 +595,7 @@ def run_campaign(scenarios: Sequence[Scenario], *,
         cache = prefix.SnapshotCache()
         for scenario in split_chains:
             prefix._fork_snapshot(scenario, cache,
-                                  plans[scenario.scenario_id],
-                                  cycle_cache=cycle_cache)
+                                  plans[scenario.scenario_id])
         prebuild_stats = cache.stats()
         cache.reset_counters()
         tasks = _pool_tasks(context, workers, cache, wiring, payloads)
@@ -636,9 +626,8 @@ def run_campaign(scenarios: Sequence[Scenario], *,
         if prebuild_stats is not None:
             telemetry["workers"]["prebuild"] = {
                 "prefix_cache": prebuild_stats}
-        telemetry["cycle_cache"] = {
-            "enabled": cycle_cache_armed(cycle_cache),
-            **(_sum_cycle_stats(cycle_stats.values()) or {})}
+        telemetry["cycle_cache"] = \
+            _sum_cycle_stats(cycle_stats.values()) or {}
     if bus is not None:
         # Each worker's cycle-cache gauges, published once under its
         # label from the results it returned.

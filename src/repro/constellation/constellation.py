@@ -94,8 +94,7 @@ class Node:
 class Constellation:
     """N AIR nodes in deterministic lockstep over an inter-node fabric."""
 
-    def __init__(self, config: ConstellationConfig, seed: int, *,
-                 cycle_cache: Optional[bool] = None) -> None:
+    def __init__(self, config: ConstellationConfig, seed: int) -> None:
         self.config = config
         self.seed = seed
         self.now: Ticks = 0
@@ -109,7 +108,7 @@ class Constellation:
         for index in range(config.nodes):
             node_seed = seeds.fork(f"node-{index}").seed
             system = factory(seed=node_seed, **dict(config.factory_kwargs))
-            simulator = Simulator(system, cycle_cache=cycle_cache)
+            simulator = Simulator(system)
             self.system_configs.append(system)
             self.nodes.append(Node(index, simulator,
                                    config.heartbeat_timeout))

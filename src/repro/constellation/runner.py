@@ -77,16 +77,13 @@ class ConstellationRun:
 
     forked_at = -1
 
-    def __init__(self, scenario: ConstellationScenario,
-                 cycle_cache: Optional[bool]) -> None:
+    def __init__(self, scenario: ConstellationScenario) -> None:
         self.scenario = scenario
-        self.cycle_cache = cycle_cache
         self.constellation: Optional[Constellation] = None
 
     def build(self) -> None:
         self.constellation = Constellation(
-            self.scenario.constellation, self.scenario.seed,
-            cycle_cache=self.cycle_cache)
+            self.scenario.constellation, self.scenario.seed)
 
     def schedule(self) -> None:
         constellation = self.constellation

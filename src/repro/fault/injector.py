@@ -20,7 +20,12 @@ from ..kernel.simulator import Simulator
 from ..types import Ticks
 from .faults import Fault, fault_from_dict, fault_to_dict
 
-__all__ = ["InjectionRecord", "FaultInjector"]
+__all__ = ["CHECK_INTERVAL", "InjectionRecord", "FaultInjector"]
+
+#: The span cap of :meth:`FaultInjector.run_fast`: simulated ticks
+#: between ``should_abort`` polls (the campaign runner's wall-clock
+#: timeout check).
+CHECK_INTERVAL: Ticks = 20_000
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,8 @@ class FaultInjector:
         self._apply_due()  # faults scheduled exactly at the target tick
 
     def run_fast(self, ticks: Ticks, *,
-                 should_abort: Optional[Callable[[], bool]] = None,
-                 check_interval: Ticks = 50_000) -> bool:
+                 should_abort: Optional[Callable[[], bool]] = None
+                 ) -> bool:
         """Advance by *ticks* on the event-driven core, applying due faults.
 
         Equivalent to :meth:`run` (bit-identical trace and injection log)
@@ -127,8 +132,8 @@ class FaultInjector:
         pending fault tick, so a fault scheduled at tick T is still
         applied before T's clock ISR.
 
-        *should_abort*, polled at least every *check_interval* simulated
-        ticks, lets a caller impose a wall-clock budget (the campaign
+        *should_abort*, polled at least every :data:`CHECK_INTERVAL`
+        simulated ticks, lets a caller impose a wall-clock budget (the campaign
         runner's per-scenario timeout).  Returns False if aborted,
         True on normal completion.
         """
@@ -138,7 +143,7 @@ class FaultInjector:
             if should_abort is not None and should_abort():
                 return False
             self._apply_due()
-            bound = min(target, simulator.now + check_interval)
+            bound = min(target, simulator.now + CHECK_INTERVAL)
             if self._pending:
                 bound = min(bound, self._pending[0][0])
             simulator.run_fast(bound - simulator.now)

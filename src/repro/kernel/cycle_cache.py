@@ -540,8 +540,8 @@ class _ResumeTap:
 class CycleCache:
     """Fingerprint-keyed whole-MTF replay for one simulator instance.
 
-    Armed by default (``Simulator(config, cycle_cache=False)`` turns it
-    off) and bit-identity-preserving by construction: every observable
+    Armed by default (the :class:`~repro.kernel.simulator.Simulator`
+    constructor's one switch turns it off) and bit-identity-preserving by construction: every observable
     the determinism contract covers — trace bytes, metrics digests,
     deterministic counters, oracle verdicts — is reproduced exactly,
     which the fast-skip/fork/chaos identity matrices assert.

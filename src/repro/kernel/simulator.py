@@ -24,23 +24,12 @@ from .interrupts import InterruptController, Vector
 from .time import TimeSource
 from .trace import Trace
 
-__all__ = ["Simulator", "cycle_cache_armed"]
+__all__ = ["Simulator"]
 
 #: The clock vector, read once: an enum member lookup costs more than the
 #: rest of ``run_fast``'s set-up, which runs tens of thousands of times
 #: per constellation campaign.
 _CLOCK = Vector.CLOCK
-
-
-def cycle_cache_armed(cycle_cache: Optional[bool]) -> bool:
-    """Whether ``Simulator(..., cycle_cache=cycle_cache)`` arms
-    steady-state MTF memoization.
-
-    The one declaration of the default: ``None`` — what every layer
-    above the simulator passes through unless told otherwise — arms it;
-    ``False`` is the off switch.
-    """
-    return cycle_cache is not False
 
 
 class Simulator:
@@ -54,12 +43,12 @@ class Simulator:
     decision 13): ``run_fast`` probes MTF boundaries for a fingerprint
     fixed point and replays verified whole-frame templates instead of
     stepping, under the same bit-identity contract.  It is armed by
-    default (see :func:`cycle_cache_armed`); ``cycle_cache=False`` is the
-    off switch.
+    default; passing ``False`` for it is the off switch, and the only
+    one: no layer above the simulator carries it.
     """
 
     def __init__(self, config: SystemConfig, *,
-                 cycle_cache: Optional[bool] = None) -> None:
+                 cycle_cache: bool = True) -> None:
         self.config = config
         self.time = TimeSource()
         self.trace = Trace(capacity=config.trace_capacity)
@@ -75,7 +64,7 @@ class Simulator:
         self._ticks_batched = 0
         self._ticks_stepped = 0
         self._cycle_cache = None
-        if cycle_cache_armed(cycle_cache):
+        if cycle_cache:
             from .cycle_cache import CycleCache
 
             self._cycle_cache = CycleCache(self)

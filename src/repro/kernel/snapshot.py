@@ -148,8 +148,7 @@ class SimulatorSnapshot:
     # fork / resume
     # ------------------------------------------------------------ #
 
-    def restore(self, config: SystemConfig, *,
-                cycle_cache: Optional[bool] = None) -> Simulator:
+    def restore(self, config: SystemConfig) -> Simulator:
         """Build a fresh simulator continuing from this checkpoint.
 
         *config* must be structurally equal to the captured simulator's
@@ -162,9 +161,8 @@ class SimulatorSnapshot:
         checkpoint's running digest hash instead of re-hashing the
         prefix.
 
-        *cycle_cache* is passed to the continuation's :class:`Simulator`
-        (steady-state cycle memoization, armed unless ``False``) — cache
-        state is host-side and never captured.
+        The continuation is a default :class:`Simulator`, cycle cache
+        armed; cache state is host-side and never captured.
         """
         if self.version != SNAPSHOT_VERSION:
             raise SimulationError(
@@ -175,7 +173,7 @@ class SimulatorSnapshot:
             raise SimulationError(
                 f"snapshot/config mismatch: captured {self.identity}, "
                 f"restoring onto {identity}")
-        sim = Simulator(config, cycle_cache=cycle_cache)
+        sim = Simulator(config)
         sim.time.restore(self.time)
         sim.pmk.restore(self.pmk)
         sim.trace.restore(self.trace)

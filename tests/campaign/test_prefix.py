@@ -68,8 +68,7 @@ class TestSnapshotCache:
         assert cache.get_snapshot("fp", 1024) is live
         assert cache.get_snapshot("fp", 2048) is None
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 2,
-                                 "stores": 1, "refreshes": 0,
-                                 "evictions": 0, "fallbacks": 0,
+                                 "stores": 1, "evictions": 0, "fallbacks": 0,
                                  "config_builds": 0,
                                  "total_bytes": 7, "stored_bytes": 7,
                                  "hit_bytes": 7, "evicted_bytes": 0}
@@ -87,18 +86,17 @@ class TestSnapshotCache:
         assert len(cache) == 2
         assert cache.evictions == 1
 
-    def test_duplicate_put_replaces_payload_and_touches_recency(self):
+    def test_duplicate_put_raises(self):
+        # A chain builds only the levels its lookups just missed, so a
+        # second put of a key is a planning bug, not a refresh.
         cache = SnapshotCache(capacity=2)
-        fresh = object()
-        cache.put("a", 0, b"a", object())
-        cache.put("b", 0, b"b", object())
-        cache.put("a", 0, b"fresh", fresh)
-        assert cache.stores == 2        # still two distinct entries...
-        assert cache.refreshes == 1     # ...one of them refreshed in place
-        assert cache.total_bytes == len(b"fresh") + len(b"b")
-        cache.put("c", 0, b"c", object())  # b is now the LRU entry
-        assert cache.get_snapshot("a", 0) is fresh  # not the stale entry
-        assert cache.get_snapshot("b", 0) is None
+        live = object()
+        cache.put("a", 0, b"a", live)
+        with pytest.raises(ValueError, match="already cached"):
+            cache.put("a", 0, b"fresh", object())
+        assert cache.stores == 1
+        assert cache.total_bytes == len(b"a")
+        assert cache.get_snapshot("a", 0) is live
 
     def test_reset_counters_keeps_the_contents(self):
         cache = SnapshotCache(capacity=1)
@@ -107,33 +105,11 @@ class TestSnapshotCache:
         cache.get_snapshot("a", 0)
         cache.reset_counters()
         assert cache.stats() == {"entries": 1, "hits": 0, "misses": 0,
-                                 "stores": 0, "refreshes": 0,
-                                 "evictions": 0, "fallbacks": 0,
+                                 "stores": 0, "evictions": 0, "fallbacks": 0,
                                  "config_builds": 0,
                                  "total_bytes": 2, "stored_bytes": 0,
                                  "hit_bytes": 0, "evicted_bytes": 0}
         assert cache.get_snapshot("b", 0) is not None
-
-    def test_duplicate_put_resets_the_memoized_snapshot(self):
-        """A refreshed entry must not serve the stale live snapshot."""
-        from repro.apps.prototype import build_prototype
-        from repro.kernel.simulator import Simulator
-        from repro.kernel.snapshot import SimulatorSnapshot
-
-        sim = Simulator(build_prototype().config)
-        sim.run_fast(512)
-        early = SimulatorSnapshot.capture(sim)
-        cache = SnapshotCache()
-        cache.put("fp", 512, early.to_bytes(), early)
-        assert cache.get_snapshot("fp", 512) is early
-        sim.run_fast(512)
-        late = SimulatorSnapshot.capture(sim)
-        cache.put("fp", 512, late.to_bytes(), late)
-        assert cache.get_snapshot("fp", 512) is late
-        # A refresh without a live snapshot re-memoizes from the payload.
-        cache.put("fp", 512, late.to_bytes())
-        memoized = cache.get_snapshot("fp", 512)
-        assert memoized is not late and memoized.tick == late.tick
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -521,8 +497,7 @@ class TestForkPointAudits:
             if subset >> index & 1))
         fork_tick = int(at * chaos.ticks)
         config = chaos.build_config()
-        simulator, injector, audits = _resume(None, config,
-                                              cycle_cache=None)
+        simulator, injector, audits = _resume(None, config)
         for tick, fault in chaos.timeline():
             if tick < fork_tick:
                 injector.schedule(tick, fault)

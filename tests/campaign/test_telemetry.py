@@ -26,6 +26,8 @@ from repro.obs.telemetry import (
     default_registry,
 )
 
+from ..conftest import cycle_cache_off
+
 
 def small_chaos(crash_scenarios=0):
     return chaos_campaign(count=4, mtfs=4, base_seed=0,
@@ -134,18 +136,6 @@ class TestCycleCacheTotals:
 
     COUNTS = ("hits", "misses", "invalidations", "bytes")
 
-    @pytest.fixture
-    def cruise(self, monkeypatch):
-        from repro.apps.prototype import STEADY_MTF, build_steady_prototype
-        from repro.campaign import Scenario
-        from repro.campaign.scenarios import FACTORIES
-
-        monkeypatch.setitem(FACTORIES, "prototype_cruise",
-                            build_steady_prototype)
-        return [Scenario(scenario_id=f"cruise-{i}",
-                         factory="prototype_cruise", seed=i,
-                         ticks=40 * STEADY_MTF) for i in range(4)]
-
     def totals(self, scenarios, workers):
         telemetry: dict = {}
         results = run_campaign(scenarios, workers=workers,
@@ -170,18 +160,13 @@ class TestCycleCacheTotals:
             assert first[key] == sum(
                 result.cycle_cache_stats[key] for result in results), key
 
-    def test_crashed_result_carries_its_counters(self, cruise):
+    def test_crashed_result_carries_its_counters(self, cruise,
+                                                 cruise_drill):
         from dataclasses import replace
 
-        from repro.apps.prototype import STEADY_MTF
         from repro.campaign import deterministic_report
-        from repro.fault.faults import SimulatedCrashFault
 
-        # Its own seed, so it shares no prefix to fork from: the crash
-        # ends a cold run that replayed steady MTFs first.
-        drill = replace(cruise[0], scenario_id="cruise-crash", seed=99,
-                        faults=((30 * STEADY_MTF, SimulatedCrashFault()),))
-        results = run_campaign(cruise + [drill])
+        results = run_campaign(cruise + [cruise_drill])
         crashed = [r for r in results if r.status == "crashed"]
         assert [r.scenario_id for r in crashed] == ["cruise-crash"]
         assert crashed[0].cycle_cache_stats["hits"] > 0
@@ -191,12 +176,12 @@ class TestCycleCacheTotals:
         assert json.dumps(deterministic_report(results), sort_keys=True) \
             == json.dumps(deterministic_report(stripped), sort_keys=True)
 
-    def test_cache_off_results_carry_no_counters(self):
+    def test_cache_off_results_carry_no_counters(self, monkeypatch):
+        cycle_cache_off(monkeypatch)
         telemetry: dict = {}
-        results = run_campaign(small_chaos(), cycle_cache=False,
-                               telemetry=telemetry)
+        results = run_campaign(small_chaos(), telemetry=telemetry)
         assert all(r.cycle_cache_stats is None for r in results)
-        assert telemetry["cycle_cache"] == {"enabled": False}
+        assert telemetry["cycle_cache"] == {}
         assert telemetry["workers"]["serial"]["cycle_cache"] is None
 
 

@@ -63,6 +63,19 @@ def counting_periodic_body(work, counter):
     return factory
 
 
+def cycle_cache_off(monkeypatch) -> None:
+    """Make cache-off the default of every :class:`Simulator` built while
+    *monkeypatch* holds — through snapshot restores, campaigns and
+    constellations, and in forked pool workers, which inherit it.
+
+    A test-only substitution of the constructor's one switch, for
+    reference runs against the cached default; never a production
+    option.
+    """
+    monkeypatch.setitem(Simulator.__init__.__kwdefaults__, "cycle_cache",
+                        False)
+
+
 @pytest.fixture
 def single_partition_sim():
     """One RTEMS partition, one periodic process, MTF 100, window [0, 50)."""

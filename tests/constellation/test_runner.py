@@ -25,6 +25,8 @@ from repro.constellation import (
 )
 from repro.fault.faults import MemoryViolationFault
 
+from ..conftest import cycle_cache_off
+
 
 def drill():
     return failover_drill(nodes=3, seed=0, mtfs=8)
@@ -97,29 +99,30 @@ class TestCampaignIntegration:
             reports.append(json.dumps(aggregate(results), sort_keys=True))
         assert len(set(reports)) == 1
 
-    def test_digests_identical_with_cycle_cache_on_and_off(self):
-        # Constellation nodes are armed like every other simulator;
-        # cycle_cache=False must reach them and change no digest.
-        node_digests = []
-        for cycle_cache in (None, False):
+    def test_digests_identical_with_cycle_cache_on_and_off(
+            self, monkeypatch):
+        # Constellation nodes are armed like every other simulator; a
+        # cache-off reference run of them changes no digest.
+        def run(armed):
             constellation = Constellation(
                 ConstellationConfig(nodes=3, loss_probability=0.05),
-                seed=11, cycle_cache=cycle_cache)
+                seed=11)
             constellation.schedule_fault(MTF, SilentNodeFault(node=0))
             constellation.run(6 * MTF)
-            armed = [node.simulator.cycle_cache_stats is not None
-                     for node in constellation.nodes]
-            assert armed == [cycle_cache is None] * 3
-            node_digests.append(
-                ([node.simulator.trace.digest()
-                  for node in constellation.nodes],
-                 constellation.combined_digest()))
-        assert node_digests[0] == node_digests[1]
-        scenarios = constellation_campaign(count=4, base_seed=0)
-        reports = [json.dumps(aggregate(run_campaign(scenarios, **options)),
-                              sort_keys=True)
-                   for options in ({}, {"cycle_cache": False})]
-        assert reports[0] == reports[1]
+            assert [node.simulator.cycle_cache_stats is not None
+                    for node in constellation.nodes] == [armed] * 3
+            report = json.dumps(aggregate(run_campaign(
+                constellation_campaign(count=4, base_seed=0))),
+                sort_keys=True)
+            return ([node.simulator.trace.digest()
+                     for node in constellation.nodes],
+                    constellation.combined_digest(), report)
+
+        cached = run(True)
+        with monkeypatch.context() as patch:
+            cycle_cache_off(patch)
+            reference = run(False)
+        assert cached == reference
 
     def test_mixed_spec_loads_both_kinds(self, tmp_path):
         from repro.campaign.scenarios import (

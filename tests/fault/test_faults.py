@@ -82,16 +82,20 @@ class TestInjector:
 
     def test_run_fast_result_independent_of_check_interval(self):
         # The abort-poll cadence only splits run_fast spans: the trace
-        # and the injection log must not depend on it.
+        # and the injection log must not depend on it.  Chunks of 137
+        # and 997 ticks split the horizon as a finer cap would.
+        horizon = 4 * MTF
         outcomes = set()
-        for check_interval in (50_000, 137, 997):
+        for chunk in (horizon, 137, 997):
             simulator = make_simulator()
             injector = FaultInjector(simulator)
             injector.schedule(1 * MTF, StartProcessFault("P1",
                                                          FAULTY_PROCESS))
             injector.schedule(2 * MTF + 100, MemoryViolationFault("P4"))
-            assert injector.run_fast(4 * MTF, should_abort=lambda: False,
-                                     check_interval=check_interval)
+            while simulator.now < horizon:
+                assert injector.run_fast(
+                    min(chunk, horizon - simulator.now),
+                    should_abort=lambda: False)
             outcomes.add((simulator.now, simulator.trace.digest(),
                           tuple((r.tick, r.status) for r in injector.log)))
         assert len(outcomes) == 1

@@ -30,6 +30,7 @@ from repro import Call, Compute, SystemBuilder
 from repro.apps.prototype import (
     STEADY_MTF,
     build_prototype,
+    build_steady_prototype,
     inject_faulty_process,
     make_simulator,
     make_steady_simulator,
@@ -216,7 +217,7 @@ class TestCycleCache:
     def test_false_is_the_off_switch_with_identical_digests(self):
         armed = make_steady_simulator()
         armed.run_fast(STEADY_MTF * 12)
-        off = make_steady_simulator(cycle_cache=False)
+        off = Simulator(build_steady_prototype(), cycle_cache=False)
         off.run_fast(STEADY_MTF * 12)
         assert off.cycle_cache_stats is None
         assert armed.cycle_cache_stats["hits"] > 0
@@ -241,12 +242,12 @@ class TestCycleCache:
             gc.enable()
 
     def test_stats_keys_are_the_governed_set(self):
-        simulator = make_steady_simulator(cycle_cache=True)
+        simulator = Simulator(build_steady_prototype(), cycle_cache=True)
         simulator.run_fast(STEADY_MTF * 4)
         assert tuple(simulator.cycle_cache_stats) == CYCLE_CACHE_STAT_KEYS
 
     def test_steady_workload_replays_most_frames(self):
-        simulator = make_steady_simulator(cycle_cache=True)
+        simulator = Simulator(build_steady_prototype(), cycle_cache=True)
         simulator.run_fast(STEADY_MTF * 20)
         stats = simulator.cycle_cache_stats
         # A few warm-up frames: the counter gate needs two equal deltas,
@@ -255,9 +256,9 @@ class TestCycleCache:
         assert stats["invalidations"] == 0
 
     def test_bit_identity_steady(self):
-        cached = make_steady_simulator(cycle_cache=True)
+        cached = Simulator(build_steady_prototype(), cycle_cache=True)
         cached.run_fast(STEADY_MTF * 12)
-        plain = make_steady_simulator(cycle_cache=False)
+        plain = Simulator(build_steady_prototype(), cycle_cache=False)
         plain.run_fast(STEADY_MTF * 12)
         assert cached.cycle_cache_stats["hits"] > 0  # genuinely replayed
         assert full_signature(cached) == full_signature(plain)
@@ -268,11 +269,11 @@ class TestCycleCache:
         assert_same_state(cached, plain)
 
     def test_faulty_workload_never_fires_but_stays_identical(self):
-        cached = make_simulator(build_prototype(), cycle_cache=True)
+        cached = Simulator(build_prototype().config, cycle_cache=True)
         cached.run_fast(STEADY_MTF * 4)
         inject_faulty_process(cached)
         cached.run_fast(STEADY_MTF * 4)
-        plain = make_simulator(build_prototype(), cycle_cache=False)
+        plain = Simulator(build_prototype().config, cycle_cache=False)
         plain.run_fast(STEADY_MTF * 4)
         inject_faulty_process(plain)
         plain.run_fast(STEADY_MTF * 4)
@@ -284,10 +285,10 @@ class TestCycleCache:
     def test_odd_chunked_runs_stay_identical(self):
         # run_fast calls that straddle MTF boundaries arbitrarily must
         # not disturb replay: the cache only acts at exact boundaries.
-        cached = make_steady_simulator(cycle_cache=True)
+        cached = Simulator(build_steady_prototype(), cycle_cache=True)
         for chunk in (700, STEADY_MTF * 5 + 311, STEADY_MTF * 6, 289):
             cached.run_fast(chunk)
-        plain = make_steady_simulator(cycle_cache=False)
+        plain = Simulator(build_steady_prototype(), cycle_cache=False)
         plain.run_fast(STEADY_MTF * 12)
         assert cached.now == plain.now
         assert cached.cycle_cache_stats["hits"] > 0
@@ -397,7 +398,7 @@ class TestReplayRenderedFrames:
         # Nothing was formatted during run_fast: every replayed frame is
         # still deferred, one per committed frame.
         assert deferred_frames(simulator.trace) == hits
-        plain = make_steady_simulator(cycle_cache=False)
+        plain = Simulator(build_steady_prototype(), cycle_cache=False)
         plain.run_fast(STEADY_MTF * 12)
         assert_canonical(simulator.trace)
         assert simulator.trace.digest() == plain.trace.digest()

@@ -200,7 +200,7 @@ class TestViewsAgree:
     def test_fleet_pairs_combine_the_nodes(self, base_seed, nodes):
         scenario = constellation_campaign(
             count=1, nodes=nodes, mtfs=6, base_seed=base_seed)[0]
-        run = ConstellationRun(scenario, None)
+        run = ConstellationRun(scenario)
         run.build()
         run.schedule()
         run.advance(None)
