@@ -772,6 +772,12 @@ class ApexInterface:
         send sequence the original generator consumed; the effects it
         yields along the way are discarded — their side effects already
         happened and live in the snapshotted state being overlaid.
+
+        Replay rests on the body reading nothing but its context and the
+        values it is sent.  A body that also reads host state outside the
+        snapshot — the prototype's TTC ground-command queue, say — can
+        take another branch on replay and fail or complete early; either
+        is reported as a :class:`SimulationError` naming the process.
         """
         factory = self._factories.get(tcb.name, tcb.body_factory)
         if factory is None:
@@ -784,10 +790,12 @@ class ApexInterface:
         for value in resume_log:
             try:
                 generator.send(value)
-            except StopIteration:
+            except Exception as error:  # StopIteration included
                 raise SimulationError(
-                    f"process {self.partition}/{tcb.name}: body completed "
-                    f"during snapshot replay — nondeterministic body?")
+                    f"process {self.partition}/{tcb.name}: body failed "
+                    f"during snapshot replay ({error!r}) — it read state "
+                    f"outside the snapshot (host input, shared objects), "
+                    f"so it cannot be restored") from error
 
     SNAPSHOT_SCHEMA = {
         "rng": RAW,

@@ -447,9 +447,7 @@ def _fold_audits(audits, trace: Trace, config):
     *audits* is ``(event count, MetricsState, OracleState)``: the metrics
     and oracle folds over the log's first *event count* events.  Copies
     of both fold the events after them, so *audits* itself — the states
-    an earlier checkpoint carries — is left as it was.  The trace must
-    be unbounded: a fold covers every event recorded, and a bounded log
-    would hold fewer.
+    an earlier checkpoint carries — is left as it was.
     """
     count, metrics, oracle = audits
     events = tuple(islice(trace, count, None))
@@ -458,13 +456,12 @@ def _fold_audits(audits, trace: Trace, config):
 
 
 def _checkpoint(simulator, injector, audits, config) -> SimulatorSnapshot:
-    """Capture *simulator* with its injector's applied log and, for an
-    unbounded trace, the audit states of its whole log folded on from
-    *audits* (see :func:`_fold_audits`), in ``extras``."""
-    extras = {"injector": injector.state_dict()}
-    if config.trace_capacity is None:
-        extras["audits"] = _fold_audits(audits, simulator.trace, config)
-    return SimulatorSnapshot.capture(simulator, extras=extras)
+    """Capture *simulator* with its injector's applied log and the audit
+    states of its whole log folded on from *audits* (see
+    :func:`_fold_audits`), in ``extras``."""
+    return SimulatorSnapshot.capture(simulator, extras={
+        "injector": injector.state_dict(),
+        "audits": _fold_audits(audits, simulator.trace, config)})
 
 
 def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
@@ -476,9 +473,9 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
     Starts from *base_snapshot* (the checkpoint at *base_depth*), else
     cold; schedules timeline events incrementally so a checkpoint at
     level *d* has exactly the first *d* events applied and nothing deeper
-    pending.  Each checkpoint of an unbounded trace also carries its
-    prefix's audit fold states (:func:`_fold_audits`), so forks audit
-    only their own events.  Returns the deepest checkpoint reached (or
+    pending.  Each checkpoint also carries its prefix's audit fold
+    states (:func:`_fold_audits`), so forks audit only their own
+    events.  Returns the deepest checkpoint reached (or
     *base_snapshot* if nothing new was needed); returns None to degrade
     on any failure.
     """
@@ -496,7 +493,7 @@ def _build_plan_levels(scenario: Scenario, cache: SnapshotCache,
             cursor = depth
             injector.run_fast(tick - simulator.now)
             snapshot = _checkpoint(simulator, injector, audits, config)
-            audits = snapshot.extras.get("audits", audits)
+            audits = snapshot.extras["audits"]
             cache.put(key, tick, snapshot.to_bytes(), snapshot)
             deepest = snapshot
         return deepest

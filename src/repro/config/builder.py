@@ -190,7 +190,6 @@ class SystemBuilder:
         self._hm_tables = HmTables()
         self._deadline_store = "list"
         self._change_action_policy = "first_dispatch"
-        self._trace_capacity: Optional[int] = None
         self._seed = 0
         self._memory_emulation = False
         self._fdir: Optional[FdirConfig] = None
@@ -258,11 +257,6 @@ class SystemBuilder:
         self._change_action_policy = policy
         return self
 
-    def trace_capacity(self, capacity: Optional[int]) -> "SystemBuilder":
-        """Bound the trace ring buffer."""
-        self._trace_capacity = capacity
-        return self
-
     def seed(self, seed: int) -> "SystemBuilder":
         """Seed for all derived randomness."""
         self._seed = seed
@@ -298,7 +292,6 @@ class SystemBuilder:
             hm_tables=self._hm_tables,
             deadline_store_kind=self._deadline_store,
             change_action_policy=self._change_action_policy,
-            trace_capacity=self._trace_capacity,
             seed=self._seed,
             memory_emulation=self._memory_emulation,
             fdir=self._fdir)

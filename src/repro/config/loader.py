@@ -223,7 +223,6 @@ def dump_config(config: SystemConfig) -> Dict[str, Any]:
         "hm_tables": _dump_hm_tables(config.hm_tables),
         "deadline_store_kind": config.deadline_store_kind,
         "change_action_policy": config.change_action_policy,
-        "trace_capacity": config.trace_capacity,
         "seed": config.seed,
         "memory_emulation": config.memory_emulation,
         "fdir": (fdir_config_to_dict(config.fdir)
@@ -232,7 +231,16 @@ def dump_config(config: SystemConfig) -> Dict[str, Any]:
 
 
 def load_config(data: Mapping[str, Any]) -> SystemConfig:
-    """Rebuild a :class:`SystemConfig` from :func:`dump_config` output."""
+    """Rebuild a :class:`SystemConfig` from :func:`dump_config` output.
+
+    Documents may carry ``"trace_capacity": null``, which earlier dumps
+    wrote; any other value asks for a bounded trace, which the simulator
+    does not have, and is rejected.
+    """
+    if data.get("trace_capacity") is not None:
+        raise ConfigurationError(
+            f"trace_capacity must be null, got {data['trace_capacity']!r}: "
+            f"every trace keeps its whole log")
     runtime = {}
     for name, entry in data.get("runtime", {}).items():
         auto_start = entry.get("auto_start")
@@ -250,7 +258,6 @@ def load_config(data: Mapping[str, Any]) -> SystemConfig:
         deadline_store_kind=data.get("deadline_store_kind", "list"),
         change_action_policy=data.get("change_action_policy",
                                       "first_dispatch"),
-        trace_capacity=data.get("trace_capacity"),
         seed=data.get("seed", 0),
         memory_emulation=data.get("memory_emulation", False),
         fdir=(fdir_config_from_dict(data["fdir"])

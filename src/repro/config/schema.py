@@ -107,7 +107,6 @@ class SystemConfig:
     hm_tables: HmTables = field(default_factory=HmTables)
     deadline_store_kind: str = "list"
     change_action_policy: str = "first_dispatch"
-    trace_capacity: Optional[int] = None
     seed: int = 0
     #: When True, every executed process tick performs one checked read in
     #: the partition's DATA region and one checked write in its STACK

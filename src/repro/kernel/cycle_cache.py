@@ -79,7 +79,6 @@ import dataclasses
 import hashlib
 from enum import Enum
 from functools import reduce
-from itertools import islice
 from operator import getitem
 from time import perf_counter_ns
 from typing import Any, Dict, List, Optional, Tuple
@@ -556,11 +555,9 @@ class CycleCache:
         self._time = simulator.time
         self.stats: Dict[str, int] = {key: 0 for key in
                                       CYCLE_CACHE_STAT_KEYS}
-        # Bounded traces evict events (the delta splice would corrupt the
-        # document) and memory emulation probes host state per executed
-        # tick; both are permanently incompatible with replay.
-        self._disabled = (simulator.trace._capacity is not None
-                          or bool(simulator.pmk._memory_probes))
+        # Memory emulation probes host state per executed tick, which is
+        # permanently incompatible with replay.
+        self._disabled = bool(simulator.pmk._memory_probes)
         self._prev1: Optional[_Boundary] = None
         self._prev2: Optional[_Boundary] = None
         self._template: Optional[_Template] = None
@@ -684,7 +681,7 @@ class CycleCache:
         # the values tuple compares positionally (no sort needed); the
         # key tuple rides along to guard against partition set changes.
         return (pmk.ticks_executed, pmk.idle_ticks,
-                len(trace._events) + trace._dropped,
+                len(trace._events),
                 tuple(pmk.partition_ticks),
                 tuple(pmk.partition_ticks.values()))
 
@@ -795,8 +792,8 @@ class CycleCache:
         trace_events = self._trace._events
         if b.trace_len - a.trace_len != c.trace_len - b.trace_len:
             return None
-        events_ab = list(islice(trace_events, a.trace_len, b.trace_len))
-        events_bc = list(islice(trace_events, b.trace_len, c.trace_len))
+        events_ab = trace_events[a.trace_len:b.trace_len]
+        events_bc = trace_events[b.trace_len:c.trace_len]
         for first, second in zip(events_ab, events_bc):
             if type(first) is not type(second) \
                     or rebase_event(first, mtf) != second:
@@ -852,8 +849,7 @@ class CycleCache:
             return 0
         trace = self._trace
         # With no live observers the rebased delta can be appended to the
-        # event deque directly (record() would do exactly that); bounded
-        # traces never reach here — the cache is disabled for them.
+        # event list directly (record() would do exactly that).
         emit = (trace._events.append if not trace._observers
                 else trace.record)
         skip = self._time.skip

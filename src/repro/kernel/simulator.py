@@ -51,7 +51,7 @@ class Simulator:
                  cycle_cache: bool = True) -> None:
         self.config = config
         self.time = TimeSource()
-        self.trace = Trace(capacity=config.trace_capacity)
+        self.trace = Trace()
         self.interrupts = InterruptController()
         self.pmk = Pmk(config, time=self.time, trace=self.trace)
         self.interrupts.install(Vector.CLOCK, self.pmk.clock_tick,

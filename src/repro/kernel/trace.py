@@ -21,14 +21,11 @@ import dataclasses
 import hashlib
 import json
 import sys
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import attrgetter
 from typing import (
     Callable,
-    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -335,10 +332,11 @@ class ApplicationMessage(TraceEvent):
 class Trace:
     """Append-only event log with query helpers.
 
-    The trace is unbounded by default; pass ``capacity`` to keep only the
-    most recent events (a ring buffer) for long-running simulations.  The
-    store is a :class:`collections.deque` so a bounded trace evicts in O(1)
-    instead of the O(n) ``del list[0]``.
+    Every event ever recorded stays in the log, in record order: digests,
+    fork audits and cycle-cache replay all rely on the log being the
+    whole run.  The canonical document keeps a constant ``"dropped":0``
+    member (as does :meth:`summary`), so its bytes, and hence every
+    digest, stay those of the established format.
 
     Observers registered with :meth:`subscribe` see every event as it is
     recorded (live instrumentation, e.g. the metrics registry); with no
@@ -346,15 +344,13 @@ class Trace:
     truthiness check.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self._capacity = capacity
-        self._dropped = 0
+    def __init__(self) -> None:
+        self._events: List[TraceEvent] = []
         self._observers: Tuple[Callable[[TraceEvent], None], ...] = ()
-        # digest()/summary() memoization: (length, dropped, last tick) is
-        # enough to detect growth of an append-only log without touching
-        # the record() hot path; wholesale mutators (clear/restore) bump
-        # the generation counter to defeat coincidental key collisions.
+        # digest()/summary() memoization: (length, last tick) is enough
+        # to detect growth of an append-only log without touching the
+        # record() hot path; restore() bumps the generation counter to
+        # defeat coincidental key collisions.
         self._memo_generation = 0
         self._memo_key: Optional[tuple] = None
         self._memo_json: Optional[str] = None
@@ -363,8 +359,7 @@ class Trace:
         # Canonical JSON of already-encoded events, kept as joined chunks
         # (each chunk covers a contiguous batch, entries comma-separated)
         # with a watermark of how many events they cover.  Built lazily
-        # and append-only; only maintained for unbounded traces (eviction
-        # would desynchronize it).  Carried through snapshot()/restore()
+        # and append-only.  Carried through snapshot()/restore()
         # so a run forked from a checkpoint re-encodes only its own tail
         # when digesting the full trace.
         self._encoded: List[str] = []
@@ -375,10 +370,9 @@ class Trace:
         # frame format instead of encoding its events one by one.
         self._deferred: List[Tuple[int, FrameFormat, range]] = []
         # Running sha256 of the canonical document up to and including
-        # chunk ``_hashed - 1`` (unbounded traces that drop nothing).
-        # Advanced by digest() alone, so a trace that is never digested
-        # hashes nothing; dropped with the chunks it covers by
-        # clear()/restore().  Not part of snapshot state (hash objects
+        # chunk ``_hashed - 1``.  Advanced by digest() alone, so a trace
+        # that is never digested hashes nothing; dropped with the chunks
+        # it covers by restore().  Not part of snapshot state (hash objects
         # do not pickle): a restored trace adopts the hash of its
         # capture's prefix from the live checkpoint (adopt_hash).
         self._hash: Optional["hashlib._Hash"] = None
@@ -386,15 +380,12 @@ class Trace:
 
     def _current_memo_key(self) -> tuple:
         events = self._events
-        return (self._memo_generation, len(events), self._dropped,
+        return (self._memo_generation, len(events),
                 events[-1].tick if events else None)
 
     def record(self, event: TraceEvent) -> None:
-        """Append *event*; evict the oldest if capacity is bounded."""
-        events = self._events
-        if events.maxlen is not None and len(events) == events.maxlen:
-            self._dropped += 1
-        events.append(event)
+        """Append *event* and show it to every observer."""
+        self._events.append(event)
         if self._observers:
             for observer in self._observers:
                 observer(event)
@@ -432,13 +423,8 @@ class Trace:
 
     @property
     def events(self) -> Tuple[TraceEvent, ...]:
-        """All retained events, oldest first."""
+        """All recorded events, oldest first."""
         return tuple(self._events)
-
-    @property
-    def dropped(self) -> int:
-        """Number of events evicted due to the capacity bound."""
-        return self._dropped
 
     def of_type(self, event_type: Type[E]) -> Tuple[E, ...]:
         """All events of exactly (or a subclass of) *event_type*."""
@@ -464,9 +450,7 @@ class Trace:
 
         Events are appended in nondecreasing tick order, so the tick
         sequence is sorted.  Hand-rolled rather than :mod:`bisect` because
-        ``bisect(..., key=...)`` needs Python >= 3.10 and deque indexing
-        (block hops, not pointer arithmetic) is cheap enough for O(log n)
-        probes.
+        ``bisect(..., key=...)`` needs Python >= 3.10.
         """
         events = self._events
         lo, hi = 0, len(events)
@@ -484,29 +468,14 @@ class Trace:
             return ()
         lo = self._lower_bound(start)
         hi = self._lower_bound(end)
-        return tuple(islice(self._events, lo, hi))
-
-    def clear(self) -> None:
-        """Drop all retained events (the drop counter is kept)."""
-        self._events.clear()
-        self._reset_encoding([])
-        self._memo_generation += 1
-
-    def _reset_encoding(self, encoded: List[str]) -> None:
-        """Restart the encoded chunks at *encoded* (covering every
-        retained event), dropping deferred frames and the running hash."""
-        self._encoded = encoded
-        self._encoded_count = len(self._events) if encoded else 0
-        self._deferred = []
-        self._hash = None
-        self._hashed = 0
+        return tuple(self._events[lo:hi])
 
     # -------------------------------------------------------------- #
     # snapshot / restore (simulator checkpointing)
     # -------------------------------------------------------------- #
 
     def snapshot(self) -> Dict[str, object]:
-        """Capture the retained events and drop counter.
+        """Capture the events with their canonical JSON.
 
         The events are held as a tuple of the event objects themselves:
         events are immutable by convention, so every trace restored from
@@ -514,46 +483,46 @@ class Trace:
         event per fork.  :meth:`pack_state` turns a capture into pure data
         for pickling and :meth:`unpack_state` inverts it, so the in-memory
         capture keeps a single form of the events.
+
+        The canonical event JSON ships alongside the events, so a trace
+        restored from this capture digests its shared prefix without
+        re-encoding it.  Amortized free — each event is encoded at most
+        once over the trace's whole lifetime.  The constant
+        ``"dropped": 0`` keeps the capture's keys and pickled bytes those
+        of the established snapshot format.
         """
-        state: Dict[str, object] = {"events": tuple(self._events),
-                                    "dropped": self._dropped}
-        if self._capacity is None and not self._dropped:
-            # Ship the canonical event JSON alongside the events: a trace
-            # restored from this capture digests its shared prefix
-            # without re-encoding it.  Amortized free — each event is
-            # encoded at most once over the trace's whole lifetime.
-            state["encoded"] = ",".join(self._encode_pending())
-        return state
+        return {"events": tuple(self._events), "dropped": 0,
+                "encoded": ",".join(self._encode_pending())}
 
     def restore(self, state: Dict[str, object]) -> None:
         """Replace the log wholesale with a :meth:`snapshot` capture.
 
-        The restored log is a fresh deque over the capture's shared event
+        The restored log is a fresh list over the capture's shared event
         objects.  Observers are untouched (they are structural wiring, not
-        state); the capacity bound stays whatever this trace was built
-        with.
+        state).
         """
-        self._events = deque(state["events"], maxlen=self._capacity)
-        self._dropped = state["dropped"]
-        prior = state.get("encoded")
+        self._events = list(state["events"])
+        encoded = state["encoded"]
         # The capture encoded exactly the events it shipped, so the
         # adopted chunk's watermark is everything just restored.
-        self._reset_encoding(
-            [prior] if (self._capacity is None and not self._dropped
-                        and isinstance(prior, str) and prior) else [])
+        self._encoded = [encoded] if encoded else []
+        self._encoded_count = len(self._events)
+        self._deferred = []
+        self._hash = None
+        self._hashed = 0
         self._memo_generation += 1
 
     @staticmethod
     def prefix_hash(state: Dict[str, object]) -> Optional["hashlib._Hash"]:
         """The running :meth:`digest` hash over a :meth:`snapshot`
-        capture's encoded events, or None when it shipped none.
+        capture's encoded events, or None for an empty capture.
 
         Kept beside a live checkpoint rather than in the capture, so the
         capture stays pure data; every trace restored from it continues
         a copy (:meth:`adopt_hash`) instead of re-hashing the prefix.
         """
-        encoded = state.get("encoded")
-        if not isinstance(encoded, str) or not encoded:
+        encoded = state["encoded"]
+        if not encoded:
             return None
         running = hashlib.sha256(b'{"dropped":0,"events":[')
         running.update(encoded.encode("utf-8"))
@@ -597,7 +566,7 @@ class Trace:
     # -------------------------------------------------------------- #
 
     def to_dicts(self) -> List[dict]:
-        """Every retained event as a JSON-compatible dict (``kind`` field
+        """Every event as a JSON-compatible dict (``kind`` field
         added for dispatch on the consuming side).
 
         Events are flat slotted dataclasses of scalars, so this reads the
@@ -631,17 +600,16 @@ class Trace:
         encoding them one by one — the same bytes, since the replayed
         events are the frame's events with every absolute-tick field
         shifted.  A declaration that does not cover exactly the
-        not-yet-encoded tail of an unbounded, non-dropping log is
-        ignored, and those events encode per event.
+        not-yet-encoded tail of the log is ignored, and those events
+        encode per event.
         """
-        if (self._capacity is None and not self._dropped
-                and self._encoded_count <= start
+        if (self._encoded_count <= start
                 and start + len(offsets) * frame.events
                 == len(self._events)):
             self._deferred.append((start, frame, offsets))
 
     def _encode_pending(self) -> List[str]:
-        """Canonical JSON chunks covering every retained event.
+        """Canonical JSON chunks covering every event.
 
         Only the events beyond the already-encoded watermark are encoded
         (deferred replayed frames rendered from their frame format, every
@@ -649,9 +617,7 @@ class Trace:
         :func:`_encode_events`); earlier chunks (including a prefix
         adopted from :meth:`restore`) are reused verbatim.  Joining the
         chunks with ``","`` is byte-identical to the events array of the
-        one-shot ``json.dumps`` document.  Callers must hold the
-        unbounded-trace invariant (``capacity is None``) — eviction would
-        silently desynchronize the watermark.
+        one-shot ``json.dumps`` document.
         """
         events = self._events
         count = self._encoded_count
@@ -660,13 +626,13 @@ class Trace:
             for start, frame, offsets in self._deferred:
                 if count < start:
                     chunks.append(",".join(
-                        _encode_events(islice(events, count, start))))
+                        _encode_events(events[count:start])))
                 chunks.extend(map(frame.render, offsets))
                 count = start + len(offsets) * frame.events
             self._deferred = []
             if count < len(events):
                 chunks.append(",".join(
-                    _encode_events(islice(events, count, None))))
+                    _encode_events(events[count:])))
             self._encoded_count = len(events)
         return self._encoded
 
@@ -675,21 +641,16 @@ class Trace:
 
         Canonical means ``sort_keys`` and no insignificant whitespace, so
         equal traces serialize to equal bytes; :meth:`from_json` inverts it.
-        Unbounded traces assemble the document from the lazily-maintained
-        per-event encodings (see :meth:`_encode_pending`) — byte-identical
-        to the one-shot ``json.dumps`` but incremental, so a trace restored
-        from a checkpoint only pays for the events recorded after the fork.
-        A bounded (or dropping) trace encodes its retained window through
-        the same per-class encoders in one pass.
+        The document is assembled from the lazily-maintained per-event
+        encodings (see :meth:`_encode_pending`) — byte-identical to the
+        one-shot ``json.dumps`` but incremental, so a trace restored from
+        a checkpoint only pays for the events recorded after the fork.
         """
         key = self._current_memo_key()
         if self._memo_json is not None and self._memo_key == key:
             return self._memo_json
-        if self._capacity is None and not self._dropped:
-            events = ",".join(self._encode_pending())
-        else:
-            events = ",".join(_encode_events(self._events))
-        text = '{"dropped":%d,"events":[%s]}' % (self._dropped, events)
+        text = '{"dropped":0,"events":[%s]}' % ",".join(
+            self._encode_pending())
         self._sync_memo(key)
         self._memo_json = text
         return text
@@ -704,26 +665,30 @@ class Trace:
             self._memo_summary = None
 
     @classmethod
-    def from_json(cls, text: str,
-                  capacity: Optional[int] = None) -> "Trace":
+    def from_json(cls, text: str) -> "Trace":
         """Rebuild a trace from :meth:`to_json` output.
 
         Each event dict's ``kind`` field selects the event class; the
-        remaining fields are its constructor arguments.
+        remaining fields are its constructor arguments.  A document that
+        records evicted events (``dropped`` other than 0) is not a whole
+        log, and is rejected.
         """
         document = json.loads(text)
-        trace = cls(capacity=capacity)
+        dropped = document.get("dropped", 0)
+        if dropped != 0:
+            raise ValueError(
+                f"trace document dropped {dropped!r} events; only a "
+                f"complete log (dropped 0) can be loaded")
+        trace = cls()
         for record in document["events"]:
             trace.record(_event_from_dict(record))
-        trace._dropped += document.get("dropped", 0)
         return trace
 
     @classmethod
-    def load_jsonl(cls, path: str,
-                   capacity: Optional[int] = None) -> "Trace":
+    def load_jsonl(cls, path: str) -> "Trace":
         """Rebuild a trace from a :meth:`save_jsonl` file (one event per
         line; blank lines are skipped)."""
-        trace = cls(capacity=capacity)
+        trace = cls()
         with open(path, "r", encoding="utf-8") as stream:
             for line in stream:
                 line = line.strip()
@@ -732,37 +697,33 @@ class Trace:
         return trace
 
     def digest(self) -> str:
-        """Stable content digest of the retained events (hex, 16 chars).
+        """Stable content digest of the events (hex, 16 chars).
 
-        Two traces with identical retained events (and drop counts) have
-        identical digests — the compact equivalence token that crosses the
-        campaign worker-pool boundary instead of the full event list.
+        Two traces with identical events have identical digests — the
+        compact equivalence token that crosses the campaign worker-pool
+        boundary instead of the full event list.
 
         Memoized: repeated calls on an unchanged trace return the cached
         value without rescanning the event log (campaigns digest the same
-        finished trace from several reporting paths).  An unbounded trace
-        that drops nothing keeps a running hash over its encoded chunks,
-        so each call hashes only the chunks added since the last one and
-        never assembles the :meth:`to_json` document.
+        finished trace from several reporting paths).  The trace keeps a
+        running hash over its encoded chunks, so each call hashes only the
+        chunks added since the last one and never assembles the
+        :meth:`to_json` document.
         """
         key = self._current_memo_key()
         if self._memo_digest is not None and self._memo_key == key:
             return self._memo_digest
-        if self._capacity is None and not self._dropped:
-            chunks = self._encode_pending()
-            running = self._hash
-            if running is None:
-                running = self._hash = hashlib.sha256(
-                    b'{"dropped":0,"events":[')
-            for index in range(self._hashed, len(chunks)):
-                if index:
-                    running.update(b",")
-                running.update(chunks[index].encode("utf-8"))
-            self._hashed = len(chunks)
-            final = running.copy()
-            final.update(b"]}")
-        else:
-            final = hashlib.sha256(self.to_json().encode("utf-8"))
+        chunks = self._encode_pending()
+        running = self._hash
+        if running is None:
+            running = self._hash = hashlib.sha256(b'{"dropped":0,"events":[')
+        for index in range(self._hashed, len(chunks)):
+            if index:
+                running.update(b",")
+            running.update(chunks[index].encode("utf-8"))
+        self._hashed = len(chunks)
+        final = running.copy()
+        final.update(b"]}")
         self._sync_memo(key)
         self._memo_digest = digest = final.hexdigest()[:16]
         return digest
@@ -770,8 +731,9 @@ class Trace:
     def summary(self) -> Dict[str, object]:
         """Compact, JSON-compatible description of the trace.
 
-        Per-kind event counts, the covered tick range, the drop counter and
-        the content :meth:`digest` — everything a campaign aggregate needs,
+        Per-kind event counts, the covered tick range, ``"dropped": 0``
+        (kept so report bytes match earlier formats) and the content
+        :meth:`digest` — everything a campaign aggregate needs,
         at a fixed size regardless of trace length.
         """
         key = self._current_memo_key()
@@ -783,7 +745,7 @@ class Trace:
             counts[kind] = counts.get(kind, 0) + 1
         summary = {
             "events": len(self._events),
-            "dropped": self._dropped,
+            "dropped": 0,
             "counts": dict(sorted(counts.items())),
             "first_tick": self._events[0].tick if self._events else None,
             "last_tick": self._events[-1].tick if self._events else None,

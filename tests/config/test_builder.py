@@ -67,11 +67,10 @@ class TestBuilding:
         builder = minimal_builder()
         builder.partition("P1").memory(128 * 1024).deadline_store("tree")
         builder.deadline_store("tree").change_action_policy("mtf_start")
-        builder.seed(99).trace_capacity(500)
+        builder.seed(99)
         config = builder.build()
         assert config.runtime_for("P1").memory_size == 128 * 1024
         assert config.seed == 99
-        assert config.trace_capacity == 500
         assert config.change_action_policy == "mtf_start"
 
     def test_system_partition_and_change_actions(self):

@@ -117,6 +117,20 @@ class TestConfigRoundTrip:
         assert document["fdir"] is None
         assert load_config(document).fdir is None
 
+    def test_null_trace_capacity_still_loads(self):
+        # Earlier dumps wrote "trace_capacity": null; they stay loadable.
+        config = build_prototype().config
+        document = dump_config(config)
+        assert "trace_capacity" not in document
+        document["trace_capacity"] = None
+        assert load_config(document).model == config.model
+
+    def test_bounded_trace_capacity_rejected(self):
+        document = dump_config(build_prototype().config)
+        document["trace_capacity"] = 50_000
+        with pytest.raises(ConfigurationError, match="trace_capacity"):
+            load_config(document)
+
 
 class TestLoadedConfigRuns:
     def test_rebuilt_prototype_simulates_identically(self):

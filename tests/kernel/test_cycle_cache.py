@@ -357,7 +357,7 @@ class TestCycleCache:
 
 def one_shot_json(trace):
     """The canonical document built the slow, obvious way."""
-    return json.dumps({"dropped": trace.dropped, "events": trace.to_dicts()},
+    return json.dumps({"dropped": 0, "events": trace.to_dicts()},
                       sort_keys=True, separators=(",", ":"))
 
 

@@ -278,6 +278,48 @@ class TestSnapshotGuards:
             config_identity(a)
 
 
+class TestGroundCommandQueue:
+    """The TTC ground-command queue is host input that the telecommand
+    body reads back (DESIGN decision 14's stated exception): replaying
+    that body on restore sees the queue as it is now, not as it was, so
+    restore refuses with a clear error instead of a raw body crash."""
+
+    FORK = 3 * MTF + 10
+
+    def test_restore_with_a_queued_command_is_refused(self):
+        handles = build_prototype()
+        sim = make_simulator(handles)
+        sim.run_fast(self.FORK)
+        handles.ttc_stats.queue_schedule_command("chi2")
+        snapshot = sim.snapshot()
+        with pytest.raises(SimulationError,
+                           match="P3/ttc-telecommand.*outside the snapshot"):
+            snapshot.restore(handles.config)
+
+    def test_restore_after_a_consumed_command_is_refused(self):
+        handles = build_prototype()
+        sim = make_simulator(handles)
+        sim.run_fast(self.FORK)
+        handles.ttc_stats.queue_schedule_command("chi2")
+        sim.run_fast(2 * MTF)
+        assert handles.ttc_stats.pending_commands == []
+        assert handles.ttc_stats.command_results == ["noError"]
+        snapshot = sim.snapshot()
+        with pytest.raises(SimulationError,
+                           match="P3/ttc-telecommand.*outside the snapshot"):
+            snapshot.restore(handles.config)
+
+    def test_restore_with_an_empty_queue_continues_bit_identically(self):
+        cold = make_simulator(build_prototype())
+        cold.run_fast(self.FORK + 2 * MTF)
+        handles = build_prototype()
+        sim = make_simulator(handles)
+        sim.run_fast(self.FORK)
+        fork = sim.snapshot().restore(handles.config)
+        fork.run_fast(2 * MTF)
+        assert fork.trace.digest() == cold.trace.digest()
+
+
 class TestSerializationTiers:
     """to_bytes/from_bytes and the snapshot extras side-channel."""
 

@@ -37,6 +37,13 @@ class TestRecording:
     def test_kind_labels(self):
         assert dispatched(0).kind == "PartitionDispatched"
 
+    def test_unbounded_by_default(self):
+        trace = Trace()
+        for tick in range(1000):
+            trace.record(dispatched(tick))
+        assert len(trace) == 1000
+        assert trace.summary()["dropped"] == 0
+
 
 class TestQueries:
     def test_of_type_filters(self):
@@ -60,59 +67,6 @@ class TestQueries:
             trace.record(dispatched(tick, heir="P1" if tick % 2 else "P2"))
         assert len(trace.where(lambda e: e.heir == "P1")) == 5
         assert [e.tick for e in trace.between(3, 6)] == [3, 4, 5]
-
-    def test_clear(self):
-        trace = Trace()
-        trace.record(missed(1))
-        trace.clear()
-        assert len(trace) == 0
-
-
-class TestRingBuffer:
-    def test_capacity_evicts_oldest(self):
-        trace = Trace(capacity=3)
-        for tick in range(5):
-            trace.record(dispatched(tick))
-        assert [e.tick for e in trace.events] == [2, 3, 4]
-        assert trace.dropped == 2
-
-    def test_unbounded_by_default(self):
-        trace = Trace()
-        for tick in range(1000):
-            trace.record(dispatched(tick))
-        assert len(trace) == 1000
-        assert trace.dropped == 0
-
-    def test_digest_matches_explicit_construction(self):
-        # The deque-backed store regression contract: recording through
-        # the ring buffer digests identically to a trace holding exactly
-        # the retained window with the same drop counter.
-        ring = Trace(capacity=3)
-        for tick in range(5):
-            ring.record(dispatched(tick))
-        reference = Trace.from_json(
-            '{"dropped": 2, "events": ['
-            '{"kind": "PartitionDispatched", "tick": 2, "previous": null,'
-            ' "heir": "P1"},'
-            '{"kind": "PartitionDispatched", "tick": 3, "previous": null,'
-            ' "heir": "P1"},'
-            '{"kind": "PartitionDispatched", "tick": 4, "previous": null,'
-            ' "heir": "P1"}]}')
-        assert ring.events == reference.events
-        assert ring.digest() == reference.digest()
-
-    def test_clear_keeps_drop_counter(self):
-        trace = Trace(capacity=2)
-        for tick in range(5):
-            trace.record(dispatched(tick))
-        assert trace.dropped == 3
-        trace.clear()
-        assert len(trace) == 0
-        assert trace.dropped == 3
-        # ...and further recording keeps counting from there.
-        for tick in range(3):
-            trace.record(dispatched(tick))
-        assert trace.dropped == 4
 
 
 class TestDigestMemoization:
@@ -155,13 +109,13 @@ class TestDigestMemoization:
         assert trace.digest() == other.digest() != stale
 
     def test_same_length_same_last_tick_still_distinguished(self):
-        # The memo key must not collapse distinct same-shape logs: clear()
-        # bumps the generation precisely so a rebuilt log of equal length
-        # and final tick cannot alias a stale cached digest.
+        # The memo key must not collapse distinct same-shape logs:
+        # restore() bumps the generation precisely so a rebuilt log of
+        # equal length and final tick cannot alias a stale cached digest.
         trace = Trace()
         trace.record(dispatched(1, heir="P1"))
         first = trace.digest()
-        trace.clear()
+        trace.restore(Trace().snapshot())
         trace.record(dispatched(1, heir="P2"))
         assert trace.digest() != first
 
@@ -189,12 +143,6 @@ class TestBetweenBisect:
                 expected = tuple(e for e in trace.events
                                  if start <= e.tick < end)
                 assert trace.between(start, end) == expected
-
-    def test_bounded_trace_after_eviction(self):
-        trace = Trace(capacity=4)
-        for tick in [1, 2, 2, 3, 4, 4, 5]:
-            trace.record(dispatched(tick))
-        assert [e.tick for e in trace.between(4, 6)] == [4, 4, 5]
 
 
 class TestWhere:
@@ -304,6 +252,30 @@ class TestSummaryAndJson:
             Trace.from_json('{"dropped": 0, "events": '
                             '[{"kind": "NoSuchEvent", "tick": 1}]}')
 
+    def test_document_with_dropped_events_rejected(self):
+        # A document that evicted events is a window, not a whole log.
+        with pytest.raises(ValueError, match="dropped 2 events"):
+            Trace.from_json('{"dropped": 2, "events": '
+                            '[{"kind": "PartitionDispatched", "tick": 4, '
+                            '"previous": null, "heir": "P1"}]}')
+
+    def test_digest_matches_explicit_construction(self):
+        # Recording digests identically to loading the hand-written
+        # canonical document of the same events.
+        recorded = Trace()
+        for tick in range(2, 5):
+            recorded.record(dispatched(tick))
+        reference = Trace.from_json(
+            '{"dropped": 0, "events": ['
+            '{"kind": "PartitionDispatched", "tick": 2, "previous": null,'
+            ' "heir": "P1"},'
+            '{"kind": "PartitionDispatched", "tick": 3, "previous": null,'
+            ' "heir": "P1"},'
+            '{"kind": "PartitionDispatched", "tick": 4, "previous": null,'
+            ' "heir": "P1"}]}')
+        assert recorded.events == reference.events
+        assert recorded.digest() == reference.digest()
+
     def test_round_trip_of_a_real_run(self):
         # The satellite-task contract: summarizing a live run equals
         # summarizing the serialized-then-rebuilt trace of that run.
@@ -324,14 +296,13 @@ class TestSummaryAndJson:
 
 
 class TestIncrementalEncoding:
-    """Unbounded traces assemble to_json from lazily-encoded chunks; the
-    result must stay byte-identical to the one-shot ``json.dumps`` and
+    """Traces assemble to_json from lazily-encoded chunks; the result
+    must stay byte-identical to the one-shot ``json.dumps`` and
     survive snapshot/restore so forks only encode their own tail."""
 
     def one_shot(self, trace):
         import json
-        return json.dumps({"dropped": trace.dropped,
-                           "events": trace.to_dicts()},
+        return json.dumps({"dropped": 0, "events": trace.to_dicts()},
                           sort_keys=True, separators=(",", ":"))
 
     def test_incremental_json_is_byte_identical(self):
@@ -388,32 +359,16 @@ class TestIncrementalEncoding:
         cold.record(missed(9))
         assert digest == cold.digest()
 
-    def test_bounded_trace_falls_back_to_one_shot_encoding(self):
-        trace = Trace(capacity=3)
-        for tick in range(5):
-            trace.record(dispatched(tick))
-        assert trace.dropped == 2
-        document = trace.to_json()
-        assert document == self.one_shot(trace)
-        # ...and its snapshot does not claim an encoded prefix.
-        assert "encoded" not in trace.snapshot()
-
-    def test_restore_into_bounded_trace_ignores_encoded_prefix(self):
-        source = Trace()
-        for tick in range(4):
-            source.record(dispatched(tick))
-        state = source.snapshot()
-        bounded = Trace(capacity=10)
-        bounded.restore(state)
-        assert bounded.to_json() == source.to_json()
-
-    def test_clear_resets_the_encoded_prefix(self):
+    def test_restore_resets_the_encoded_prefix(self):
         trace = Trace()
         trace.record(dispatched(1))
-        trace.to_json()
-        trace.clear()
+        trace.digest()  # chunks and running hash over the old log
+        trace.restore(Trace().snapshot())
         trace.record(dispatched(2))
         assert trace.to_json() == self.one_shot(trace)
+        fresh = Trace()
+        fresh.record(dispatched(2))
+        assert trace.digest() == fresh.digest()
 
     def test_restore_mid_chunk_then_rebased_delta_is_byte_identical(self):
         # The cycle-cache replay path: a checkpoint lands while the
@@ -445,7 +400,7 @@ class TestIncrementalEncoding:
 
     def test_direct_append_replay_fast_path_is_byte_identical(self):
         # With no observers subscribed, replay appends straight onto the
-        # event deque (Trace.record minus the observer fan-out).  The
+        # event list (Trace.record minus the observer fan-out).  The
         # incremental encoder's watermark must still pick those events
         # up, and the memo key must notice the growth.
         trace = Trace()
