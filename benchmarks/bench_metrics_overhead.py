@@ -1,12 +1,12 @@
 """E16 — live-metrics instrumentation overhead on the E13 packed workload.
 
-DESIGN.md design-decision 6: the metrics registry is fed by a trace
-observer, so when no observer is subscribed the only recording cost beyond
-the append itself is one truthiness check per event — the disabled path
-should be indistinguishable from the seed (within noise), and the enabled
-path must stay within 10% of the uninstrumented ticks/sec on the packed
-four-partition satellite workload (the E13 configuration: zero idle time,
-faulty process injected on P1 so deadline/HM/latency series are all live).
+DESIGN.md design-decision 6: the metrics registry folds the trace from a
+cursor when it is read, so recording an event is the append alone and an
+uninstrumented run pays nothing.  The timed span therefore covers the run
+*and* the ``collect()`` that folds it: together they must stay within 10%
+of the uninstrumented ticks/sec on the packed four-partition satellite
+workload (the E13 configuration: zero idle time, faulty process injected
+on P1 so deadline/HM/latency series are all live).
 
 Runs two ways:
 
@@ -38,29 +38,28 @@ MEASURE_MTFS = 100
 #: Enabled-metrics throughput must stay within 10% of uninstrumented.
 ENABLED_FLOOR = 0.90
 
-#: Disabled metrics must be ~free (generous noise margin, not a target).
-DISABLED_FLOOR = 0.97
-
 
 def _build(metrics: bool):
     simulator = make_simulator(build_prototype())
-    observer = instrument(simulator) if metrics else None
+    live = instrument(simulator) if metrics else None
     inject_faulty_process(simulator)
-    return simulator, observer
+    return simulator, live
 
 
 def _time_run_fast(metrics: bool, ticks: int) -> float:
-    simulator, observer = _build(metrics)
+    """Seconds to run *ticks* and, when instrumented, to collect the
+    registry (the fold runs there)."""
+    simulator, live = _build(metrics)
     gc.collect()
     gc.disable()  # GC pauses scale with the growing trace, not the mode
     try:
         start = time.perf_counter()
         simulator.run_fast(ticks)
+        if live is not None:
+            live.collect()
         elapsed = time.perf_counter() - start
     finally:
         gc.enable()
-    if observer is not None:
-        observer.collect()
     return elapsed
 
 
@@ -68,9 +67,9 @@ def assert_registry_equivalent(mtfs: int = 13) -> str:
     """Registry bytes must be identical under run() and run_fast()."""
     outputs = []
     for mode in ("run", "run_fast"):
-        simulator, observer = _build(metrics=True)
+        simulator, live = _build(metrics=True)
         getattr(simulator, mode)(MTF * mtfs)
-        outputs.append(observer.collect().to_json())
+        outputs.append(live.collect().to_json())
     assert outputs[0] == outputs[1]
     return outputs[0]
 
@@ -125,26 +124,6 @@ def test_metrics_overhead(benchmark, table):
     benchmark(lambda: None)  # attach the reported numbers to the run
     benchmark.extra_info.update(result, registry_bytes=len(registry_json))
     assert result["enabled_ratio"] >= ENABLED_FLOOR
-
-
-def test_disabled_metrics_are_free(benchmark, table):
-    """Without an observer the recording path is one truthiness check.
-
-    Measured against a second fully uninstrumented build; the floor is a
-    noise margin, not a budget — the two variants run identical code.
-    """
-    ticks = MTF * 50
-    baseline = min(_time_run_fast(False, ticks) for _ in range(3))
-    again = min(_time_run_fast(False, ticks) for _ in range(3))
-    ratio = baseline / again
-    table("E16 — disabled-metrics sanity (identical builds)",
-          ["variant", "seconds"],
-          [("first", f"{baseline:.3f}"), ("second", f"{again:.3f}"),
-           ("ratio", f"{ratio:.2f}")])
-    benchmark(lambda: None)
-    benchmark.extra_info.update(baseline_s=baseline, again_s=again,
-                                ratio=ratio)
-    assert ratio >= DISABLED_FLOOR or again <= baseline
 
 
 # ------------------------------------------------------------------ #

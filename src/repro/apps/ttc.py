@@ -80,10 +80,15 @@ def _telecommand_body(work: Ticks, stats: DownlinkStats):
                 yield Call(ctx.log,
                            (f"ttc: alert downlinked ({alert.value!r})",))
             if stats.pending_commands:
-                schedule_id = stats.pending_commands.pop(0)
+                # Peek, and dequeue only once the call's result has been
+                # used: a replay of this body (snapshot restore) fails on
+                # the result it is sent and leaves the command queued
+                # for the live run.
+                schedule_id = stats.pending_commands[0]
                 result = yield Call(ctx.apex.set_module_schedule,
                                     (schedule_id,))
                 stats.command_results.append(result.code.value)
+                stats.pending_commands.pop(0)
                 yield Call(ctx.log,
                            (f"ttc: schedule switch to {schedule_id!r} "
                             f"-> {result.code.value}",))

@@ -9,14 +9,13 @@ per-scenario filenames never collide, so no cross-process coordination
 is needed.
 
 Determinism: the metrics registry is attached *after* the run via
-``instrument(simulator, replay=True)``, which replays the recorded trace
-through the observer — byte-identical to instrumenting from tick 0 for
-the unbounded traces campaigns run with, and crucially *zero cost when
-artifacts are off* (no observer rides along with the simulation).  The
-emitted metrics and timeline JSON are therefore byte-identical across
-worker counts and telemetry settings; only the flight-recorder
-bundles (failure-path, cache-dependent existence) are timing-channel
-material.
+``instrument(simulator, replay=True)``, which folds the recorded trace
+from its first event — byte-identical to instrumenting from tick 0, and
+*zero cost when artifacts are off* (nothing rides along with the
+simulation).  The emitted metrics and timeline JSON are therefore
+byte-identical across worker counts and telemetry settings; only the
+flight-recorder bundles (failure-path, cache-dependent existence) are
+timing-channel material.
 """
 
 from __future__ import annotations
@@ -67,14 +66,11 @@ def write_scenario_artifacts(scenario_id: str, simulator,
             from ..obs import instrument
 
             os.makedirs(artifacts.metrics_dir, exist_ok=True)
-            observer = instrument(simulator, replay=True)
-            try:
-                path = os.path.join(artifacts.metrics_dir,
-                                    f"{scenario_id}.metrics.json")
-                with open(path, "w", encoding="utf-8") as stream:
-                    stream.write(observer.collect().to_json() + "\n")
-            finally:
-                observer.close()
+            metrics = instrument(simulator, replay=True)
+            path = os.path.join(artifacts.metrics_dir,
+                                f"{scenario_id}.metrics.json")
+            with open(path, "w", encoding="utf-8") as stream:
+                stream.write(metrics.collect().to_json() + "\n")
         except Exception:  # noqa: BLE001 — artifacts are best effort
             pass
     if artifacts.timeline_dir is not None:

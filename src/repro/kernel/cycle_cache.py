@@ -55,8 +55,9 @@ Three verification layers keep replay honest:
    body rolls the frame back and falls out to live execution.
 
 A replayed frame is then: verified generator sends, the recorded trace
-delta re-recorded with rebased ticks (observers — the deterministic
-metrics registry — fire exactly as live), and one ``time.skip(MTF)``.
+delta appended to the log with rebased ticks (the same events a live
+frame records, so every view that folds the log reads them as live),
+and one ``time.skip(MTF)``.
 
 The fingerprint walk is the only pass that reads the declarations.
 While it encodes, it records where each rebased tick, counter and
@@ -578,9 +579,8 @@ class CycleCache:
         """Called by the ``run_fast`` loops each iteration.
 
         Returns the number of whole MTFs replayed (0 = step live).  When
-        nonzero, the simulator clock, trace, metrics observers and every
-        live component have already been advanced to the post-replay
-        boundary.
+        nonzero, the simulator clock, trace and every live component
+        have already been advanced to the post-replay boundary.
         """
         if self._disabled:
             return 0
@@ -848,10 +848,9 @@ class CycleCache:
         if want <= 0:
             return 0
         trace = self._trace
-        # With no live observers the rebased delta can be appended to the
-        # event list directly (record() would do exactly that).
-        emit = (trace._events.append if not trace._observers
-                else trace.record)
+        # The rebased delta goes straight onto the event list: inside the
+        # diverted block below, record() collects the re-drive's events.
+        emit = trace._events.append
         skip = self._time.skip
         compiled = template.compiled
         base_offset = now - template.recorded_start

@@ -338,24 +338,13 @@ class Trace:
     member (as does :meth:`summary`), so its bytes, and hence every
     digest, stay those of the established format.
 
-    Observers registered with :meth:`subscribe` see every event as it is
-    recorded (live instrumentation, e.g. the metrics registry); with no
-    observers the only recording overhead beyond the append is one
-    truthiness check.
+    The log is the only way to read a run: live views (the metrics
+    registry, VITRAL) keep a cursor into it and fold what is new when
+    they are read.
     """
 
     def __init__(self) -> None:
         self._events: List[TraceEvent] = []
-        self._observers: Tuple[Callable[[TraceEvent], None], ...] = ()
-        # digest()/summary() memoization: (length, last tick) is enough
-        # to detect growth of an append-only log without touching the
-        # record() hot path; restore() bumps the generation counter to
-        # defeat coincidental key collisions.
-        self._memo_generation = 0
-        self._memo_key: Optional[tuple] = None
-        self._memo_json: Optional[str] = None
-        self._memo_digest: Optional[str] = None
-        self._memo_summary: Optional[Dict[str, object]] = None
         # Canonical JSON of already-encoded events, kept as joined chunks
         # (each chunk covers a contiguous batch, entries comma-separated)
         # with a watermark of how many events they cover.  Built lazily
@@ -378,22 +367,14 @@ class Trace:
         self._hash: Optional["hashlib._Hash"] = None
         self._hashed = 0
 
-    def _current_memo_key(self) -> tuple:
-        events = self._events
-        return (self._memo_generation, len(events),
-                events[-1].tick if events else None)
-
     def record(self, event: TraceEvent) -> None:
-        """Append *event* and show it to every observer."""
+        """Append *event* to the log."""
         self._events.append(event)
-        if self._observers:
-            for observer in self._observers:
-                observer(event)
 
     @contextmanager
     def diverted(self) -> Iterator[List[TraceEvent]]:
         """Divert every event recorded inside the block into the yielded
-        list: it is neither stored nor shown to observers.
+        list instead of the log.
 
         For re-driving process bodies whose side-effect events (an
         application log line, say) are already in the log — the cycle
@@ -406,20 +387,6 @@ class Trace:
             yield diverted
         finally:
             del self.record
-
-    # -------------------------------------------------------------- #
-    # live observers
-    # -------------------------------------------------------------- #
-
-    def subscribe(self, observer: Callable[[TraceEvent], None]) -> None:
-        """Register *observer* to be called with every recorded event."""
-        if observer not in self._observers:
-            self._observers = self._observers + (observer,)
-
-    def unsubscribe(self, observer: Callable[[TraceEvent], None]) -> None:
-        """Remove *observer*; a no-op if it is not registered."""
-        self._observers = tuple(
-            o for o in self._observers if o != observer)
 
     @property
     def events(self) -> Tuple[TraceEvent, ...]:
@@ -498,8 +465,7 @@ class Trace:
         """Replace the log wholesale with a :meth:`snapshot` capture.
 
         The restored log is a fresh list over the capture's shared event
-        objects.  Observers are untouched (they are structural wiring, not
-        state).
+        objects.
         """
         self._events = list(state["events"])
         encoded = state["encoded"]
@@ -510,7 +476,6 @@ class Trace:
         self._deferred = []
         self._hash = None
         self._hashed = 0
-        self._memo_generation += 1
 
     @staticmethod
     def prefix_hash(state: Dict[str, object]) -> Optional["hashlib._Hash"]:
@@ -646,23 +611,8 @@ class Trace:
         one-shot ``json.dumps`` but incremental, so a trace restored from
         a checkpoint only pays for the events recorded after the fork.
         """
-        key = self._current_memo_key()
-        if self._memo_json is not None and self._memo_key == key:
-            return self._memo_json
-        text = '{"dropped":0,"events":[%s]}' % ",".join(
+        return '{"dropped":0,"events":[%s]}' % ",".join(
             self._encode_pending())
-        self._sync_memo(key)
-        self._memo_json = text
-        return text
-
-    def _sync_memo(self, key: tuple) -> None:
-        """Point the memo at *key*, forgetting values memoized for an
-        older log."""
-        if self._memo_key != key:
-            self._memo_key = key
-            self._memo_json = None
-            self._memo_digest = None
-            self._memo_summary = None
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
@@ -703,16 +653,12 @@ class Trace:
         compact equivalence token that crosses the campaign worker-pool
         boundary instead of the full event list.
 
-        Memoized: repeated calls on an unchanged trace return the cached
-        value without rescanning the event log (campaigns digest the same
-        finished trace from several reporting paths).  The trace keeps a
-        running hash over its encoded chunks, so each call hashes only the
-        chunks added since the last one and never assembles the
+        Incremental: the trace keeps a running hash over its encoded
+        chunks, so each call encodes only the events and hashes only the
+        chunks added since the last one (a repeat call on an unchanged
+        trace encodes and hashes nothing) and never assembles the
         :meth:`to_json` document.
         """
-        key = self._current_memo_key()
-        if self._memo_digest is not None and self._memo_key == key:
-            return self._memo_digest
         chunks = self._encode_pending()
         running = self._hash
         if running is None:
@@ -724,9 +670,7 @@ class Trace:
         self._hashed = len(chunks)
         final = running.copy()
         final.update(b"]}")
-        self._sync_memo(key)
-        self._memo_digest = digest = final.hexdigest()[:16]
-        return digest
+        return final.hexdigest()[:16]
 
     def summary(self) -> Dict[str, object]:
         """Compact, JSON-compatible description of the trace.
@@ -736,14 +680,11 @@ class Trace:
         :meth:`digest` — everything a campaign aggregate needs,
         at a fixed size regardless of trace length.
         """
-        key = self._current_memo_key()
-        if self._memo_summary is not None and self._memo_key == key:
-            return dict(self._memo_summary)
         counts: Dict[str, int] = {}
         for event in self._events:
             kind = event.kind
             counts[kind] = counts.get(kind, 0) + 1
-        summary = {
+        return {
             "events": len(self._events),
             "dropped": 0,
             "counts": dict(sorted(counts.items())),
@@ -751,9 +692,6 @@ class Trace:
             "last_tick": self._events[-1].tick if self._events else None,
             "digest": self.digest(),
         }
-        if self._memo_key == self._current_memo_key():
-            self._memo_summary = dict(summary)
-        return summary
 
     def __len__(self) -> int:
         return len(self._events)
@@ -782,8 +720,8 @@ def _event_types() -> Dict[str, Type[TraceEvent]]:
         # pass, the discarded pre-decorator original still shows up in
         # ``__subclasses__()``.  Resolve through the defining module so
         # the registry always holds the live binding — events must be
-        # reconstructed as instances of the class the observers'
-        # ``type(event)`` dispatch tables reference.
+        # reconstructed as instances of the class the metrics fold's
+        # ``type(event)`` dispatch table references.
         module = sys.modules.get(event_type.__module__)
         registry[event_type.__name__] = getattr(
             module, event_type.__name__, event_type)

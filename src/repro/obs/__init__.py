@@ -6,8 +6,9 @@ DESIGN decision 6.  Six pieces:
   fixed-bucket histograms) timestamped in simulated ticks;
 * :mod:`repro.obs.fold` — every per-event quantity, declared once as a
   fold over trace events; the next two modules are its views;
-* :mod:`repro.obs.instrument` — the fold live on a running
-  :class:`~repro.kernel.simulator.Simulator`, rendered as a registry;
+* :mod:`repro.obs.instrument` — the fold read from a cursor into a
+  running :class:`~repro.kernel.simulator.Simulator`'s trace, rendered
+  as a registry;
 * :mod:`repro.obs.derived` — paper-level quantities recomputed offline
   from any saved :class:`~repro.kernel.trace.Trace`, and the campaign's
   compact metric pairs;

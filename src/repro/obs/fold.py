@@ -7,7 +7,7 @@ traffic, delivery latency and depth are each accumulated here by one
 nested dicts of ints and dicts of int lists).  Three views read it:
 
 * the live registry (:class:`repro.obs.instrument.SimulatorMetrics`)
-  subscribes :func:`observer` to a simulator's trace;
+  folds a simulator's trace from a cursor, catching up when read;
 * the derived report (:func:`repro.obs.derived.derived_metrics`) folds
   a saved trace for its jitter, deadline, port, HM and memory-fault
   sections;
@@ -44,7 +44,7 @@ from ..kernel.trace import (
 )
 
 __all__ = ["COUNTERS", "SAMPLES", "STEPS", "MetricsState", "entries",
-           "fold", "observer", "total"]
+           "fold", "total"]
 
 #: Counter tables: name -> (units, labels outermost first).  A table
 #: with no labels is an int; otherwise it maps each value of its first
@@ -289,15 +289,3 @@ def fold(state: MetricsState,
         if step is not None:
             step(state, event)
     return state
-
-
-def observer(state: MetricsState) -> Callable[[TraceEvent], None]:
-    """A trace observer stepping *state* through each recorded event."""
-    step_for = STEPS.get
-
-    def observe(event: TraceEvent) -> None:
-        step = step_for(type(event))
-        if step is not None:
-            step(state, event)
-
-    return observe

@@ -1,8 +1,9 @@
 """Live instrumentation: the metrics fold as a deterministic registry.
 
-:class:`SimulatorMetrics` subscribes the metrics fold
-(:mod:`repro.obs.fold`) to the simulator's :class:`Trace`; :meth:`collect`
-renders the fold state as registry instruments — partition/process
+:class:`SimulatorMetrics` keeps a cursor into the simulator's
+:class:`Trace` and, whenever it is read, folds the events recorded since
+(:mod:`repro.obs.fold`); :meth:`collect` renders the fold state as
+registry instruments — partition/process
 dispatch counters, the Algorithm 3 detection-latency histogram, channel
 delivery latencies and queue depths, HM classifications, memory faults —
 and snapshots the component-level counters that do not flow through the
@@ -19,9 +20,10 @@ campaign worker counts.  Host-time quantities never enter the registry;
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict
 
-from .fold import COUNTERS, SAMPLES, MetricsState, entries, fold, observer
+from .fold import COUNTERS, SAMPLES, MetricsState, entries, fold
 from .metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 
 __all__ = ["AIR_INSTRUMENTS", "SimulatorMetrics", "instrument"]
@@ -83,18 +85,27 @@ AIR_INSTRUMENTS: Dict[str, tuple] = {
 
 class SimulatorMetrics:
     """Live view of the metrics fold (:mod:`repro.obs.fold`) over a
-    simulator's trace, rendered as a deterministic registry."""
+    simulator's trace, rendered as a deterministic registry.
+
+    The view counts the events recorded after its construction: it
+    starts its cursor at the log's current length and folds the log from
+    there each time :attr:`state` is read.
+    """
 
     def __init__(self, simulator) -> None:
         self.simulator = simulator
-        #: The fold state, stepped by every event the trace records.
-        self.state = MetricsState()
-        self._observe = observer(self.state)
-        simulator.trace.subscribe(self._observe)
+        self._state = MetricsState()
+        # Log index of the first event not yet folded into the state.
+        self._folded = len(simulator.trace)
 
-    def close(self) -> None:
-        """Detach from the trace (stop observing)."""
-        self.simulator.trace.unsubscribe(self._observe)
+    @property
+    def state(self) -> MetricsState:
+        """The fold state, caught up with the log."""
+        trace = self.simulator.trace
+        if self._folded < len(trace):
+            fold(self._state, islice(trace, self._folded, None))
+            self._folded = len(trace)
+        return self._state
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -102,8 +113,8 @@ class SimulatorMetrics:
         return self.collect()
 
     def collect(self) -> MetricsRegistry:
-        """Render the fold state and the component counters as a fresh
-        registry.
+        """Render the fold state (caught up with the log first) and the
+        component counters as a fresh registry.
 
         Counter table ``<name>`` renders as ``air_<name>_total``, sample
         table ``<name>`` as the histogram ``air_<name>`` (the tables in
@@ -186,19 +197,20 @@ class SimulatorMetrics:
 
 
 def instrument(simulator, *, replay: bool = False) -> SimulatorMetrics:
-    """Attach live metrics to *simulator*; returns the observer.
+    """Attach live metrics to *simulator*; returns the metrics view.
 
-    Call before running; read ``observer.collect().to_json()`` after.
+    Call before running; read ``metrics.collect().to_json()`` after.
 
-    *replay* folds the events already in the simulator's trace into the
-    observer's state before going live — the way to instrument a simulator
-    restored from a :class:`~repro.kernel.snapshot.SimulatorSnapshot`:
-    the restored trace holds the pre-checkpoint events, so replaying them
-    makes the registry digest equal a cold run instrumented from tick 0
-    (component-counter gauges come from ``collect()`` and are captured by
-    the snapshot already).
+    *replay* starts the cursor at the head of the log, so the events
+    already in the simulator's trace are folded too — the way to
+    instrument a simulator after its run, or one restored from a
+    :class:`~repro.kernel.snapshot.SimulatorSnapshot`: the restored trace
+    holds the pre-checkpoint events, so folding them makes the registry
+    digest equal a cold run instrumented from tick 0 (component-counter
+    gauges come from ``collect()`` and are captured by the snapshot
+    already).
     """
     metrics = SimulatorMetrics(simulator)
     if replay:
-        fold(metrics.state, simulator.trace)
+        metrics._folded = 0
     return metrics

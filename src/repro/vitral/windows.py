@@ -98,7 +98,7 @@ class VitralScreen:
 
     def __init__(self, simulator: Simulator, *, columns: int = 2,
                  window_width: int = 38, window_height: int = 8) -> None:
-        from ..obs.instrument import SimulatorMetrics
+        from ..obs.instrument import instrument
 
         self.simulator = simulator
         self.columns = max(columns, 1)
@@ -117,8 +117,9 @@ class VitralScreen:
         self.metrics_window = Window(self.METRICS_WINDOW,
                                      width=window_width * self.columns,
                                      height=window_height)
-        #: Live deterministic metrics feeding the metrics window.
-        self.metrics = SimulatorMetrics(simulator)
+        #: Deterministic metrics feeding the metrics window: like the
+        #: other windows, a cursor from the head of the log.
+        self.metrics = instrument(simulator, replay=True)
 
     # -------------------------------------------------------------- #
     # event routing
@@ -135,8 +136,8 @@ class VitralScreen:
         return len(new)
 
     def _refresh_metrics(self) -> None:
-        """Redraw the metrics window from the live metrics fold
-        (gauge-style: current values, not a scrolling log)."""
+        """Redraw the metrics window from the metrics fold of the whole
+        log (gauge-style: current values, not a scrolling log)."""
         from ..obs.fold import total
 
         pmk = self.simulator.pmk

@@ -419,17 +419,7 @@ class TestReplayRenderedFrames:
                 lines=_LINES[data.draw(st.sampled_from(sorted(_LINES)),
                                        "lines")])
             mtf = 500
-        observed = data.draw(st.booleans(), "observer")
-        seen = []
-
-        def watch(simulator):
-            if observed:
-                seen.clear()
-                seen.extend(simulator.trace.events)
-                simulator.trace.subscribe(seen.append)
-            return simulator
-
-        simulator = watch(Simulator(config))
+        simulator = Simulator(config)
         for _step in range(data.draw(st.integers(1, 6), "steps")):
             simulator.run_fast(data.draw(st.integers(1, 8 * mtf), "chunk"))
             seam = data.draw(st.sampled_from(_SEAMS), "seam")
@@ -439,7 +429,7 @@ class TestReplayRenderedFrames:
                 # shipped encoding; the fork adopts it.
                 snapshot = SimulatorSnapshot.capture(simulator)
                 assert "encoded" in snapshot.trace
-                simulator = watch(snapshot.restore(config))
+                simulator = snapshot.restore(config)
             elif seam == "trace-round-trip":
                 trace.restore(trace.snapshot())
             for call in seam.split("+"):
@@ -449,8 +439,6 @@ class TestReplayRenderedFrames:
                     ).hexdigest()[:16]
                 elif call == "to_json":
                     assert trace.to_json() == one_shot_json(trace)
-            if observed:
-                assert seen == list(simulator.trace.events)
         assert_canonical(simulator.trace)
         plain = Simulator(config, cycle_cache=False)
         plain.run_fast(simulator.now)

@@ -296,6 +296,19 @@ class TestGroundCommandQueue:
                            match="P3/ttc-telecommand.*outside the snapshot"):
             snapshot.restore(handles.config)
 
+    def test_a_refused_restore_leaves_the_command_queued(self):
+        # The refused restore replays the telecommand body up to the
+        # ground command's call; the live run must still execute it.
+        handles = build_prototype()
+        sim = make_simulator(handles)
+        sim.run_fast(self.FORK)
+        handles.ttc_stats.queue_schedule_command("chi2")
+        with pytest.raises(SimulationError):
+            sim.snapshot().restore(handles.config)
+        assert handles.ttc_stats.pending_commands == ["chi2"]
+        sim.run_fast(2 * MTF)
+        assert handles.ttc_stats.command_results == ["noError"]
+
     def test_restore_after_a_consumed_command_is_refused(self):
         handles = build_prototype()
         sim = make_simulator(handles)

@@ -70,27 +70,33 @@ class TestQueries:
 
 
 class TestDigestMemoization:
+    """The encoded chunks and the running hash are the digest's memo: a
+    repeat digest re-encodes nothing, and every change to the log shows."""
+
     def test_repeated_digest_does_not_rescan(self, monkeypatch):
-        # Regression: campaigns digest the same finished trace from
-        # several reporting paths; only the first call may serialize.
+        # Only the first digest of an unchanged log may encode events.
         trace = Trace()
         for tick in range(50):
             trace.record(dispatched(tick))
-        calls = {"count": 0}
-        original = Trace._encode_pending
+        encoded = []
+        original = trace_module._encode_events
 
-        def counting_encode(self):
-            calls["count"] += 1
-            return original(self)
+        def counting_encode(events):
+            events = list(events)
+            encoded.append(len(events))
+            return original(events)
 
-        monkeypatch.setattr(Trace, "_encode_pending", counting_encode)
+        monkeypatch.setattr(trace_module, "_encode_events", counting_encode)
         first = trace.digest()
-        assert calls["count"] == 1
+        assert encoded == [50]
         assert trace.digest() == first
         assert trace.summary()["digest"] == first
-        assert calls["count"] == 1, "memoized digest rescanned the log"
+        assert encoded == [50], "a repeat digest re-encoded events"
+        trace.record(dispatched(50))
+        assert trace.digest() != first
+        assert encoded == [50, 1]
 
-    def test_append_invalidates_the_memo(self):
+    def test_append_changes_the_digest(self):
         trace = Trace()
         trace.record(dispatched(1))
         before = trace.digest()
@@ -98,7 +104,7 @@ class TestDigestMemoization:
         after = trace.digest()
         assert after != before
 
-    def test_restore_invalidates_the_memo(self):
+    def test_restore_changes_the_digest(self):
         trace = Trace()
         trace.record(dispatched(1))
         stale = trace.digest()
@@ -109,9 +115,9 @@ class TestDigestMemoization:
         assert trace.digest() == other.digest() != stale
 
     def test_same_length_same_last_tick_still_distinguished(self):
-        # The memo key must not collapse distinct same-shape logs:
-        # restore() bumps the generation precisely so a rebuilt log of
-        # equal length and final tick cannot alias a stale cached digest.
+        # restore() drops the encoded chunks and the running hash, so a
+        # rebuilt log of equal length and final tick cannot reuse a
+        # stale encoding.
         trace = Trace()
         trace.record(dispatched(1, heir="P1"))
         first = trace.digest()
@@ -154,36 +160,6 @@ class TestWhere:
         hits = trace.where(lambda e: e.tick >= 2)
         assert [e.tick for e in hits] == [2, 3]
         assert trace.where(lambda e: False) == ()
-
-
-class TestObservers:
-    def test_observer_sees_every_record(self):
-        trace = Trace()
-        seen = []
-        trace.subscribe(seen.append)
-        trace.record(dispatched(1))
-        trace.record(missed(2))
-        assert [e.tick for e in seen] == [1, 2]
-
-    def test_subscribe_is_idempotent(self):
-        trace = Trace()
-        seen = []
-        trace.subscribe(seen.append)
-        trace.subscribe(seen.append)
-        trace.record(dispatched(1))
-        assert len(seen) == 1
-
-    def test_unsubscribe_stops_delivery(self):
-        trace = Trace()
-        seen = []
-        trace.subscribe(seen.append)
-        trace.record(dispatched(1))
-        trace.unsubscribe(seen.append)
-        trace.record(dispatched(2))
-        assert [e.tick for e in seen] == [1]
-
-    def test_unsubscribe_unknown_is_noop(self):
-        Trace().unsubscribe(lambda e: None)
 
 
 class TestJsonl:
@@ -399,10 +375,9 @@ class TestIncrementalEncoding:
             [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 18, 19, 28, 29]
 
     def test_direct_append_replay_fast_path_is_byte_identical(self):
-        # With no observers subscribed, replay appends straight onto the
-        # event list (Trace.record minus the observer fan-out).  The
-        # incremental encoder's watermark must still pick those events
-        # up, and the memo key must notice the growth.
+        # Replay appends straight onto the event list, not through
+        # Trace.record.  The incremental encoder's watermark must still
+        # pick those events up.
         trace = Trace()
         for tick in range(3):
             trace.record(dispatched(tick))
