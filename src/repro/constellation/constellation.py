@@ -3,15 +3,25 @@
 A :class:`Constellation` runs N full AIR nodes — each its own
 :class:`~repro.kernel.simulator.Simulator` with PMK/PST/FDIR stack and a
 :class:`~repro.fault.injector.FaultInjector` — in deterministic lockstep:
-the loop advances every alive node (in node-id order) to the next *sync
-boundary*, pumps the inter-node fabric, drains inboxes and runs one
-protocol step per node.  Boundaries are the earliest of: the sync
-quantum, the next link delivery, the next beacon, the next watchdog
-expiry, the next pending promotion and the next scheduled cross-node
-fault — so no protocol-relevant tick is ever skipped, and the whole
-schedule is a pure function of (config, seed, faults).  See DESIGN
-decision 12 for why lockstep (not event-interleaved node execution) is
-what keeps per-node trace digests byte-identical to single-node runs.
+the loop steps from one *sync boundary* to the next, pumps the
+inter-node fabric, drains inboxes and runs one protocol step per node.
+Boundaries are the earliest of: the sync quantum, the next link
+delivery, the next beacon, the next watchdog expiry, the next pending
+promotion and the next scheduled cross-node fault — so no
+protocol-relevant tick is ever skipped, and the whole schedule is a pure
+function of (config, seed, faults).
+
+Most boundaries never read or write a node's simulator, so a node is not
+stopped at each one.  Conservative lookahead (Chandy–Misra): when the
+fleet is about to pass a node's position, the node runs, in node-id
+order, to its *horizon* — the earliest tick at which the fleet can touch
+it (:meth:`Constellation._horizon`).  The fleet touches a node's
+simulator in three places only — the leader watchdog's expiry record,
+the scheduler read behind ``promotion_due``, and ``crash_node``'s module
+stop — and :meth:`Constellation._touch` checks at each that the node is
+exactly at the fleet's tick.  See DESIGN decision 12 for why lockstep
+(not event-interleaved node execution) is what keeps per-node trace
+digests byte-identical to single-node runs.
 
 Failover is driven by the existing FDIR machinery: every standby runs a
 :class:`~repro.fdir.watchdog.WatchdogService` with one ``leader`` window
@@ -88,7 +98,10 @@ class Node:
 
     @property
     def alive(self) -> bool:
-        return not self.crashed and not self.simulator.stopped
+        """Not crashed.  A node whose own FDIR stopped its module stays
+        alive to the fleet until the first boundary at or after its stop
+        tick, where the constellation marks it crashed."""
+        return not self.crashed
 
 
 class Constellation:
@@ -155,6 +168,7 @@ class Constellation:
         node = self.nodes[index]
         if node.crashed:
             return
+        self._touch(node)
         node.crashed = True
         node.simulator.pmk.module_stop()
         self.comm.silence(self.now, index, until=-1)
@@ -179,17 +193,20 @@ class Constellation:
                 return False
             boundary = self._next_boundary(target)
             for node in self.nodes:
-                if not node.alive:
-                    continue
-                span = boundary - node.simulator.now
-                if span > 0:
-                    node.injector.run_fast(span)
+                simulator = node.simulator
+                if simulator.now < boundary and not simulator.stopped:
+                    node.injector.run_fast(
+                        self._horizon(node, boundary, target)
+                        - simulator.now)
             self.now = boundary
             for node in self.nodes:
                 # A node whose own FDIR stopped the module (HM
                 # escalation) is dead to the fleet even without an
-                # injected crash.
-                if node.simulator.stopped and not node.crashed:
+                # injected crash, from the first boundary at or after
+                # the tick it stopped at.
+                simulator = node.simulator
+                if (simulator.stopped and not node.crashed
+                        and simulator.now <= boundary):
                     self.crash_node(node.index)
             self._apply_due_faults()
             self.comm.pump(self.now)
@@ -200,6 +217,37 @@ class Constellation:
                 if node.alive:
                     self._protocol_step(node)
         return True
+
+    def _horizon(self, node: Node, boundary: Ticks, target: Ticks) -> Ticks:
+        """The latest tick *node* may run to before the fleet touches it.
+
+        The earliest of the run target, the next pending cross-node fault
+        (every node is at a fault tick, so a crash or a cascade it
+        schedules finds each node in place), the node's armed leader
+        watchdog expiry and one heartbeat timeout from now.  A kick only
+        moves an armed expiry later, and a disarmed watchdog re-arms no
+        earlier than one timeout after a boundary still to come.  Never
+        before *boundary*: nothing touches a node between two
+        boundaries.
+        """
+        horizon = min(target, self.now + self.config.heartbeat_timeout)
+        if self._pending:
+            horizon = min(horizon, self._pending[0][0])
+        expiry = node.watchdog.next_expiry()
+        if expiry is not None:
+            horizon = min(horizon, expiry)
+        return max(horizon, boundary)
+
+    def _touch(self, node: Node) -> None:
+        """The lookahead premise, checked wherever the fleet reads or
+        writes a node's simulator: an unstopped node is exactly at the
+        fleet's tick, never ahead of it."""
+        simulator = node.simulator
+        if simulator.now != self.now and not simulator.stopped:
+            raise SimulationError(
+                f"node {node.index} is at tick {simulator.now} where the "
+                f"constellation touches it at tick {self.now}: its "
+                f"lookahead horizon passed a tick the fleet can touch it")
 
     def _next_boundary(self, target: Ticks) -> Ticks:
         candidates = [target, self.now + self.config.sync_quantum]
@@ -299,9 +347,12 @@ class Constellation:
             self._broadcast(node, kind)
             while node.next_beacon <= now:
                 node.next_beacon += self.config.heartbeat_period
-        expired = node.watchdog.check(now)
-        if expired and node.role == ROLE_STANDBY:
-            self._on_leader_silent(node)
+        if node.watchdog.check(now):
+            # The expiry went into the node's own trace at *now*, and a
+            # standby's successor choice reads its scheduler there.
+            self._touch(node)
+            if node.role == ROLE_STANDBY:
+                self._on_leader_silent(node)
 
     def _on_leader_silent(self, node: Node) -> None:
         now = self.now
